@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,10 @@ from .report import (
     DISCLAIMER,
     REPORT_SCHEMA,
     decompose_named,
+    fano_json,
     full_report,
+    pair_report,
+    rcc_json,
     zariski_json,
 )
 from .surface import validate
@@ -106,6 +108,14 @@ def _parse_eps(value) -> Fraction | None:
     return eps
 
 
+def _check_level(model, level: int) -> None:
+    if not 0 <= level <= model.top:
+        raise CliFailure(EXIT_SCHEMA, {
+            "error": "bad-level",
+            "detail": f"level {level} is outside the tower (0..{model.top})",
+        })
+
+
 def _cmd_check(args) -> dict:
     loaded = _load(args.model)
     supports = ()
@@ -129,6 +139,7 @@ def _cmd_check(args) -> dict:
 def _cmd_zariski(args) -> dict:
     loaded = _load(args.model)
     level = args.level if args.level is not None else loaded.model.top
+    _check_level(loaded.model, level)
     try:
         zd, name = decompose_named(loaded.model, level, args.divisor, loaded)
     except KeyError:
@@ -144,11 +155,11 @@ def _cmd_zariski(args) -> dict:
     return out
 
 
-def _cmd_report_slice(args, keys) -> dict:
+def _cmd_report_slice(args, report, keys) -> dict:
     loaded = _load(args.model)
     pair = _pair_of(loaded)
     eps = _parse_eps(getattr(args, "eps", None))
-    rep = full_report(pair, eps)
+    rep = report(pair, eps)
     out = {"schema": REPORT_SCHEMA, "command": args.command}
     for key in keys:
         out[key] = rep[key]
@@ -161,13 +172,14 @@ def _cmd_fano(args) -> dict:
     level = args.level if args.level is not None else (
         loaded.pair[0] if loaded.pair else loaded.model.top
     )
-    from .report import fano_json
-
+    _check_level(loaded.model, level)
     try:
         verdict = fano_json(loaded.model, level)
     except NotPseudoeffectiveError as exc:
         raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
                                         "detail": str(exc)})
+    except PairError as exc:  # (X, N) fails the pair hypotheses
+        raise CliFailure(EXIT_VALIDATION, {"error": "pair", "detail": str(exc)})
     return {
         "schema": REPORT_SCHEMA,
         "command": "fano",
@@ -180,8 +192,6 @@ def _cmd_fano(args) -> dict:
 def _cmd_rcc(args) -> dict:
     loaded = _load(args.model)
     pair = _pair_of(loaded)
-    from .report import rcc_json
-
     out = rcc_json(pair)
     if not out["applicable"]:
         raise CliFailure(
@@ -245,8 +255,6 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        # text rendering is plain by design, so NO_COLOR is honored trivially
-        _ = os.environ.get("NO_COLOR")
         _render_text(payload, sys.stdout)
 
 
@@ -254,11 +262,11 @@ _HANDLERS = {
     "check": _cmd_check,
     "zariski": _cmd_zariski,
     "potential": lambda a: _cmd_report_slice(
-        a, ("pair", "ledger", "zariski", "frakA", "loci", "flags")
+        a, pair_report, ("pair", "ledger", "zariski", "frakA", "loci", "flags")
     ),
-    "pnklt": lambda a: _cmd_report_slice(a, ("loci",)),
+    "pnklt": lambda a: _cmd_report_slice(a, pair_report, ("loci",)),
     "classify": lambda a: _cmd_report_slice(
-        a, ("pair", "frakA", "loci", "flags", "fano_type", "rcc")
+        a, full_report, ("pair", "frakA", "loci", "flags", "fano_type", "rcc")
     ),
     "fano": _cmd_fano,
     "rcc": _cmd_rcc,

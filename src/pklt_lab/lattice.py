@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class LatticeMismatchError(ValueError):
@@ -117,10 +117,6 @@ class IntersectionForm:
         return len(self.gram)
 
 
-def freeze_matrix(m: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(rat(x) for x in row) for row in m)
-
-
 def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fraction:
     """Exact intersection product aᵀ · gram · b."""
     if a.lattice_id != form.lattice_id or b.lattice_id != form.lattice_id:
@@ -192,27 +188,6 @@ def is_negative_definite(m: Matrix) -> bool:
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
     return True
-
-
-def determinant(m: Matrix) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .lattice import intersect
 from .surface import (
-    ModelError,
     RDivisor,
     SurfaceModel,
     pull_back,
@@ -34,7 +32,6 @@ from .surface import (
 from .zariski import (
     NotPseudoeffectiveError,
     ZariskiDecomposition,
-    is_big,
     zariski_decompose,
 )
 
@@ -60,11 +57,26 @@ class _NegInfinity:
 NEG_INFINITY = _NegInfinity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSpec:
+    """A validated pair (X, Δ) with its analysis, computed once by make_pair.
+
+    ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
+    top level of the tower; ``ledger`` holds a, σ_num and pa per top-level
+    curve.  Pairs compare and hash by identity.
+    """
+
     model: SurfaceModel
     level: int
     delta: RDivisor
+    decomposition: ZariskiDecomposition
+    ledger: DiscrepancyLedger
+
+    @property
+    def big(self) -> bool:
+        """-(K+Δ) is big: P² > 0, which the pullback to the top level keeps."""
+        p = self.decomposition.P
+        return intersect(p, p, self.model.levels[-1].form) > 0
 
 
 def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) -> PairSpec:
@@ -84,8 +96,10 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     for cid in delta.support:
         if lvl.curve(cid).born > level:
             raise PairError(f"boundary curve {cid!r} does not exist at level {level}")
-    pair = PairSpec(model, level, delta)
-    zd = _resolution_decomposition(pair)  # raises NotPseudoeffectiveError
+    d_top = pull_back(
+        model, level, model.top, -(lvl.canonical + delta.class_at(model))
+    )
+    zd = zariski_decompose(model, model.top, d_top)  # raises NotPseudoeffectiveError
     top = model.levels[-1]
     supports = set(delta.support) | set(zd.N.support)
     supports |= {c.id for c in top.curves if c.born > level}
@@ -94,20 +108,17 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
         raise PairError("; ".join(report.violations))
     if not report.log_resolution_ready:
         raise PairError("top level is not log-resolution-ready for this pair")
-    return pair
+    a = _a_values(model, level, delta)
+    ledger = DiscrepancyLedger(tuple(
+        LedgerEntry(c.id, c.display, a[c.id], zd.N.coeff(c.id))
+        for c in top.curves
+    ))
+    return PairSpec(model, level, delta, zd, ledger)
 
 
 def anti_log_canonical(pair: PairSpec):
     lvl = pair.model.level(pair.level)
     return -(lvl.canonical + pair.delta.class_at(pair.model))
-
-
-@lru_cache(maxsize=None)
-def _resolution_decomposition(pair: PairSpec) -> ZariskiDecomposition:
-    """Zariski decomposition of the pullback of -(K+Δ) at the top level."""
-    model = pair.model
-    d_top = pull_back(model, pair.level, model.top, anti_log_canonical(pair))
-    return zariski_decompose(model, model.top, d_top)
 
 
 def _a_values(model: SurfaceModel, level: int, delta: RDivisor) -> dict[str, Fraction]:
@@ -161,20 +172,14 @@ def discrepancies(pair: PairSpec) -> dict[str, Fraction]:
     return _a_values(pair.model, pair.level, pair.delta)
 
 
-@lru_cache(maxsize=None)
 def potential_ledger(pair: PairSpec) -> DiscrepancyLedger:
-    model = pair.model
-    a = _a_values(model, pair.level, pair.delta)
-    n = _resolution_decomposition(pair).N
-    entries = []
-    for c in model.levels[-1].curves:
-        entries.append(LedgerEntry(c.id, c.display, a[c.id], n.coeff(c.id)))
-    return DiscrepancyLedger(tuple(entries))
+    """a, σ_num and pa per top-level curve, as computed by make_pair."""
+    return pair.ledger
 
 
 def total_potential_discrepancy(pair: PairSpec):
     """min(0, per-curve pa) when that is >= -1, else NEG_INFINITY."""
-    m = potential_ledger(pair).min_pa()
+    m = pair.ledger.min_pa()
     return m if m >= -1 else NEG_INFINITY
 
 
@@ -234,9 +239,8 @@ def _components(pair: PairSpec, curve_ids: Sequence[str]) -> list[LocusComponent
 
 
 def nklt_locus(pair: PairSpec) -> list[LocusComponent]:
-    ledger = potential_ledger(pair)
     return _components(
-        pair, [e.curve_id for e in ledger.entries if e.a <= -1]
+        pair, [e.curve_id for e in pair.ledger.entries if e.a <= -1]
     )
 
 
@@ -246,24 +250,15 @@ def eps_spnklt(pair: PairSpec, eps: Fraction) -> list[LocusComponent]:
     Infinitesimal centers add nothing beyond the listed curves: a free
     point on E_i has pa_i + 1 and a node has pa_i + pa_j + 1, and either
     threshold forces one of the carrying curves below -1 + ε already.
-    The derived fact is asserted on every call.
+    No runtime check is needed, since both implications hold for every
+    ε >= 0: pa_i + 1 <= -1 + ε gives pa_i < -1 + ε, and
+    pa_i + pa_j + 1 <= -1 + ε gives min(pa_i, pa_j) <= -1 + ε/2.
     """
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    ledger = potential_ledger(pair)
-    pa = {e.curve_id: e.pa for e in ledger.entries}
-    top = pair.model.levels[-1]
-    for i, ci in enumerate(top.curves):
-        if pa[ci.id] + 1 <= -1 + eps:
-            assert pa[ci.id] <= -1 + eps
-        for cj in top.curves[i + 1 :]:
-            if intersect(ci.cls, cj.cls, top.form) <= 0:
-                continue
-            if pa[ci.id] + pa[cj.id] + 1 <= -1 + eps:
-                assert min(pa[ci.id], pa[cj.id]) <= -1 + eps
     return _components(
-        pair, [e.curve_id for e in ledger.entries if e.pa <= -1 + eps]
+        pair, [e.curve_id for e in pair.ledger.entries if e.pa <= -1 + eps]
     )
 
 
@@ -273,7 +268,7 @@ def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
 
 def eps_threshold(pair: PairSpec) -> Fraction | None:
     """Largest ε below which ε-spNklt equals pNklt: min(pa+1) over pa > -1."""
-    vals = [e.pa + 1 for e in potential_ledger(pair).entries if e.pa > -1]
+    vals = [e.pa + 1 for e in pair.ledger.entries if e.pa > -1]
     return min(vals) if vals else None
 
 
@@ -296,7 +291,7 @@ class PotentialReport:
 
 
 def classify_pair(pair: PairSpec) -> PotentialReport:
-    ledger = potential_ledger(pair)
+    ledger = pair.ledger
     frak = total_potential_discrepancy(pair)
     nklt = tuple(nklt_locus(pair))
     pnklt = tuple(pnklt_locus(pair))
@@ -313,14 +308,10 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
     pnklt_keys = {c.key for c in pnklt}
     nnef_keys = {
         c.key
-        for c in _components(pair, _resolution_decomposition(pair).N.support)
+        for c in _components(pair, pair.decomposition.N.support)
     }
     assert nklt_keys <= pnklt_keys <= (nklt_keys | nnef_keys)
-    if intersect(
-        _resolution_decomposition(pair).P,
-        _resolution_decomposition(pair).P,
-        pair.model.levels[-1].form,
-    ) > 0:
+    if pair.big:
         from . import rcc  # deferred: rcc builds on this module
 
         graph = rcc.incidence_graph(pair, list(pnklt))
@@ -389,10 +380,8 @@ def check_monotonicity(
     if not extra.is_effective():
         raise PairError("extra boundary must be effective")
     bigger = make_pair(pair.model, pair.level, pair.delta + extra)
-    l1 = potential_ledger(pair)
-    l2 = potential_ledger(bigger)
     out = []
-    for e1, e2 in zip(l1.entries, l2.entries):
+    for e1, e2 in zip(pair.ledger.entries, bigger.ledger.entries):
         if e1.pa < e2.pa:
             out.append((e1.curve_id, e1.pa, e2.pa))
     return out
@@ -425,7 +414,7 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
         raise PairError("witness must be effective")
     model = pair.model
     ft = total_transform(model, witness)
-    n = _resolution_decomposition(pair).N
+    n = pair.decomposition.N
     dominates = all(
         ft.coeff(c.id) >= n.coeff(c.id) for c in model.levels[-1].curves
     )

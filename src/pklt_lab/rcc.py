@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import intersect
-from .potential import (
-    LocusComponent,
-    PairSpec,
-    anti_log_canonical,
-    pnklt_locus,
-)
-from .zariski import is_big
+from .potential import LocusComponent, PairSpec, pnklt_locus
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ def surface_rcc_via_pnklt(pair: PairSpec) -> tuple[bool, str]:
     exactly when its pNklt locus is."""
     if not pair.delta.is_zero():
         raise ValueError("proposition requires Δ = 0")
-    if not is_big(pair.model, pair.level, anti_log_canonical(pair)):
+    if not pair.big:
         raise ValueError("proposition requires -K big")
     comps = pnklt_locus(pair)
     if not comps:

@@ -19,7 +19,7 @@ from .zariski import (
     ZariskiDecomposition,
     zariski_decompose,
 )
-from . import potential, rcc
+from . import rcc
 
 REPORT_SCHEMA = "pklt-lab/report/1"
 
@@ -121,11 +121,10 @@ def rcc_json(pair: PairSpec) -> dict:
     return {"applicable": True, "value": value, "reason": reason}
 
 
-def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
-    """The composite report: ledger, Zariski data, loci, flags, verdicts."""
+def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
+    """The sections about the pair itself: ledger, Zariski data, loci, flags."""
     model = pair.model
     pr = classify_pair(pair)
-    zd = potential._resolution_decomposition(pair)
     ledger = {
         e.display: {
             "a": rat_str(e.a),
@@ -141,7 +140,7 @@ def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
             "delta": divisor_json(model, pair.delta),
         },
         "ledger": ledger,
-        "zariski": zariski_json(model, zd, "-(K+Delta)"),
+        "zariski": zariski_json(model, pair.decomposition, "-(K+Delta)"),
         "frakA": rat_str(pr.frakA),
         "loci": loci_json(pair, pr, eps),
         "flags": {
@@ -150,10 +149,17 @@ def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
             "potentially_klt": pr.potentially_klt,
             "potentially_lc": pr.potentially_lc,
         },
-        "fano_type": fano_json(model, pair.level),
-        "rcc": rcc_json(pair),
-        "disclaimer": DISCLAIMER,
     }
+
+
+def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
+    """The composite report: the pair sections, then the Fano-type and
+    RCC verdicts on the pair's surface."""
+    out = pair_report(pair, eps)
+    out["fano_type"] = fano_json(pair.model, pair.level)
+    out["rcc"] = rcc_json(pair)
+    out["disclaimer"] = DISCLAIMER
+    return out
 
 
 def decompose_named(

@@ -20,10 +20,7 @@ from conftest import (
     random_tower,
     ruled,
 )
-from pklt_lab.potential import (
-    _resolution_decomposition,
-    anti_log_canonical,
-)
+from pklt_lab.potential import anti_log_canonical
 from pklt_lab.rcc import incidence_graph, is_connected
 
 
@@ -93,7 +90,7 @@ def test_criterion_3_inclusion_chain():
         nnef = {
             c.key
             for c in pl.potential._components(
-                pair, _resolution_decomposition(pair).N.support
+                pair, pair.decomposition.N.support
             )
         }
         ok &= nklt <= pnklt <= (nklt | nnef)
@@ -159,9 +156,12 @@ def test_criterion_6_connectedness():
         pair = random_klt_pair(rng, max_blowups=4)
         checked += 1
         try:
-            if not pl.is_big(pair.model, pair.level, anti_log_canonical(pair)):
-                continue
+            big = pl.is_big(pair.model, pair.level, anti_log_canonical(pair))
         except pl.NotPseudoeffectiveError:
+            continue
+        # bigness at the pair level is P² > 0 of the top-level decomposition
+        ok &= big == pair.big
+        if not big:
             continue
         big_seen += 1
         graph = incidence_graph(pair, pl.pnklt_locus(pair))

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,18 @@ def test_bad_eps_exit_2(tmp_path, capsys):
         assert code == 2
 
 
+def test_level_outside_tower_exit_2(tmp_path, capsys):
+    path = write_model(tmp_path, RULED_BLOWUP)
+    for args in (
+        ["zariski", path, "--divisor", "antiK", "--level", "7"],
+        ["zariski", path, "--divisor", "antiK", "--level", "-1"],
+        ["fano", path, "--level", "5"],
+    ):
+        code, out = run_cli(args, capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "bad-level"
+
+
 def test_classify_subcommand(tmp_path, capsys):
     path = write_model(tmp_path, RULED_BLOWUP)
     code, out = run_cli(["classify", path], capsys)
@@ -161,6 +175,20 @@ def test_fano_subcommand(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["fano_type"]["value"] is True
     assert doc["fano_type"]["N"] == {"C0": "1/3"}
+
+
+def test_fano_pair_error_exit_3(tmp_path, capsys):
+    # (X, N) for this tower is not log-resolution-ready
+    doc = {
+        "version": "pklt-lab/1",
+        "base": {"kind": "ruled", "genus": 0, "e": 3},
+        "blowups": [
+            {"id": "E1", "on": [{"curve": "f", "mult": 2}], "point": "p1"}
+        ],
+    }
+    code, out = run_cli(["fano", write_model(tmp_path, doc)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"] == "pair"
 
 
 def test_rcc_subcommand_inapplicable_exit_1(tmp_path, capsys):
@@ -200,6 +228,25 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args", [["classify", "models/ruled_blowup.json"], ["examples"]]
+)
+def test_optimized_interpreter_gives_the_same_output(args):
+    """Stripping asserts with -O must not change stdout or the exit code."""
+    src = str(Path(pl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "pklt_lab.cli", *args],
+            capture_output=True, cwd=Path(__file__).resolve().parents[1],
+            env=env,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout and plain.stdout == optimized.stdout
+    assert plain.returncode == optimized.returncode
 
 
 def test_model_round_trip(tmp_path):

@@ -9,9 +9,31 @@ from pklt_lab.lattice import (
     DivisorClass,
     IntersectionForm,
     basis_class,
-    determinant,
     signature,
 )
+
+
+def determinant(m):
+    """Exact determinant by Gaussian elimination, as a test oracle."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
 
 RULED_23 = IntersectionForm(
     "r", ((Fraction(-3), Fraction(1)), (Fraction(1), Fraction(0)))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     ruled,
 )
 from pklt_lab.potential import anti_log_canonical
+from pklt_lab.report import full_report
 
 
 def half_l_pair(coeff=Fraction(3, 2), blowups=0):
@@ -190,6 +193,16 @@ def test_make_pair_rejects_bad_input():
         pl.make_pair(blown_ruled(2, 3), 1, pl.RDivisor.make(0, {"C0": 1}))
     with pytest.raises(pl.NotPseudoeffectiveError):
         pl.make_pair(m, 0, pl.RDivisor.make(0, {"f": 10}))
+
+
+def test_dropped_pair_leaves_its_model_collectable():
+    model = blown_ruled(2, 3)
+    pair = pl.make_pair(model, 1)
+    full_report(pair)
+    ref = weakref.ref(model)
+    del model, pair
+    gc.collect()
+    assert ref() is None
 
 
 def test_make_pair_rejects_unready_resolution():
