@@ -147,6 +147,9 @@ def _cmd_zariski(args) -> dict:
             EXIT_VALIDATION,
             {"error": "unknown-divisor", "detail": args.divisor},
         )
+    except ValidationError as exc:
+        raise CliFailure(EXIT_VALIDATION, {"error": "validation",
+                                           "detail": str(exc)})
     except NotPseudoeffectiveError as exc:
         raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
                                         "detail": str(exc)})

@@ -97,41 +97,42 @@ def basis_class(index: int, rank: int, lattice_id: str) -> DivisorClass:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric bilinear form on a lattice, given by its Gram matrix."""
+    """Symmetric bilinear form: a base Gram block ⊕ ⟨−1⟩^exceptional.
+
+    A blow-up adds one basis vector E with E² = −1, orthogonal to the
+    pullback of the old lattice (Hartshorne V.3.2), so every level of a
+    tower shares the base block and only ``exceptional`` grows.  The block
+    is taken as given: ``make_base`` checks a user-supplied one.
+    """
 
     lattice_id: str
     gram: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+    exceptional: int = 0
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.gram) + self.exceptional
 
 
 def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fraction:
-    """Exact intersection product aᵀ · gram · b."""
+    """Exact intersection product: aᵀ · gram · b on the base coordinates,
+    minus Σ aₑbₑ over the exceptional ones."""
     if a.lattice_id != form.lattice_id or b.lattice_id != form.lattice_id:
         raise LatticeMismatchError(
             f"lattice mismatch: classes {a.lattice_id!r}, {b.lattice_id!r} "
             f"against form {form.lattice_id!r}"
         )
+    n = len(form.gram)
     total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
+    for ai, row in zip(a.coeffs, form.gram):
         if ai == 0:
             continue
-        row = form.gram[i]
-        for j, bj in enumerate(b.coeffs):
+        for gij, bj in zip(row, b.coeffs):
             if bj != 0:
-                total += ai * row[j] * bj
+                total += ai * gij * bj
+    for ae, be in zip(a.coeffs[n:], b.coeffs[n:]):
+        if ae != 0 and be != 0:
+            total -= ae * be
     return total
 
 

@@ -230,7 +230,10 @@ def parse_model(doc) -> LoadedModel:
             if name not in divisors:
                 raise ValidationError("/pair/delta", f"unknown divisor {name!r}")
         pair = (level, name)
-    return LoadedModel(model, divisors, pair)
+    loaded = LoadedModel(model, divisors, pair)
+    if pair is not None and pair[1] is not None:
+        loaded.divisor_at(pair[1], pair[0])  # Δ must live at the pair level
+    return loaded
 
 
 def load_model(source: str) -> LoadedModel:

@@ -248,7 +248,11 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         )
     elif isinstance(spec, AbstractLattice):
         form = IntersectionForm(lat_id, spec.gram)
-        if signature(spec.gram) != (1, form.rank - 1, 0):
+        try:
+            sig = signature(spec.gram)
+        except ValueError as exc:  # not square, or not symmetric
+            raise ModelError(f"lattice gram {exc}")
+        if sig != (1, form.rank - 1, 0):
             raise ModelError(
                 "lattice gram matrix must have signature (1, rank-1)"
             )
@@ -317,12 +321,8 @@ def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
 
     tag = model.base.lattice_tag()
     lat_id = f"{tag}/{k}"
-    n = prev.form.rank + 1
-    gram = [list(row) + [Fraction(0)] for row in prev.form.gram]
-    gram.append([Fraction(0)] * n)
-    gram[-1][-1] = Fraction(-1)
-    form = IntersectionForm(lat_id, tuple(tuple(row) for row in gram))
-    e_cls = basis_class(n - 1, n, lat_id)
+    form = IntersectionForm(lat_id, prev.form.gram, prev.form.exceptional + 1)
+    e_cls = basis_class(form.rank - 1, form.rank, lat_id)
     canonical = _extend_class(prev.canonical, lat_id) + e_cls
 
     mults = dict(incidences)
@@ -360,17 +360,6 @@ def pull_back(
         raise ModelError("class does not live at the source level")
     pad = (Fraction(0),) * (dst.form.rank - src.form.rank)
     return DivisorClass(cls.coeffs + pad, dst.form.lattice_id)
-
-
-def push_forward_class(
-    model: SurfaceModel, from_level: int, to_level: int, cls: DivisorClass
-) -> DivisorClass:
-    src, dst = model.level(from_level), model.level(to_level)
-    if from_level < to_level:
-        raise ModelError("push_forward goes down the tower")
-    if cls.lattice_id != src.form.lattice_id:
-        raise ModelError("class does not live at the source level")
-    return DivisorClass(cls.coeffs[: dst.form.rank], dst.form.lattice_id)
 
 
 def push_forward(
@@ -426,73 +415,36 @@ class ValidationReport:
 
 
 def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationReport:
-    """Structural checks; never raises, returns the list of violations.
+    """Checks of the pair's supports; never raises, returns the violations.
+
+    The tower needs no checks here: ``blow_up`` raises on an overrun
+    intersection budget and builds every level as the base form plus one
+    orthogonal (−1) genus-0 exceptional per blow-up, so its signature and
+    pushforward∘pullback = id hold by construction.
 
     ``supports`` are top-level curve ids (typically Supp Δ ∪ Supp N plus
     exceptionals); the log-resolution-ready flag asserts that every
     remaining intersection among them is declared transverse and distinct.
     """
-    violations: list[str] = []
-    for k, lvl in enumerate(model.levels):
-        sig = signature(lvl.form.gram)
-        if sig != (1, lvl.form.rank - 1, 0):
-            violations.append(
-                f"level {k}: intersection form has signature {sig}, "
-                f"expected (1, {lvl.form.rank - 1}, 0)"
-            )
-        if k > 0:
-            prev = model.levels[k - 1]
-            for c in prev.curves:
-                up = pull_back(model, k - 1, k, c.cls)
-                down = push_forward_class(model, k, k - 1, up)
-                if down != c.cls:
-                    violations.append(
-                        f"level {k}: pushforward∘pullback is not the identity "
-                        f"on {c.id!r}"
-                    )
-            center = lvl.center
-            if center is not None:
-                inc = center.effective_incidences()
-                for i in range(len(inc)):
-                    for j in range(i + 1, len(inc)):
-                        (c1, m1), (c2, m2) = inc[i], inc[j]
-                        num = intersect(
-                            prev.curve(c1).cls, prev.curve(c2).cls, prev.form
-                        )
-                        if num < m1 * m2:
-                            violations.append(
-                                f"level {k}: shared point of ({c1!r}, {c2!r}) "
-                                f"exceeds intersection number {num}"
-                            )
-    for c in model.levels[-1].curves:
-        if c.kind == KIND_EXCEPTIONAL and c.genus != 0:
-            violations.append(f"exceptional {c.id!r} has nonzero genus")
-
-    ready = True
-    support_set = set(supports)
     top = model.levels[-1]
-    for cid in support_set:
-        if not top.has_curve(cid):
-            ready = False
-            violations.append(f"support references unknown curve {cid!r}")
+    support_set = set(supports)
+    ids = sorted(cid for cid in support_set if top.has_curve(cid))
+    violations = [
+        f"support references unknown curve {cid!r}"
+        for cid in sorted(support_set.difference(ids))
+    ]
     # a declared multiplicity >= 2 encodes tangency; the combinatorial model
     # cannot certify that the remaining contact is simple, so be conservative
-    for lvl in model.levels[1:]:
-        center = lvl.center
-        if center is None:
-            continue
-        for cid, m in center.effective_incidences():
-            if m >= 2 and cid in support_set:
-                ready = False
-    if support_set:
-        ids = sorted(support_set & {c.id for c in top.curves})
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a, b = top.curve(ids[i]), top.curve(ids[j])
-                if intersect(a.cls, b.cls, top.form) < 0:
-                    ready = False
-                    violations.append(
-                        f"support pair ({ids[i]!r}, {ids[j]!r}) has negative "
-                        f"intersection number"
-                    )
-    return ValidationReport(tuple(violations), ready)
+    tangent = any(
+        m >= 2 and cid in support_set
+        for lvl in model.levels[1:]
+        for cid, m in lvl.center.effective_incidences()
+    )
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if intersect(top.curve(a).cls, top.curve(b).cls, top.form) < 0:
+                violations.append(
+                    f"support pair ({a!r}, {b!r}) has negative "
+                    f"intersection number"
+                )
+    return ValidationReport(tuple(violations), not (violations or tangent))

@@ -99,6 +99,54 @@ def test_validation_error_exit_3(tmp_path, capsys):
     assert "/blowups/0" in json.loads(out)["detail"]
 
 
+def lattice_base(gram):
+    return {
+        "version": "pklt-lab/1",
+        "base": {"kind": "lattice", "basis": ["A", "B"][: len(gram)],
+                 "gram": gram, "K": ["-3"] * len(gram), "curves": []},
+    }
+
+
+# malformed model -> the JSON pointer its validation error names
+MALFORMED = {
+    "gram-not-square": (lattice_base([["1", "0"]]), "/base"),
+    "gram-asymmetric": (lattice_base([["1", "1"], ["0", "-1"]]), "/base"),
+    "delta-curve-above-pair-level": (
+        dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]},
+             pair={"level": 0, "delta": "D"}),
+        "/divisors/D",
+    ),
+}
+MODEL_COMMANDS = {
+    "check": [], "zariski": ["--divisor", "D"], "potential": [],
+    "pnklt": [], "classify": [], "fano": [], "rcc": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("malformed", sorted(MALFORMED))
+def test_malformed_model_is_a_validation_error_not_a_traceback(
+    tmp_path, capsys, malformed, command
+):
+    doc, pointer = MALFORMED[malformed]
+    path = write_model(tmp_path, doc)
+    code, out = run_cli([command, path, *MODEL_COMMANDS[command]], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "validation"
+    assert payload["detail"].startswith(pointer + ":")
+
+
+def test_zariski_divisor_curve_above_level_exit_3(tmp_path, capsys):
+    doc = dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]})
+    path = write_model(tmp_path, doc)
+    code, out = run_cli(
+        ["zariski", path, "--divisor", "D", "--level", "0"], capsys
+    )
+    assert code == 3
+    assert json.loads(out)["detail"].startswith("/divisors/D:")
+
+
 def test_bad_version_exit_2(tmp_path, capsys):
     doc = dict(RULED_BLOWUP, version="pklt-lab/999")
     code, out = run_cli(["check", write_model(tmp_path, doc)], capsys)

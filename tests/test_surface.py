@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import pklt_lab as pl
-from conftest import blown_ruled, p2, random_tower, ruled
+from conftest import blown_ruled, cubic12_model, p2, random_tower, ruled
+from pklt_lab.lattice import basis_class, signature
 
 
 def test_make_base_p2():
@@ -154,10 +155,65 @@ def test_validate_flags_tangency_as_not_ready():
     assert not rep.log_resolution_ready
 
 
+def test_validate_reports_unknown_and_negative_supports():
+    base = pl.AbstractLattice(
+        basis=("L",),
+        gram=((Fraction(1),),),
+        canonical=(Fraction(-3),),
+        curves=(
+            pl.CurveSpec("A", (Fraction(1),), 0),
+            pl.CurveSpec("B", (Fraction(-1),), 0),
+        ),
+    )
+    rep = pl.validate(pl.make_base(base), ["B", "Z", "A"])
+    assert rep.violations == (
+        "support references unknown curve 'Z'",
+        "support pair ('A', 'B') has negative intersection number",
+    )
+    assert not rep.log_resolution_ready
+
+
+def dense_intersect(a, b, base_gram, blowups):
+    """aᵀGb with G the dense block matrix diag(base_gram, -1, ..., -1)."""
+    n = len(base_gram)
+    gram = [list(row) + [Fraction(0)] * blowups for row in base_gram]
+    for i in range(blowups):
+        gram.append([Fraction(0)] * (n + blowups))
+        gram[-1][n + i] = Fraction(-1)
+    return sum(
+        ai * gram[i][j] * bj
+        for i, ai in enumerate(a.coeffs)
+        for j, bj in enumerate(b.coeffs)
+    )
+
+
 def test_structural_invariants_fuzzed():
     rng = random.Random(11)
-    for _ in range(60):
-        m = random_tower(rng)
+    towers = [random_tower(rng) for _ in range(60)] + [cubic12_model()]
+    pool = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]
+    for m in towers:
+        base = m.level(0).form
+        for k, lvl in enumerate(m.levels):
+            form = lvl.form
+            assert form.gram is base.gram
+            basis = [
+                basis_class(i, form.rank, form.lattice_id)
+                for i in range(form.rank)
+            ]
+            assert signature(pl.gram_submatrix(basis, form)) == (
+                1, form.rank - 1, 0
+            )
+            for _ in range(5):
+                a, b = (
+                    pl.DivisorClass(
+                        tuple(rng.choice(pool) for _ in range(form.rank)),
+                        form.lattice_id,
+                    )
+                    for _ in range(2)
+                )
+                assert pl.intersect(a, b, form) == dense_intersect(
+                    a, b, base.gram, k
+                )
         for k in range(1, m.top + 1):
             lvl, prev = m.level(k), m.level(k - 1)
             e = lvl.curve(lvl.center.exceptional_id)
