@@ -42,6 +42,7 @@ from .potential import (
     NEG_INFINITY,
     DiscrepancyLedger,
     FanoVerdict,
+    InvariantViolation,
     LocusComponent,
     PairError,
     PairSpec,
@@ -53,6 +54,7 @@ from .potential import (
     discrepancies,
     eps_spnklt,
     eps_threshold,
+    fano_type_of_pair,
     fano_type_test,
     make_pair,
     nklt_locus,

@@ -5,7 +5,8 @@
              [--format json|text]
 
 Exit codes: 0 success, 1 computation failure (e.g. not pseudoeffective
-against the catalog), 2 parse/schema error, 3 model validation error,
+against the catalog, or a theory invariant failing on an incomplete
+catalog), 2 parse/schema error, 3 model validation error,
 4 golden-corpus mismatch.
 """
 
@@ -18,7 +19,12 @@ from fractions import Fraction
 
 from . import corpus
 from .modelio import LoadedModel, SchemaError, ValidationError, load_model
-from .potential import PairError, make_pair
+from .potential import (
+    InvariantViolation,
+    PairError,
+    fano_type_test,
+    make_pair,
+)
 from .report import (
     DISCLAIMER,
     REPORT_SCHEMA,
@@ -177,7 +183,7 @@ def _cmd_fano(args) -> dict:
     )
     _check_level(loaded.model, level)
     try:
-        verdict = fano_json(loaded.model, level)
+        verdict = fano_json(loaded.model, fano_type_test(loaded.model, level))
     except NotPseudoeffectiveError as exc:
         raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
                                         "detail": str(exc)})
@@ -281,6 +287,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _HANDLERS[args.command](args)
+    except InvariantViolation as exc:
+        _emit({"error": "catalog-incomplete", "invariant": exc.invariant,
+               "detail": exc.detail}, args.format)
+        return EXIT_COMPUTE
     except CliFailure as failure:
         _emit(failure.payload, args.format)
         return failure.code

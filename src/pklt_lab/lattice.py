@@ -139,7 +139,11 @@ def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fract
 def gram_submatrix(
     classes: Sequence[DivisorClass], form: IntersectionForm
 ) -> list[list[Fraction]]:
-    """Pairwise intersection matrix of the given classes."""
+    """Pairwise intersection matrix of the given classes.
+
+    zariski_decompose builds its Gram rows itself; this stays as the
+    tests' reference and as a span that bench/spans.py traces.
+    """
     if not classes:
         raise ValueError("gram_submatrix of an empty list")
     n = len(classes)
@@ -168,7 +172,9 @@ def is_negative_definite(m: Matrix) -> bool:
 
     Computed by exact Gaussian elimination without row swaps; the k-th
     leading minor is the product of the first k pivots, so a zero pivot
-    means a zero minor and the matrix is not definite.
+    means a zero minor and the matrix is not definite.  zariski_decompose
+    reads the same pivots off its LDLFactor; this stays as the tests'
+    reference and as a span that bench/spans.py traces.
     """
     _check_symmetric(m)
     n = len(m)
@@ -215,6 +221,53 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
         s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
         x[k] = s / a[k][k]
     return x
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Σ aᵢ·bᵢ, skipping zeros: a tower's Gram rows are mostly zero."""
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+
+
+class LDLFactor:
+    """A symmetric system G·x = b grown one equation at a time, kept as
+    G = L·diag(pivots)·Lᵀ with L unit lower triangular and y = L⁻¹·b.
+
+    There is no pivoting, so the k-th pivot is the ratio of the k-th and
+    (k−1)-th leading principal minors of G: G is negative definite exactly
+    when every pivot is negative, the test ``is_negative_definite`` runs.
+    Extend only while every pivot so far is nonzero.
+    """
+
+    def __init__(self):
+        self.lower: list[list[Fraction]] = []  # row k: L[k][0..k-1]
+        self.pivots: list[Fraction] = []
+        self._y: list[Fraction] = []
+
+    def extend(self, row: Sequence[Fraction], rhs: Fraction) -> Fraction:
+        """Add the equation whose Gram row is ``row`` (its entries against
+        the earlier unknowns, then its diagonal) and right-hand side
+        ``rhs``; returns the new pivot."""
+        scaled: list[Fraction] = []  # L[k][j]·pivots[j]
+        lk: list[Fraction] = []
+        for j, (lj, pj) in enumerate(zip(self.lower, self.pivots)):
+            s = row[j] - _dot(scaled, lj)
+            scaled.append(s)
+            lk.append(s / pj)
+        pivot = row[len(lk)] - _dot(scaled, lk)
+        self.lower.append(lk)
+        self.pivots.append(pivot)
+        self._y.append(rhs - _dot(lk, self._y))
+        return pivot
+
+    def solve(self) -> list[Fraction]:
+        """x with G·x = b, by one back-substitution Lᵀ·x = diag⁻¹·y."""
+        x = [y / p for y, p in zip(self._y, self.pivots)]
+        for k in range(len(x) - 1, -1, -1):
+            if x[k]:
+                for j, l in enumerate(self.lower[k]):
+                    if l:
+                        x[j] -= l * x[k]
+        return x
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:

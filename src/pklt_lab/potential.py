@@ -26,6 +26,7 @@ from .surface import (
     RDivisor,
     SurfaceModel,
     pull_back,
+    push_forward,
     total_transform,
     validate,
 )
@@ -38,6 +39,26 @@ from .zariski import (
 
 class PairError(ValueError):
     """The pair does not satisfy its standing hypotheses."""
+
+
+class InvariantViolation(Exception):
+    """A structural guarantee of the theory fails on this model.
+
+    Each holds as a theorem on the actual surface, so a failure means the
+    declared curve catalog is incomplete, e.g. it lacks the fiber through a
+    center declared free.  ``invariant`` names the guarantee.  Not a
+    ValueError: it is neither a bad pair nor a non-pseudoeffective divisor.
+    """
+
+    def __init__(self, invariant: str, detail: str):
+        self.invariant = invariant
+        self.detail = detail
+        super().__init__(f"{invariant}: {detail}")
+
+
+def _require(holds: bool, invariant: str, detail: str) -> None:
+    if not holds:
+        raise InvariantViolation(invariant, detail)
 
 
 class _NegInfinity:
@@ -300,28 +321,37 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
     p_klt = frak is not NEG_INFINITY and frak > -1
     p_lc = frak is not NEG_INFINITY and frak >= -1
 
-    # structural guarantees of the theory; a failure here is a bug
-    assert not p_klt or klt
-    assert not p_lc or lc
-    assert p_klt == (not pnklt)
+    # structural guarantees of the theory, checked even under python -O
+    _require(not p_klt or klt, "potentially-klt-implies-klt",
+             "(X, Δ) is potentially klt but not klt")
+    _require(not p_lc or lc, "potentially-lc-implies-lc",
+             "(X, Δ) is potentially lc but not lc")
+    _require(p_klt == (not pnklt), "potentially-klt-iff-empty-pnklt",
+             f"potentially klt is {p_klt} with {len(pnklt)} pNklt components")
     nklt_keys = {c.key for c in nklt}
     pnklt_keys = {c.key for c in pnklt}
     nnef_keys = {
         c.key
         for c in _components(pair, pair.decomposition.N.support)
     }
-    assert nklt_keys <= pnklt_keys <= (nklt_keys | nnef_keys)
+    stray = (nklt_keys - pnklt_keys) | (pnklt_keys - nklt_keys - nnef_keys)
+    _require(not stray, "nklt-in-pnklt-in-nklt-or-nnef",
+             "pNklt is not between Nklt and Nklt ∪ Nnef at "
+             + ", ".join(f"{kind} {ref}" for kind, ref in sorted(stray)))
     if pair.big:
         from . import rcc  # deferred: rcc builds on this module
 
-        graph = rcc.incidence_graph(pair, list(pnklt))
         # Connectedness of pNklt under big -(K+Δ) is a theorem on the actual
         # surface; a failure here means the declared curve catalog is missing
         # a curve that joins the components (e.g. the fiber through a center
         # that was declared free), so the model is too coarse to trust.
-        assert rcc.is_connected(graph), (
-            "pNklt disconnected although -(K+Δ) is big: the curve catalog "
-            "is missing a connecting curve"
+        _require(
+            rcc.is_connected(rcc.incidence_graph(pair, list(pnklt))),
+            "pnklt-connected",
+            "pNklt ("
+            + ", ".join(f"{c.kind} {c.ref}" for c in pnklt)
+            + ") is disconnected although -(K+Δ) is big: the curve catalog "
+            "is missing a connecting curve",
         )
 
     return PotentialReport(
@@ -357,16 +387,35 @@ def fano_type_test(model: SurfaceModel, level: int) -> FanoVerdict:
     except NotPseudoeffectiveError as exc:
         return FanoVerdict(False, f"-K is {exc}")
     big = intersect(zd.P, zd.P, lvl.form) > 0
-    pair = make_pair(model, level, zd.N)
-    report = classify_pair(pair)
-    assert report.klt == report.potentially_klt, "dim-2 equivalence violated"
+    return _fano_verdict(model, level, zd.N, big)
+
+
+def fano_type_of_pair(pair: PairSpec) -> FanoVerdict:
+    """fano_type_test(pair.model, pair.level) for a pair with Δ = 0, read off
+    the decomposition of f*(-K) that make_pair already holds: N on X is its
+    pushforward, since f_*f^*N = N, and -K is big when the pair is."""
+    if not pair.delta.is_zero():
+        raise PairError("the Fano-type test of a pair needs Δ = 0")
+    model = pair.model
+    n = push_forward(model, model.top, pair.level, pair.decomposition.N)
+    return _fano_verdict(model, pair.level, n, pair.big)
+
+
+def _fano_verdict(
+    model: SurfaceModel, level: int, n: RDivisor, big: bool
+) -> FanoVerdict:
+    """The verdict once N, the negative part of -K at ``level``, is known."""
+    report = classify_pair(make_pair(model, level, n))
+    _require(report.klt == report.potentially_klt, "dim-2-klt-equivalence",
+             f"(X, N) has klt {report.klt} but potentially klt "
+             f"{report.potentially_klt}")
     if not big:
         reason = "-K is not big against the catalog"
     elif not report.klt:
         reason = "(X, N) is not klt"
     else:
         reason = "-K big and (X, N) klt"
-    return FanoVerdict(big and report.klt, reason, big, zd.N, report.klt)
+    return FanoVerdict(big and report.klt, reason, big, n, report.klt)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from fractions import Fraction
 from .lattice import DivisorClass, intersect
 from .potential import (
     NEG_INFINITY,
+    FanoVerdict,
     PairSpec,
     PotentialReport,
     classify_pair,
     eps_spnklt,
+    fano_type_of_pair,
     fano_type_test,
 )
 from .surface import RDivisor, SurfaceModel
@@ -99,8 +101,7 @@ def loci_json(pair: PairSpec, pr: PotentialReport, eps: Fraction | None) -> dict
     return out
 
 
-def fano_json(model: SurfaceModel, level: int) -> dict:
-    verdict = fano_type_test(model, level)
+def fano_json(model: SurfaceModel, verdict: FanoVerdict) -> dict:
     out = {
         "value": verdict.fano_type,
         "reason": verdict.reason,
@@ -154,9 +155,14 @@ def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
 
 def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
     """The composite report: the pair sections, then the Fano-type and
-    RCC verdicts on the pair's surface."""
+    RCC verdicts on the pair's surface.  With Δ = 0 the pair already holds
+    the decomposition of -K that the Fano-type test needs."""
     out = pair_report(pair, eps)
-    out["fano_type"] = fano_json(pair.model, pair.level)
+    if pair.delta.is_zero():
+        verdict = fano_type_of_pair(pair)
+    else:
+        verdict = fano_type_test(pair.model, pair.level)
+    out["fano_type"] = fano_json(pair.model, verdict)
     out["rcc"] = rcc_json(pair)
     out["disclaimer"] = DISCLAIMER
     return out

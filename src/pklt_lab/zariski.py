@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .lattice import (
     DivisorClass,
-    gram_submatrix,
+    LDLFactor,
     intersect,
-    is_negative_definite,
     solve_exact,
     SingularMatrixError,
 )
@@ -71,63 +70,78 @@ def is_nef_against_catalog(
 def zariski_decompose(
     model: SurfaceModel, level: int, D: DivisorClass
 ) -> ZariskiDecomposition:
-    """Iterative negative-curve algorithm.
+    """Iterative negative-curve algorithm (Bauer 2009).
 
     Start with the catalog curves meeting D negatively; at each round solve
     gram(S)·x = (D·C) exactly, set N = Σ x_C·C and P = D − N, and add every
     catalog curve with P·C < 0.  The fixed point is unique, so violators are
     added all at once for determinism.
+
+    S only grows, so D·C and the row Cᵢ·C are computed once per curve, and
+    gram(S) is one LDLᵀ factor extended by the rows of the curves that join:
+    a round is one back-substitution, and P·C = D·C − Σ xᵢ·Cᵢ·C.  While every
+    pivot is negative, gram(S) is negative definite (Sylvester) and x is the
+    unique solution.  A pivot ≥ 0 means the final support cannot be negative
+    definite, so D is not pseudoeffective; from that round on each system is
+    solved afresh by ``solve_exact``, so the error names the same failure
+    (singular system, negative coefficient, indefinite support) as before.
+    The nef certificate is read off the final P·C: ≥ 0 off S once no curve
+    joins, and 0 on S because x solves the system.
     """
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id:
         raise ValueError("divisor class does not live at the requested level")
-    in_s = set()
-    S = []
-    for c in lvl.curves:
-        if intersect(D, c.cls, lvl.form) < 0:
-            S.append(c)
-            in_s.add(c.id)
+    curves = lvl.curves
+    dc = [intersect(D, c.cls, lvl.form) for c in curves]
+    S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
+    rows: list[list[Fraction]] = []  # rows[i][j] = C_S[i]·C_j
+    factor = LDLFactor()
+    definite = True
     x: list[Fraction] = []
-    while True:
-        if S:
-            gram = gram_submatrix([c.cls for c in S], lvl.form)
-            rhs = [intersect(D, c.cls, lvl.form) for c in S]
+    pc = dc  # P·C per catalog curve
+    while len(rows) < len(S):
+        for i in S[len(rows):]:
+            row = [intersect(curves[i].cls, c.cls, lvl.form) for c in curves]
+            rows.append(row)
+            if definite:
+                pivot = factor.extend([row[j] for j in S[: len(rows)]], dc[i])
+                definite = pivot < 0
+        if definite:
+            x = factor.solve()
+        else:
             try:
-                x = solve_exact(gram, rhs)
+                x = solve_exact([[r[j] for j in S] for r in rows],
+                                [dc[i] for i in S])
             except SingularMatrixError:
                 raise NotPseudoeffectiveError("singular curve configuration")
-            n_cls = D.scale(0)
-            for c, xc in zip(S, x):
-                n_cls = n_cls + c.cls.scale(xc)
-        else:
-            gram = []
-            n_cls = D.scale(0)
-        P = D - n_cls
-        new = [
-            c
-            for c in lvl.curves
-            if c.id not in in_s and intersect(P, c.cls, lvl.form) < 0
-        ]
-        if not new:
-            break
-        S.extend(new)
-        in_s.update(c.id for c in new)
-    if any(xc < 0 for xc in x):
+        pc = list(dc)
+        for xi, r in zip(x, rows):
+            for j, v in enumerate(r):
+                if v:
+                    pc[j] -= xi * v
+        in_s = set(S)
+        S.extend(j for j, v in enumerate(pc) if v < 0 and j not in in_s)
+    if any(xi < 0 for xi in x):
         raise NotPseudoeffectiveError("negative coefficient in N")
-    if S and not is_negative_definite(gram):
+    if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
-    N = RDivisor.make(level, [(c.id, xc) for c, xc in zip(S, x)])
-    cert = is_nef_against_catalog(model, level, P)
-    assert cert.nef
-    assert all(
-        intersect(P, c.cls, lvl.form) == 0 for c in S
-    ), "P not orthogonal to Supp N"
+    assert all(pc[i] == 0 for i in S), "P not orthogonal to Supp N"
+    p = list(D.coeffs)
+    for i, xi in zip(S, x):
+        for t, c in enumerate(curves[i].cls.coeffs):
+            if c:
+                p[t] -= xi * c
+    N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
+    cert = NefCertificate(
+        tuple(c.id for c in curves),
+        tuple((c.id, v) for c, v in zip(curves, pc) if v < 0),
+    )
     return ZariskiDecomposition(
         level,
-        P,
+        DivisorClass(tuple(p), D.lattice_id),
         N,
-        tuple(c.id for c in S),
-        tuple(tuple(row) for row in gram),
+        tuple(curves[i].id for i in S),
+        tuple(tuple(r[j] for j in S) for r in rows),
         cert,
     )
 

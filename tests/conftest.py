@@ -25,6 +25,16 @@ def blown_ruled(g, e):
     return pl.blow_up(ruled(g, e), pl.BlowUpCenter((("C0", 1),)))
 
 
+def chain_model(n):
+    """Ruled (2, 3) blown up at a point of C0, then at n - 1 successive
+    infinitely-near points: a Zariski support that grows by one curve per
+    round."""
+    m = blown_ruled(2, 3)
+    for k in range(2, n + 1):
+        m = pl.blow_up(m, pl.BlowUpCenter((), near=f"E{k - 1}"))
+    return m
+
+
 def cubic12_model():
     """P² with a genus-1 cubic in the catalog, blown up at 12 of its points."""
     base = pl.AbstractLattice(
@@ -184,10 +194,75 @@ def brute_force_zariski(model, level, D):
     return survivors
 
 
+# ---------------------------------------------------------------------------
+# per-round Zariski reference
+
+
+def reference_zariski(model, level, D):
+    """Bauer's iteration as a fresh solve per round: rebuild gram(S), solve
+    it with ``solve_exact``, and certify with ``is_negative_definite`` and
+    ``is_nef_against_catalog``.  The oracle for zariski_decompose's
+    incremental factor, which must return the same decomposition or raise
+    the same error."""
+    lvl = model.level(level)
+    if D.lattice_id != lvl.form.lattice_id:
+        raise ValueError("divisor class does not live at the requested level")
+    in_s = set()
+    S = []
+    for c in lvl.curves:
+        if pl.intersect(D, c.cls, lvl.form) < 0:
+            S.append(c)
+            in_s.add(c.id)
+    x = []
+    while True:
+        if S:
+            gram = pl.gram_submatrix([c.cls for c in S], lvl.form)
+            rhs = [pl.intersect(D, c.cls, lvl.form) for c in S]
+            try:
+                x = pl.solve_exact(gram, rhs)
+            except pl.SingularMatrixError:
+                raise pl.NotPseudoeffectiveError("singular curve configuration")
+            n_cls = D.scale(0)
+            for c, xc in zip(S, x):
+                n_cls = n_cls + c.cls.scale(xc)
+        else:
+            gram = []
+            n_cls = D.scale(0)
+        P = D - n_cls
+        new = [
+            c
+            for c in lvl.curves
+            if c.id not in in_s and pl.intersect(P, c.cls, lvl.form) < 0
+        ]
+        if not new:
+            break
+        S.extend(new)
+        in_s.update(c.id for c in new)
+    if any(xc < 0 for xc in x):
+        raise pl.NotPseudoeffectiveError("negative coefficient in N")
+    if S and not pl.is_negative_definite(gram):
+        raise pl.NotPseudoeffectiveError(
+            "support Gram matrix not negative definite"
+        )
+    N = pl.RDivisor.make(level, [(c.id, xc) for c, xc in zip(S, x)])
+    cert = pl.is_nef_against_catalog(model, level, P)
+    assert cert.nef
+    assert all(pl.intersect(P, c.cls, lvl.form) == 0 for c in S)
+    return pl.ZariskiDecomposition(
+        level,
+        P,
+        N,
+        tuple(c.id for c in S),
+        tuple(tuple(row) for row in gram),
+        cert,
+    )
+
+
 __all__ = [
     "p2",
     "ruled",
     "blown_ruled",
+    "chain_model",
     "cubic12_model",
     "random_tower",
     "random_effective_divisor",
@@ -195,5 +270,6 @@ __all__ = [
     "random_klt_pair",
     "random_center",
     "brute_force_zariski",
+    "reference_zariski",
     "anti_log_canonical",
 ]

@@ -278,23 +278,85 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize(
-    "args", [["classify", "models/ruled_blowup.json"], ["examples"]]
-)
-def test_optimized_interpreter_gives_the_same_output(args):
-    """Stripping asserts with -O must not change stdout or the exit code."""
+def run_plain_and_optimized(args):
+    """The CLI as a fresh process, with and without python -O."""
     src = str(Path(pl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    plain, optimized = (
+    return [
         subprocess.run(
             [sys.executable, *flags, "-m", "pklt_lab.cli", *args],
             capture_output=True, cwd=Path(__file__).resolve().parents[1],
             env=env,
         )
         for flags in ([], ["-O"])
-    )
+    ]
+
+
+@pytest.mark.parametrize(
+    "args", [["classify", "models/ruled_blowup.json"], ["examples"]]
+)
+def test_optimized_interpreter_gives_the_same_output(args):
+    """Stripping asserts with -O must not change stdout or the exit code."""
+    plain, optimized = run_plain_and_optimized(args)
     assert plain.stdout and plain.stdout == optimized.stdout
     assert plain.returncode == optimized.returncode
+
+
+# F3 blown up at a free point (E1), at C0 ∩ f (E2), on f (E3), at a free
+# point (E4) and on E4 (E5).  Every point of F3 lies on a fiber, but E1's
+# center is declared free, so the catalog lacks the fiber that would join
+# E1 to C0, and pNklt(X, C0 + E1 + 2/3 E2) comes out disconnected although
+# -(K+Δ) is big.
+DISCONNECTED_PNKLT = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "ruled", "genus": 0, "e": 3},
+    "blowups": [
+        {"id": "E1", "point": "p1"},
+        {"id": "E2", "on": [{"curve": "C0"}, {"curve": "f"}], "point": "p2"},
+        {"id": "E3", "on": [{"curve": "f"}], "point": "p3"},
+        {"id": "E4", "point": "p4"},
+        {"id": "E5", "on": [{"curve": "E4"}], "point": "p5"},
+    ],
+    "divisors": {"D": [{"curve": "C0", "coeff": "1"},
+                       {"curve": "E1", "coeff": "1"},
+                       {"curve": "E2", "coeff": "2/3"}]},
+    "pair": {"level": 2, "delta": "D"},
+}
+PAIR_COMMANDS = ("classify", "potential", "pnklt")
+
+
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
+def test_incomplete_catalog_is_exit_1_not_a_traceback(
+    tmp_path, capsys, command
+):
+    path = write_model(tmp_path, DISCONNECTED_PNKLT)
+    code, out = run_cli([command, path], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "catalog-incomplete"
+    assert payload["invariant"] == "pnklt-connected"
+    assert "curve C0, curve E1" in payload["detail"]
+
+
+def test_invariant_violation_is_neither_pair_nor_psef_error():
+    """Callers that turn PairError and NotPseudoeffectiveError into a
+    rejection must still see an incomplete catalog as a failure."""
+    doc = parse_model(DISCONNECTED_PNKLT)
+    pair = pl.make_pair(doc.model, 2, doc.divisor_at("D", 2))
+    with pytest.raises(pl.InvariantViolation) as exc:
+        pl.classify_pair(pair)
+    assert exc.value.invariant == "pnklt-connected"
+    assert not isinstance(exc.value,
+                          (pl.PairError, pl.NotPseudoeffectiveError))
+
+
+def test_incomplete_catalog_same_under_optimized_interpreter(tmp_path):
+    path = write_model(tmp_path, DISCONNECTED_PNKLT)
+    for command in PAIR_COMMANDS:
+        plain, optimized = run_plain_and_optimized([command, path])
+        assert plain.returncode == optimized.returncode == 1
+        assert plain.stdout == optimized.stdout
+        assert b"catalog-incomplete" in plain.stdout
 
 
 def test_model_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import pklt_lab as pl
 from pklt_lab.lattice import (
     DivisorClass,
     IntersectionForm,
+    LDLFactor,
     basis_class,
     signature,
 )
@@ -187,6 +188,36 @@ def test_negative_definite_matches_minor_oracle():
                 v = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                 m[i][j] = m[j][i] = v
         assert pl.is_negative_definite(m) == _all_principal_minors_oracle(m)
+
+
+def test_ldl_factor_matches_sylvester_and_solve_exact():
+    """Grown row by row, the factor's pivots give is_negative_definite's
+    verdict and its solution is solve_exact's."""
+    rng = random.Random(1968)
+    definite = 0
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                m[i][j] = m[j][i] = v
+            if rng.random() < 0.5:  # diagonally dominant, often definite
+                m[i][i] = Fraction(-4 * n)
+        rhs = [Fraction(rng.randrange(-5, 6)) for _ in range(n)]
+        factor = LDLFactor()
+        for k in range(n):
+            if factor.extend(m[k][: k + 1], rhs[k]) == 0:
+                break
+        else:
+            assert all(p < 0 for p in factor.pivots) == (
+                pl.is_negative_definite(m)
+            )
+            assert factor.solve() == pl.solve_exact(m, rhs)
+            definite += all(p < 0 for p in factor.pivots)
+            continue
+        assert not pl.is_negative_definite(m)
+    assert definite > 100
 
 
 def test_signature_hodge_shape():

@@ -1,5 +1,7 @@
+import collections
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -8,9 +10,11 @@ import pytest
 import pklt_lab as pl
 from conftest import (
     blown_ruled,
+    chain_model,
     cubic12_model,
     p2,
     random_pair,
+    random_tower,
     ruled,
 )
 from pklt_lab.potential import anti_log_canonical
@@ -183,6 +187,55 @@ def test_fano_type_examples():
     assert not cubic.fano_type
 
     assert pl.fano_type_test(p2(), 0).fano_type
+
+
+def _verdict_or_error(fano_test, *args):
+    try:
+        return vars(fano_test(*args))
+    except (pl.PairError, pl.NotPseudoeffectiveError,
+            pl.InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def test_fano_verdict_of_a_pair_equals_fano_type_test_fuzzed():
+    """A Δ = 0 pair's own decomposition of f*(-K) gives, field by field,
+    the verdict fano_type_test computes afresh at the pair's level."""
+    rng = random.Random(2841)
+    compared = below_top = 0
+    while compared < 1000:
+        model = random_tower(rng)
+        level = rng.randrange(0, model.top + 1)
+        try:
+            pair = pl.make_pair(model, level)
+        except (pl.NotPseudoeffectiveError, pl.PairError):
+            continue
+        assert _verdict_or_error(pl.fano_type_of_pair, pair) == (
+            _verdict_or_error(pl.fano_type_test, model, level)
+        )
+        compared += 1
+        below_top += level < model.top
+    assert below_top >= compared // 2
+
+
+def test_delta_zero_report_reuses_the_pair_decomposition(monkeypatch):
+    """make_pair then full_report on a Δ = 0 pair decomposes twice, for the
+    pair and for (X, N), and never solves a Gram system afresh."""
+    model = chain_model(24)
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "pklt_lab" or name.startswith("pklt_lab.")]
+    for original in (pl.zariski_decompose, pl.solve_exact):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    full_report(pl.make_pair(model, model.top))
+    assert calls["zariski_decompose"] == 2
+    assert calls["solve_exact"] == 0
 
 
 def test_make_pair_rejects_bad_input():

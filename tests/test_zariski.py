@@ -11,6 +11,7 @@ from conftest import (
     p2,
     random_effective_divisor,
     random_tower,
+    reference_zariski,
     ruled,
 )
 
@@ -196,3 +197,82 @@ def test_decomposition_fixed_point_properties_fuzzed():
             assert pl.is_negative_definite(
                 [list(row) for row in zd.gram]
             )
+
+
+def _decomposition_or_error(decompose, model, level, cls):
+    try:
+        zd = decompose(model, level, cls)
+    except pl.NotPseudoeffectiveError as exc:
+        return type(exc), str(exc)
+    return zd.P, zd.N, zd.support, zd.gram, zd.nef_certificate
+
+
+SIGNED_POOL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
+               Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+               Fraction(2), Fraction(3)]
+NOT_PSEF_DETAILS = {
+    "singular curve configuration",
+    "negative coefficient in N",
+    "support Gram matrix not negative definite",
+}
+
+
+def _assert_matches_reference(cases):
+    """zariski_decompose equals the per-round reference on every case;
+    returns how often each NotPseudoeffectiveError detail occurred."""
+    details = {}
+    for model, level, cls in cases:
+        got = _decomposition_or_error(pl.zariski_decompose, model, level, cls)
+        want = _decomposition_or_error(reference_zariski, model, level, cls)
+        assert got == want
+        if want[0] is pl.NotPseudoeffectiveError:
+            detail = want[1][want[1].index("(") + 1:-1]
+            details[detail] = details.get(detail, 0) + 1
+    return details
+
+
+def _tower_cases(rng, count):
+    for _ in range(count):
+        m = random_tower(rng)
+        level = rng.randrange(0, m.top + 1)
+        lvl = m.level(level)
+        roll = rng.random()
+        if roll < 0.2:
+            cls = lvl.canonical
+        elif roll < 0.4:
+            cls = -lvl.canonical
+        else:
+            cls = pl.RDivisor.make(
+                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+            ).class_at(m)
+        yield m, level, cls
+
+
+def _lattice_cases(rng, count):
+    """Rank-3 lattices with gram diag(1, -1, -1) and random small integer
+    curve classes, where supports are often indefinite."""
+    gram = ((Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(-1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(-1)))
+
+    def small():
+        return tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+
+    for _ in range(count):
+        curves = tuple(
+            pl.CurveSpec(f"C{i}", small(), 0)
+            for i in range(rng.randint(1, 5))
+        )
+        base = pl.AbstractLattice(("H", "A", "B"), gram,
+                                  (Fraction(-3), Fraction(1), Fraction(1)),
+                                  curves)
+        m = pl.make_base(base)
+        yield m, 0, pl.DivisorClass(small(), m.level(0).form.lattice_id)
+
+
+def test_incremental_factor_matches_per_round_reference():
+    rng = random.Random(2009)
+    towers = _assert_matches_reference(_tower_cases(rng, 2000))
+    lattices = _assert_matches_reference(_lattice_cases(rng, 2000))
+    seen = set(towers) | set(lattices)
+    assert seen == NOT_PSEF_DETAILS, (towers, lattices)
