@@ -13,6 +13,7 @@ catalog), 2 parse/schema error, 3 model validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,6 +52,7 @@ class CliFailure(Exception):
         self.payload = payload
 
 
+@functools.cache  # built once per process: most of an in-process call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pklt-lab",

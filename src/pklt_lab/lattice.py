@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class LatticeMismatchError(ValueError):
@@ -39,60 +39,58 @@ def rat(x) -> Fraction:
 Matrix = Sequence[Sequence[Fraction]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DivisorClass:
-    """A divisor class: rational coordinates in a fixed lattice basis."""
+    """A divisor class in a fixed lattice basis: ``terms`` maps basis index
+    to coefficient, nonzero ones only (f*C − Σ mⱼEⱼ has one per center on
+    C).  Classes are never changed once built, so they may share ``terms``.
+    """
 
-    coeffs: tuple[Fraction, ...]
+    terms: dict[int, Fraction]
+    rank: int
     lattice_id: str
 
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
+    @classmethod
+    def dense(cls, coeffs: Sequence[Fraction], lattice_id: str) -> "DivisorClass":
+        return cls({i: c for i, c in enumerate(coeffs) if c}, len(coeffs),
+                   lattice_id)
 
-    def _check(self, other: "DivisorClass") -> None:
-        if self.lattice_id != other.lattice_id:
-            raise LatticeMismatchError(
-                f"classes from different lattices: "
-                f"{self.lattice_id!r} vs {other.lattice_id!r}"
-            )
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        zero = Fraction(0)
+        return tuple(self.terms.get(i, zero) for i in range(self.rank))
+
+    def plus(self, scaled: Iterable[tuple[Fraction, "DivisorClass"]]) -> "DivisorClass":
+        """self + Σ r·C over the (r, C) pairs, all in this lattice."""
+        terms = dict(self.terms)
+        for r, other in scaled:
+            if other.lattice_id != self.lattice_id:
+                raise LatticeMismatchError(
+                    f"classes from different lattices: "
+                    f"{self.lattice_id!r} vs {other.lattice_id!r}"
+                )
+            for i, c in other.terms.items():
+                terms[i] = terms.get(i, 0) + r * c
+        terms = {i: c for i, c in terms.items() if c}
+        return DivisorClass(terms, self.rank, self.lattice_id)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.lattice_id,
-        )
+        return self.plus(((1, other),))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.lattice_id,
-        )
+        return self.plus(((-1, other),))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs), self.lattice_id)
+        return self.scale(-1)
 
     def scale(self, r) -> "DivisorClass":
         r = rat(r)
-        return DivisorClass(tuple(r * a for a in self.coeffs), self.lattice_id)
-
-    def __rmul__(self, r) -> "DivisorClass":
-        return self.scale(r)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-
-def zero_class(rank: int, lattice_id: str) -> DivisorClass:
-    return DivisorClass((Fraction(0),) * rank, lattice_id)
+        terms = {i: r * c for i, c in self.terms.items()} if r else {}
+        return DivisorClass(terms, self.rank, self.lattice_id)
 
 
 def basis_class(index: int, rank: int, lattice_id: str) -> DivisorClass:
-    coeffs = [Fraction(0)] * rank
-    coeffs[index] = Fraction(1)
-    return DivisorClass(tuple(coeffs), lattice_id)
+    return DivisorClass({index: Fraction(1)}, rank, lattice_id)
 
 
 @dataclass(frozen=True)
@@ -116,23 +114,25 @@ class IntersectionForm:
 
 def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fraction:
     """Exact intersection product: aᵀ · gram · b on the base coordinates,
-    minus Σ aₑbₑ over the exceptional ones."""
+    minus Σ aₑbₑ over the exceptional ones.  Runs over the nonzero
+    coordinates of the sparser class."""
     if a.lattice_id != form.lattice_id or b.lattice_id != form.lattice_id:
         raise LatticeMismatchError(
             f"lattice mismatch: classes {a.lattice_id!r}, {b.lattice_id!r} "
             f"against form {form.lattice_id!r}"
         )
-    n = len(form.gram)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    n, bt = len(form.gram), b.terms
     total = Fraction(0)
-    for ai, row in zip(a.coeffs, form.gram):
-        if ai == 0:
+    for i, ai in a.terms.items():
+        if i >= n:
+            if i in bt:
+                total -= ai * bt[i]
             continue
-        for gij, bj in zip(row, b.coeffs):
-            if bj != 0:
-                total += ai * gij * bj
-    for ae, be in zip(a.coeffs[n:], b.coeffs[n:]):
-        if ae != 0 and be != 0:
-            total -= ae * be
+        for j, gij in enumerate(form.gram[i]):
+            if gij and j in bt:
+                total += ai * gij * bt[j]
     return total
 
 

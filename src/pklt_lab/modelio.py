@@ -269,8 +269,7 @@ def serialize_model(loaded: LoadedModel) -> dict:
             ],
         }
     blowups = []
-    for lvl in model.levels[1:]:
-        c = lvl.center
+    for c in model.centers:
         doc = {"id": c.exceptional_id}
         if c.on_curves:
             doc["on"] = [

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import intersect
 from .surface import (
     RDivisor,
     SurfaceModel,
@@ -92,12 +91,7 @@ class PairSpec:
     delta: RDivisor
     decomposition: ZariskiDecomposition
     ledger: DiscrepancyLedger
-
-    @property
-    def big(self) -> bool:
-        """-(K+Δ) is big: P² > 0, which the pullback to the top level keeps."""
-        p = self.decomposition.P
-        return intersect(p, p, self.model.levels[-1].form) > 0
+    big: bool  # -(K+Δ) is big: P² > 0, which the pullback to the top keeps
 
 
 def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) -> PairSpec:
@@ -114,16 +108,12 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
         raise PairError("boundary divisor must live at the pair level")
     if not delta.is_effective():
         raise PairError("boundary divisor must be effective")
-    for cid in delta.support:
-        if lvl.curve(cid).born > level:
-            raise PairError(f"boundary curve {cid!r} does not exist at level {level}")
     d_top = pull_back(
         model, level, model.top, -(lvl.canonical + delta.class_at(model))
     )
     zd = zariski_decompose(model, model.top, d_top)  # raises NotPseudoeffectiveError
-    top = model.levels[-1]
     supports = set(delta.support) | set(zd.N.support)
-    supports |= {c.id for c in top.curves if c.born > level}
+    supports |= {c.id for c in model.curves.values() if c.born > level}
     report = validate(model, sorted(supports))
     if not report.valid:
         raise PairError("; ".join(report.violations))
@@ -132,9 +122,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     a = _a_values(model, level, delta)
     ledger = DiscrepancyLedger(tuple(
         LedgerEntry(c.id, c.display, a[c.id], zd.N.coeff(c.id))
-        for c in top.curves
+        for c in model.level(model.top).curves
     ))
-    return PairSpec(model, level, delta, zd, ledger)
+    return PairSpec(model, level, delta, zd, ledger, zd.big)
 
 
 def anti_log_canonical(pair: PairSpec):
@@ -148,14 +138,11 @@ def _a_values(model: SurfaceModel, level: int, delta: RDivisor) -> dict[str, Fra
     Curves of X carry a = -mult_Δ; each exceptional created above X gets
     a = 1 + Σ m·a(C) over the curves through its center.
     """
-    a: dict[str, Fraction] = {}
-    for c in model.level(level).curves:
-        a[c.id] = -delta.coeff(c.id)
-    for k in range(level + 1, model.top + 1):
-        center = model.level(k).center
-        assert center is not None
+    a = {cid: -delta.coeff(cid)
+         for cid, c in model.curves.items() if c.born <= level}
+    for center in model.centers[level:]:
         val = Fraction(1)
-        for cid, m in center.effective_incidences():
+        for cid, m in center.on_curves:
             val += m * a[cid]
         a[center.exceptional_id] = val
     return a
@@ -222,15 +209,14 @@ class LocusComponent:
 
 def _point_descriptor(pair: PairSpec, cid: str) -> tuple[str, frozenset[str]]:
     """Image point on X of a contracted tower curve, plus the X-curves through it."""
-    model = pair.model
-    k = model.levels[-1].curve(cid).born
+    curves = pair.model.curves
+    k = curves[cid].born
     through: set[str] = set()
     while True:
-        center = model.level(k).center
-        assert center is not None
+        center = pair.model.centers[k - 1]
         parents = []
-        for oid, _ in center.effective_incidences():
-            born = model.level(k - 1).curve(oid).born
+        for oid, _ in center.on_curves:
+            born = curves[oid].born
             if born <= pair.level:
                 through.add(oid)
             else:
@@ -241,7 +227,7 @@ def _point_descriptor(pair: PairSpec, cid: str) -> tuple[str, frozenset[str]]:
 
 
 def _component_for(pair: PairSpec, cid: str) -> LocusComponent:
-    c = pair.model.levels[-1].curve(cid)
+    c = pair.model.curves[cid]
     if c.born <= pair.level:
         return LocusComponent("curve", cid, c.genus)
     label, through = _point_descriptor(pair, cid)
@@ -386,8 +372,7 @@ def fano_type_test(model: SurfaceModel, level: int) -> FanoVerdict:
         zd = zariski_decompose(model, level, -lvl.canonical)
     except NotPseudoeffectiveError as exc:
         return FanoVerdict(False, f"-K is {exc}")
-    big = intersect(zd.P, zd.P, lvl.form) > 0
-    return _fano_verdict(model, level, zd.N, big)
+    return _fano_verdict(model, level, zd.N, zd.big)
 
 
 def fano_type_of_pair(pair: PairSpec) -> FanoVerdict:
@@ -465,7 +450,7 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     ft = total_transform(model, witness)
     n = pair.decomposition.N
     dominates = all(
-        ft.coeff(c.id) >= n.coeff(c.id) for c in model.levels[-1].curves
+        ft.coeff(cid) >= n.coeff(cid) for cid in model.curves
     )
     result = {"dominates": dominates, "inclusion_holds": None, "eps": None}
     if not dominates:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DivisorClass, intersect
+from .lattice import DivisorClass
 from .potential import (
     NEG_INFINITY,
     FanoVerdict,
@@ -50,7 +50,7 @@ def divisor_json(model: SurfaceModel, d: RDivisor) -> dict:
 
 def class_json(model: SurfaceModel, level: int, cls: DivisorClass) -> dict:
     labels = model.level(level).basis_labels
-    return {lab: rat_str(c) for lab, c in zip(labels, cls.coeffs)}
+    return {lab: rat_str(cls.terms.get(i, 0)) for i, lab in enumerate(labels)}
 
 
 def component_json(model: SurfaceModel, level: int, comp) -> dict:
@@ -70,7 +70,6 @@ def component_json(model: SurfaceModel, level: int, comp) -> dict:
 def zariski_json(
     model: SurfaceModel, zd: ZariskiDecomposition, divisor_name: str
 ) -> dict:
-    lvl = model.level(zd.level)
     return {
         "divisor": divisor_name,
         "level": zd.level,
@@ -78,7 +77,7 @@ def zariski_json(
         "P": class_json(model, zd.level, zd.P),
         "N": divisor_json(model, zd.N),
         "support": [_display(model, zd.level, c) for c in zd.N.support],
-        "big": intersect(zd.P, zd.P, lvl.form) > 0,
+        "big": zd.big,
         "nnef": [_display(model, zd.level, c) for c in zd.N.support],
         "disclaimer": DISCLAIMER,
     }

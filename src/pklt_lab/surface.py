@@ -10,8 +10,10 @@ enforced from their intersection number.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +24,6 @@ from .lattice import (
     intersect,
     rat,
     signature,
-    zero_class,
 )
 
 
@@ -92,24 +93,26 @@ BaseSpec = ProjectivePlane | Ruled | AbstractLattice
 # ---------------------------------------------------------------------------
 # tower data
 
-KIND_BASE = "base-curve"
-KIND_EXCEPTIONAL = "exceptional"
-KIND_STRICT = "strict-transform"
-
 
 @dataclass(frozen=True)
 class Curve:
+    """A catalog curve at tower level ``level``, with its class there."""
+
     id: str
     cls: DivisorClass
     genus: int
-    kind: str
-    origin: str | None
     born: int  # tower level at which this curve first appears
+    level: int
+
+    @property
+    def origin(self) -> str | None:
+        """The curve this one is the strict transform of."""
+        return self.id if self.level > self.born else None
 
     @property
     def display(self) -> str:
         """Printable name: strict transforms carry a trailing '~'."""
-        return self.id + "~" if self.kind == KIND_STRICT else self.id
+        return self.id + "~" if self.level > self.born else self.id
 
 
 @dataclass(frozen=True)
@@ -136,39 +139,79 @@ class BlowUpCenter:
 
 
 @dataclass(frozen=True)
-class Level:
-    form: IntersectionForm
-    canonical: DivisorClass
-    basis_labels: tuple[str, ...]
-    curves: tuple[Curve, ...]
-    center: BlowUpCenter | None  # center blown up to create this level
-
-    def curve(self, cid: str) -> Curve:
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise ModelError(f"unknown curve {cid!r}")
-
-    def has_curve(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.curves)
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
+    """A base (as a lattice), the centers blown up over it, one curve table.
+
+    Level k's basis is the base basis then E1..Ek, so a class keeps its
+    coordinates up the tower.  ``curves`` maps each id, in catalog order,
+    to the curve at its last change (birth, or the last center through it).
+    ``blow_up`` stores each center with every incidence, ``near`` included,
+    in ``on_curves``.
+    """
+
     base: BaseSpec
-    levels: tuple[Level, ...]
+    tag: str  # level k's lattice id is f"{tag}/{k}"
+    lattice: AbstractLattice
+    centers: tuple[BlowUpCenter, ...]
+    curves: dict[str, Curve]
 
     @property
     def top(self) -> int:
-        return len(self.levels) - 1
+        return len(self.centers)
 
-    def level(self, k: int) -> Level:
+    @property
+    def levels(self) -> tuple["Level", ...]:
+        return tuple(Level(self, k) for k in range(self.top + 1))
+
+    def level(self, k: int) -> "Level":
         if not 0 <= k <= self.top:
             raise ModelError(f"level {k} out of range (tower has {self.top + 1})")
-        return self.levels[k]
+        return Level(self, k)
 
-    def curve(self, k: int, cid: str) -> Curve:
-        return self.level(k).curve(cid)
+
+class Level:
+    """Level k of a tower: the curves born at or below k, each with its
+    class cut to level k's lattice, the first rank(k) coordinates."""
+
+    def __init__(self, model: SurfaceModel, k: int):
+        self.model = model
+        self.k = k
+        self.form = IntersectionForm(f"{model.tag}/{k}", model.lattice.gram, k)
+        self.center = model.centers[k - 1] if k else None
+
+    @property
+    def canonical(self) -> DivisorClass:
+        """K₀ + E1 + ... + Ek (Hartshorne V.3.3)."""
+        coeffs = tuple(self.model.lattice.canonical) + (Fraction(1),) * self.k
+        return DivisorClass.dense(coeffs, self.form.lattice_id)
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        centers = self.model.centers[: self.k]
+        return self.model.lattice.basis + tuple(c.exceptional_id for c in centers)
+
+    def _at(self, c: Curve) -> Curve:
+        if c.level == self.k:
+            return c
+        rank, terms = self.form.rank, c.cls.terms
+        if c.level > self.k:
+            terms = {i: v for i, v in terms.items() if i < rank}
+        cls = DivisorClass(terms, rank, self.form.lattice_id)
+        return Curve(c.id, cls, c.genus, c.born, self.k)
+
+    @functools.cached_property
+    def curves(self) -> tuple[Curve, ...]:
+        return tuple(
+            self._at(c) for c in self.model.curves.values() if c.born <= self.k
+        )
+
+    def has_curve(self, cid: str) -> bool:
+        return cid in self.model.curves and self.model.curves[cid].born <= self.k
+
+    def curve(self, cid: str) -> Curve:
+        if not self.has_curve(cid):
+            raise ModelError(f"unknown curve {cid!r}")
+        return self._at(self.model.curves[cid])
 
 
 @dataclass(frozen=True)
@@ -214,10 +257,9 @@ class RDivisor:
 
     def class_at(self, model: SurfaceModel) -> DivisorClass:
         lvl = model.level(self.level)
-        out = zero_class(lvl.form.rank, lvl.form.lattice_id)
-        for cid, c in self.terms:
-            out = out + lvl.curve(cid).cls.scale(c)
-        return out
+        return DivisorClass({}, lvl.form.rank, lvl.form.lattice_id).plus(
+            (c, lvl.curve(cid).cls) for cid, c in self.terms
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -225,125 +267,97 @@ class RDivisor:
 
 
 def make_base(spec: BaseSpec) -> SurfaceModel:
-    tag = spec.lattice_tag()
-    lat_id = f"{tag}/0"
+    one, zero = Fraction(1), Fraction(0)
     if isinstance(spec, ProjectivePlane):
-        form = IntersectionForm(lat_id, ((Fraction(1),),))
-        labels = ("L",)
-        canonical = DivisorClass((Fraction(-3),), lat_id)
-        curves = (
-            Curve("L", basis_class(0, 1, lat_id), 0, KIND_BASE, None, 0),
-        )
+        lattice = AbstractLattice(("L",), ((one,),), (Fraction(-3),),
+                                  (CurveSpec("L", (one,), 0),))
     elif isinstance(spec, Ruled):
         g, e = spec.genus, spec.e
-        form = IntersectionForm(
-            lat_id,
-            ((Fraction(-e), Fraction(1)), (Fraction(1), Fraction(0))),
-        )
-        labels = ("C0", "f")
-        canonical = DivisorClass((Fraction(-2), Fraction(2 * g - 2 - e)), lat_id)
-        curves = (
-            Curve("C0", basis_class(0, 2, lat_id), g, KIND_BASE, None, 0),
-            Curve("f", basis_class(1, 2, lat_id), 0, KIND_BASE, None, 0),
-        )
+        lattice = AbstractLattice(
+            ("C0", "f"), ((Fraction(-e), one), (one, zero)),
+            (Fraction(-2), Fraction(2 * g - 2 - e)),
+            (CurveSpec("C0", (one, zero), g), CurveSpec("f", (zero, one), 0)))
     elif isinstance(spec, AbstractLattice):
-        form = IntersectionForm(lat_id, spec.gram)
+        lattice = spec
+        rank = len(spec.gram)
         try:
             sig = signature(spec.gram)
         except ValueError as exc:  # not square, or not symmetric
             raise ModelError(f"lattice gram {exc}")
-        if sig != (1, form.rank - 1, 0):
+        if sig != (1, rank - 1, 0):
             raise ModelError(
                 "lattice gram matrix must have signature (1, rank-1)"
             )
-        labels = spec.basis
-        if len(labels) != form.rank:
+        if len(spec.basis) != rank:
             raise ModelError("basis label count must equal rank")
-        canonical = DivisorClass(tuple(spec.canonical), lat_id)
-        if canonical.rank != form.rank:
+        if len(spec.canonical) != rank:
             raise ModelError("canonical class length must equal rank")
         seen: set[str] = set()
-        curve_list = []
         for cs in spec.curves:
             if cs.id in seen:
                 raise ModelError(f"duplicate curve id {cs.id!r}")
             seen.add(cs.id)
-            if len(cs.coeffs) != form.rank:
+            if len(cs.coeffs) != rank:
                 raise ModelError(f"curve {cs.id!r} class length must equal rank")
             if cs.genus < 0:
                 raise ModelError(f"curve {cs.id!r} needs genus >= 0")
-            curve_list.append(
-                Curve(cs.id, DivisorClass(tuple(cs.coeffs), lat_id), cs.genus,
-                      KIND_BASE, None, 0)
-            )
-        curves = tuple(curve_list)
     else:
         raise ModelError(f"unknown base spec {spec!r}")
-    return SurfaceModel(spec, (Level(form, canonical, labels, curves, None),))
-
-
-def _extend_class(cls: DivisorClass, lat_id: str) -> DivisorClass:
-    """Pullback of a class along one blow-up: append a zero E-coordinate."""
-    return DivisorClass(cls.coeffs + (Fraction(0),), lat_id)
+    tag = spec.lattice_tag()
+    lat_id = f"{tag}/0"
+    curves = {
+        cs.id: Curve(cs.id, DivisorClass.dense(cs.coeffs, lat_id), cs.genus, 0, 0)
+        for cs in lattice.curves
+    }
+    return SurfaceModel(spec, tag, lattice, (), curves)
 
 
 def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
-    prev = model.levels[-1]
+    """The tower with one more level: E_k, and f*C − m·E_k for each curve C
+    through the center with multiplicity m; every other entry is kept."""
+    prev = model.level(model.top)
     k = model.top + 1
     incidences = center.effective_incidences()
     for cid, _ in incidences:
-        if not prev.has_curve(cid):
+        if cid not in model.curves:
             raise ModelError(f"blow-up center references unknown curve {cid!r}")
-    if center.near is not None:
-        parent = prev.curve(center.near)
-        if parent.born == 0:
-            raise ModelError(
-                f"infinitely-near center must sit on an exceptional, "
-                f"not {center.near!r}"
-            )
+    if center.near is not None and model.curves[center.near].born == 0:
+        raise ModelError(
+            f"infinitely-near center must sit on an exceptional, "
+            f"not {center.near!r}"
+        )
     # intersection-point budget: a center on both C and C' (mults m, m')
     # consumes m·m' of their intersection number
-    for i in range(len(incidences)):
-        for j in range(i + 1, len(incidences)):
-            (c1, m1), (c2, m2) = incidences[i], incidences[j]
-            num = intersect(prev.curve(c1).cls, prev.curve(c2).cls, prev.form)
-            if num < m1 * m2:
-                raise ModelError(
-                    f"intersection budget exceeded for pair ({c1!r}, {c2!r}): "
-                    f"center consumes {m1 * m2}, intersection number is {num}"
-                )
+    for (c1, m1), (c2, m2) in itertools.combinations(incidences, 2):
+        num = intersect(prev.curve(c1).cls, prev.curve(c2).cls, prev.form)
+        if num < m1 * m2:
+            raise ModelError(
+                f"intersection budget exceeded for pair ({c1!r}, {c2!r}): "
+                f"center consumes {m1 * m2}, intersection number is {num}"
+            )
 
     exc_id = center.exceptional_id or f"E{k}"
-    if prev.has_curve(exc_id):
+    if exc_id in model.curves:
         raise ModelError(f"exceptional id {exc_id!r} already in catalog")
     label = center.point_label or f"p{k}"
     center = BlowUpCenter(incidences, center.near, label, exc_id)
 
-    tag = model.base.lattice_tag()
-    lat_id = f"{tag}/{k}"
-    form = IntersectionForm(lat_id, prev.form.gram, prev.form.exceptional + 1)
-    e_cls = basis_class(form.rank - 1, form.rank, lat_id)
-    canonical = _extend_class(prev.canonical, lat_id) + e_cls
-
-    mults = dict(incidences)
-    new_curves = []
-    for c in prev.curves:
-        m = mults.get(c.id, 0)
-        cls = _extend_class(c.cls, lat_id)
-        if m:
-            cls = cls - e_cls.scale(m)
-        new_curves.append(Curve(c.id, cls, c.genus, KIND_STRICT, c.id, c.born))
-    new_curves.append(Curve(exc_id, e_cls, 0, KIND_EXCEPTIONAL, None, k))
-
-    level = Level(form, canonical, prev.basis_labels + (exc_id,),
-                  tuple(new_curves), center)
-    return SurfaceModel(model.base, model.levels + (level,))
+    lat_id = f"{model.tag}/{k}"
+    e = prev.form.rank  # index of E_k
+    curves = dict(model.curves)
+    for cid, m in incidences:
+        c = curves[cid]
+        cls = DivisorClass({**c.cls.terms, e: Fraction(-m)}, e + 1, lat_id)
+        curves[cid] = Curve(cid, cls, c.genus, c.born, k)
+    curves[exc_id] = Curve(exc_id, basis_class(e, e + 1, lat_id), 0, k, k)
+    return replace(model, centers=model.centers + (center,), curves=curves)
 
 
 def blow_down(model: SurfaceModel) -> SurfaceModel:
+    """The tower without its last blow-up, rebuilt from the base."""
     if model.top == 0:
         raise ModelError("cannot blow down a single-level model")
-    return SurfaceModel(model.base, model.levels[:-1])
+    return functools.reduce(blow_up, model.centers[:-1], make_base(model.base))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +372,7 @@ def pull_back(
         raise ModelError("pull_back goes up the tower")
     if cls.lattice_id != src.form.lattice_id:
         raise ModelError("class does not live at the source level")
-    pad = (Fraction(0),) * (dst.form.rank - src.form.rank)
-    return DivisorClass(cls.coeffs + pad, dst.form.lattice_id)
+    return DivisorClass(cls.terms, dst.form.rank, dst.form.lattice_id)
 
 
 def push_forward(
@@ -388,13 +401,11 @@ def total_transform(
     to_level = model.top if to_level is None else to_level
     if to_level < d.level:
         raise ModelError("total_transform goes up the tower")
+    model.level(to_level)
     coeffs = dict(d.terms)
-    for k in range(d.level + 1, to_level + 1):
-        center = model.level(k).center
-        assert center is not None
+    for center in model.centers[d.level:to_level]:
         mult = sum(
-            m * coeffs.get(cid, Fraction(0))
-            for cid, m in center.effective_incidences()
+            m * coeffs.get(cid, Fraction(0)) for cid, m in center.on_curves
         )
         coeffs[center.exceptional_id] = Fraction(mult)
     return RDivisor.make(to_level, coeffs)
@@ -425,24 +436,29 @@ def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationRep
     ``supports`` are top-level curve ids (typically Supp Δ ∪ Supp N plus
     exceptionals); the log-resolution-ready flag asserts that every
     remaining intersection among them is declared transverse and distinct.
+
+    Only base pairs can be negative at the top, with their level-0 number:
+    an exceptional is born meeting every curve ≥ 0, and the budget puts a
+    center on C and C' only while C·C' ≥ m·m'.
     """
-    top = model.levels[-1]
     support_set = set(supports)
-    ids = sorted(cid for cid in support_set if top.has_curve(cid))
     violations = [
         f"support references unknown curve {cid!r}"
-        for cid in sorted(support_set.difference(ids))
+        for cid in sorted(support_set.difference(model.curves))
     ]
     # a declared multiplicity >= 2 encodes tangency; the combinatorial model
     # cannot certify that the remaining contact is simple, so be conservative
     tangent = any(
         m >= 2 and cid in support_set
-        for lvl in model.levels[1:]
-        for cid, m in lvl.center.effective_incidences()
+        for center in model.centers
+        for cid, m in center.on_curves
     )
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if intersect(top.curve(a).cls, top.curve(b).cls, top.form) < 0:
+    base = model.level(0)
+    base_ids = sorted(cid for cid in support_set
+                      if cid in model.curves and model.curves[cid].born == 0)
+    for i, a in enumerate(base_ids):
+        for b in base_ids[i + 1:]:
+            if intersect(base.curve(a).cls, base.curve(b).cls, base.form) < 0:
                 violations.append(
                     f"support pair ({a!r}, {b!r}) has negative "
                     f"intersection number"

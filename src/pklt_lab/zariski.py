@@ -51,6 +51,7 @@ class ZariskiDecomposition:
     support: tuple[str, ...]  # curves accumulated by the iteration
     gram: tuple[tuple[Fraction, ...], ...]
     nef_certificate: NefCertificate
+    big: bool  # P² > 0
 
 
 def is_nef_against_catalog(
@@ -126,11 +127,7 @@ def zariski_decompose(
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
     assert all(pc[i] == 0 for i in S), "P not orthogonal to Supp N"
-    p = list(D.coeffs)
-    for i, xi in zip(S, x):
-        for t, c in enumerate(curves[i].cls.coeffs):
-            if c:
-                p[t] -= xi * c
+    P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
     cert = NefCertificate(
         tuple(c.id for c in curves),
@@ -138,11 +135,12 @@ def zariski_decompose(
     )
     return ZariskiDecomposition(
         level,
-        DivisorClass(tuple(p), D.lattice_id),
+        P,
         N,
         tuple(curves[i].id for i in S),
         tuple(tuple(r[j] for j in S) for r in rows),
         cert,
+        intersect(P, P, lvl.form) > 0,
     )
 
 
@@ -156,9 +154,7 @@ def is_pseudoeffective(model: SurfaceModel, level: int, D: DivisorClass) -> bool
 
 def is_big(model: SurfaceModel, level: int, D: DivisorClass) -> bool:
     """Catalog-relative bigness: P² > 0 for the positive part."""
-    zd = zariski_decompose(model, level, D)
-    lvl = model.level(level)
-    return intersect(zd.P, zd.P, lvl.form) > 0
+    return zariski_decompose(model, level, D).big
 
 
 def nnef_locus(model: SurfaceModel, level: int, D: DivisorClass):

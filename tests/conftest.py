@@ -153,6 +153,50 @@ def random_center(rng: random.Random, model) -> pl.BlowUpCenter:
 
 
 # ---------------------------------------------------------------------------
+# dense tower reference
+
+
+def reference_tower(model):
+    """Every level of ``model`` rebuilt from its base and centers by the
+    dense recipe: each blow-up copies every curve's class with one more
+    zero coordinate, −m on the curves through the center, and appends
+    E = (0, ..., 0, 1); K gains a 1.  Per level: (basis labels, canonical,
+    [(id, genus, display, class)]), classes as dense coefficient tuples."""
+    one, zero = Fraction(1), Fraction(0)
+    base = model.base
+    if isinstance(base, pl.ProjectivePlane):
+        labels, canonical = ["L"], (Fraction(-3),)
+        curves = [("L", 0, 0, (one,))]
+    elif isinstance(base, pl.Ruled):
+        labels = ["C0", "f"]
+        canonical = (Fraction(-2), Fraction(2 * base.genus - 2 - base.e))
+        curves = [("C0", base.genus, 0, (one, zero)), ("f", 0, 0, (zero, one))]
+    else:
+        labels, canonical = list(base.basis), tuple(base.canonical)
+        curves = [(cs.id, cs.genus, 0, tuple(cs.coeffs)) for cs in base.curves]
+
+    def level(k):
+        return (tuple(labels), canonical, [
+            (cid, g, cid + "~" if born < k else cid, cls)
+            for cid, g, born, cls in curves
+        ])
+
+    out = [level(0)]
+    for k, center in enumerate(model.centers, 1):
+        mults = dict(center.effective_incidences())
+        curves = [
+            (cid, g, born, cls + (Fraction(-mults.get(cid, 0)),))
+            for cid, g, born, cls in curves
+        ]
+        curves.append((center.exceptional_id, 0, k,
+                       (zero,) * len(canonical) + (one,)))
+        labels.append(center.exceptional_id)
+        canonical = canonical + (one,)
+        out.append(level(k))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # brute-force Zariski oracle
 
 
@@ -255,6 +299,7 @@ def reference_zariski(model, level, D):
         tuple(c.id for c in S),
         tuple(tuple(row) for row in gram),
         cert,
+        pl.intersect(P, P, lvl.form) > 0,
     )
 
 
@@ -269,6 +314,7 @@ __all__ = [
     "random_pair",
     "random_klt_pair",
     "random_center",
+    "reference_tower",
     "brute_force_zariski",
     "reference_zariski",
     "anti_log_canonical",

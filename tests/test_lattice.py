@@ -42,7 +42,7 @@ RULED_23 = IntersectionForm(
 
 
 def cls(*coeffs, lat="r"):
-    return DivisorClass(tuple(Fraction(c) for c in coeffs), lat)
+    return DivisorClass.dense(tuple(Fraction(c) for c in coeffs), lat)
 
 
 def test_intersect_unit_class_on_p2():

@@ -343,3 +343,25 @@ def test_birational_stability_fuzzed():
         for cid, pa in before.items():
             assert after.get(cid).pa == pa
         checked += 1
+
+
+def test_reading_big_intersects_nothing(monkeypatch):
+    """make_pair computes P² once; reading pair.big calls no intersect,
+    through whichever module binding."""
+    calls = []
+    original = pl.intersect
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pklt_lab" or name.startswith("pklt_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    pair = pl.make_pair(pl.blow_up(p2(), pl.BlowUpCenter(())), 1)
+    assert calls
+    calls.clear()
+    assert [pair.big for _ in range(4)] == [True] * 4
+    assert calls == []

@@ -4,8 +4,18 @@ from fractions import Fraction
 import pytest
 
 import pklt_lab as pl
-from conftest import blown_ruled, cubic12_model, p2, random_tower, ruled
+from conftest import (
+    blown_ruled,
+    chain_model,
+    cubic12_model,
+    p2,
+    random_center,
+    random_tower,
+    reference_tower,
+    ruled,
+)
 from pklt_lab.lattice import basis_class, signature
+from pklt_lab.surface import ValidationReport
 
 
 def test_make_base_p2():
@@ -195,7 +205,7 @@ def test_structural_invariants_fuzzed():
         base = m.level(0).form
         for k, lvl in enumerate(m.levels):
             form = lvl.form
-            assert form.gram is base.gram
+            assert form.gram is m.lattice.gram
             basis = [
                 basis_class(i, form.rank, form.lattice_id)
                 for i in range(form.rank)
@@ -205,7 +215,7 @@ def test_structural_invariants_fuzzed():
             )
             for _ in range(5):
                 a, b = (
-                    pl.DivisorClass(
+                    pl.DivisorClass.dense(
                         tuple(rng.choice(pool) for _ in range(form.rank)),
                         form.lattice_id,
                     )
@@ -236,5 +246,103 @@ def test_structural_invariants_fuzzed():
                 if c.origin is not None:
                     assert c.genus == prev.curve(c.origin).genus
         if m.top > 0:
-            assert pl.blow_down(m).levels == m.levels[:-1]
+            assert [level_data(lvl) for lvl in pl.blow_down(m).levels] == [
+                level_data(lvl) for lvl in m.levels[:-1]
+            ]
         assert pl.validate(m).valid
+
+
+def level_data(lvl):
+    return (lvl.form, lvl.canonical, lvl.basis_labels, lvl.curves, lvl.center)
+
+
+def test_every_level_matches_the_dense_reference():
+    rng = random.Random(5)
+    towers = [random_tower(rng) for _ in range(60)]
+    for m in towers + [cubic12_model(), chain_model(24)]:
+        for lvl, (labels, canonical, curves) in zip(
+            m.levels, reference_tower(m), strict=True
+        ):
+            lat = lvl.form.lattice_id
+            assert lvl.basis_labels == labels
+            assert lvl.canonical == pl.DivisorClass.dense(canonical, lat)
+            assert [(c.id, c.genus, c.display, c.cls) for c in lvl.curves] == [
+                (cid, g, display, pl.DivisorClass.dense(cls, lat))
+                for cid, g, display, cls in curves
+            ]
+
+
+def test_blow_up_keeps_the_curves_off_the_center():
+    rng = random.Random(8)
+    for _ in range(60):
+        m = random_tower(rng)
+        center = random_center(rng, m)
+        up = pl.blow_up(m, center)
+        on = dict(center.on_curves)
+        assert len(up.curves) == len(m.curves) + 1
+        for old, new in zip(m.curves.values(), up.curves.values()):
+            assert (new is old) == (old.id not in on)
+
+
+def all_pairs_validate(model, supports=()):
+    """validate as it was first written: every pair of support curves is
+    intersected at the top level."""
+    top = model.level(model.top)
+    support_set = set(supports)
+    ids = sorted(cid for cid in support_set if top.has_curve(cid))
+    violations = [
+        f"support references unknown curve {cid!r}"
+        for cid in sorted(support_set.difference(ids))
+    ]
+    tangent = any(
+        m >= 2 and cid in support_set
+        for lvl in model.levels[1:]
+        for cid, m in lvl.center.effective_incidences()
+    )
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if pl.intersect(top.curve(a).cls, top.curve(b).cls, top.form) < 0:
+                violations.append(
+                    f"support pair ({a!r}, {b!r}) has negative "
+                    f"intersection number"
+                )
+    return ValidationReport(tuple(violations), not (violations or tangent))
+
+
+def random_lattice_tower(rng):
+    """A rank-3 lattice base (gram diag(1, −1, −1)) whose random catalog
+    often has negative pairs, blown up at random centers, some tangent."""
+    gram = ((Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(-1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(-1)))
+    curves = tuple(
+        pl.CurveSpec(
+            f"C{i}", tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)), 0
+        )
+        for i in range(rng.randint(1, 5))
+    )
+    m = pl.make_base(pl.AbstractLattice(
+        ("H", "A", "B"), gram, (Fraction(-3), Fraction(1), Fraction(1)), curves
+    ))
+    for _ in range(rng.randrange(0, 6)):
+        if rng.random() < 0.2:
+            center = pl.BlowUpCenter(((rng.choice(list(m.curves)), 2),))
+        else:
+            center = random_center(rng, m)
+        m = pl.blow_up(m, center)
+    return m
+
+
+def test_validate_matches_the_all_pairs_check():
+    rng = random.Random(1412)
+    negative = 0
+    for t in range(800):
+        m = random_lattice_tower(rng) if t % 2 else random_tower(rng)
+        ids = list(m.curves)
+        supports = rng.sample(ids, rng.randint(0, len(ids)))
+        if rng.random() < 0.1:
+            supports.append("Z")
+        expected = all_pairs_validate(m, supports)
+        assert pl.validate(m, supports) == expected
+        negative += sum("negative" in v for v in expected.violations)
+    assert negative > 100

@@ -267,7 +267,7 @@ def _lattice_cases(rng, count):
                                   (Fraction(-3), Fraction(1), Fraction(1)),
                                   curves)
         m = pl.make_base(base)
-        yield m, 0, pl.DivisorClass(small(), m.level(0).form.lattice_id)
+        yield m, 0, pl.DivisorClass.dense(small(), m.level(0).form.lattice_id)
 
 
 def test_incremental_factor_matches_per_round_reference():
