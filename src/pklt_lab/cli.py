@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus
-from .modelio import LoadedModel, SchemaError, ValidationError, load_model
+from .modelio import SchemaError, ValidationError, load_model
 from .potential import (
     InvariantViolation,
     PairError,
@@ -46,7 +46,19 @@ EXIT_VALIDATION = 3
 EXIT_CORPUS = 4
 
 
+# library exception -> (exit code, the "error" field of the JSON it prints)
+FAILURES = {
+    SchemaError: (EXIT_SCHEMA, "schema"),
+    OSError: (EXIT_SCHEMA, "io"),
+    ValidationError: (EXIT_VALIDATION, "validation"),
+    PairError: (EXIT_VALIDATION, "pair"),
+    NotPseudoeffectiveError: (EXIT_COMPUTE, "not-pseudoeffective"),
+}
+
+
 class CliFailure(Exception):
+    """A failure the CLI itself detects, with its exit code and payload."""
+
     def __init__(self, code: int, payload: dict):
         self.code = code
         self.payload = payload
@@ -79,31 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> LoadedModel:
-    try:
-        return load_model(path)
-    except SchemaError as exc:
-        raise CliFailure(EXIT_SCHEMA, {"error": "schema", "detail": str(exc)})
-    except ValidationError as exc:
-        raise CliFailure(EXIT_VALIDATION, {"error": "validation", "detail": str(exc)})
-    except OSError as exc:
-        raise CliFailure(EXIT_SCHEMA, {"error": "io", "detail": str(exc)})
-
-
-def _pair_of(loaded: LoadedModel):
-    level, delta_name = loaded.pair if loaded.pair else (loaded.model.top, None)
-    delta = (
-        loaded.divisor_at(delta_name, level) if delta_name is not None else None
-    )
-    try:
-        return make_pair(loaded.model, level, delta)
-    except NotPseudoeffectiveError as exc:
-        raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
-                                        "detail": str(exc)})
-    except PairError as exc:
-        raise CliFailure(EXIT_VALIDATION, {"error": "pair", "detail": str(exc)})
-
-
 def _parse_eps(value) -> Fraction | None:
     if value is None:
         return None
@@ -125,13 +112,9 @@ def _check_level(model, level: int) -> None:
 
 
 def _cmd_check(args) -> dict:
-    loaded = _load(args.model)
-    supports = ()
-    if loaded.pair is not None:
-        level, delta_name = loaded.pair
-        if delta_name is not None:
-            supports = loaded.divisor_at(delta_name, level).support
-    rep = validate(loaded.model, supports)
+    loaded = load_model(args.model)
+    delta = loaded.delta()
+    rep = validate(loaded.model, delta.support if delta is not None else ())
     payload = {
         "schema": REPORT_SCHEMA,
         "command": "check",
@@ -145,30 +128,24 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_zariski(args) -> dict:
-    loaded = _load(args.model)
+    loaded = load_model(args.model)
     level = args.level if args.level is not None else loaded.model.top
     _check_level(loaded.model, level)
     try:
-        zd, name = decompose_named(loaded.model, level, args.divisor, loaded)
+        zd = decompose_named(loaded, level, args.divisor)
     except KeyError:
         raise CliFailure(
             EXIT_VALIDATION,
             {"error": "unknown-divisor", "detail": args.divisor},
         )
-    except ValidationError as exc:
-        raise CliFailure(EXIT_VALIDATION, {"error": "validation",
-                                           "detail": str(exc)})
-    except NotPseudoeffectiveError as exc:
-        raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
-                                        "detail": str(exc)})
     out = {"schema": REPORT_SCHEMA, "command": "zariski"}
-    out.update(zariski_json(loaded.model, zd, name))
+    out.update(zariski_json(loaded.model, zd, args.divisor))
     return out
 
 
 def _cmd_report_slice(args, report, keys) -> dict:
-    loaded = _load(args.model)
-    pair = _pair_of(loaded)
+    loaded = load_model(args.model)
+    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
     eps = _parse_eps(getattr(args, "eps", None))
     rep = report(pair, eps)
     out = {"schema": REPORT_SCHEMA, "command": args.command}
@@ -179,18 +156,10 @@ def _cmd_report_slice(args, report, keys) -> dict:
 
 
 def _cmd_fano(args) -> dict:
-    loaded = _load(args.model)
-    level = args.level if args.level is not None else (
-        loaded.pair[0] if loaded.pair else loaded.model.top
-    )
+    loaded = load_model(args.model)
+    level = args.level if args.level is not None else loaded.pair_level
     _check_level(loaded.model, level)
-    try:
-        verdict = fano_json(loaded.model, fano_type_test(loaded.model, level))
-    except NotPseudoeffectiveError as exc:
-        raise CliFailure(EXIT_COMPUTE, {"error": "not-pseudoeffective",
-                                        "detail": str(exc)})
-    except PairError as exc:  # (X, N) fails the pair hypotheses
-        raise CliFailure(EXIT_VALIDATION, {"error": "pair", "detail": str(exc)})
+    verdict = fano_json(loaded.model, fano_type_test(loaded.model, level))
     return {
         "schema": REPORT_SCHEMA,
         "command": "fano",
@@ -201,9 +170,8 @@ def _cmd_fano(args) -> dict:
 
 
 def _cmd_rcc(args) -> dict:
-    loaded = _load(args.model)
-    pair = _pair_of(loaded)
-    out = rcc_json(pair)
+    loaded = load_model(args.model)
+    out = rcc_json(make_pair(loaded.model, loaded.pair_level, loaded.delta()))
     if not out["applicable"]:
         raise CliFailure(
             EXIT_COMPUTE,
@@ -293,6 +261,12 @@ def main(argv=None) -> int:
         _emit({"error": "catalog-incomplete", "invariant": exc.invariant,
                "detail": exc.detail}, args.format)
         return EXIT_COMPUTE
+    except tuple(FAILURES) as exc:
+        code, error = next(
+            v for t, v in FAILURES.items() if isinstance(exc, t)
+        )
+        _emit({"error": error, "detail": str(exc)}, args.format)
+        return code
     except CliFailure as failure:
         _emit(failure.payload, args.format)
         return failure.code

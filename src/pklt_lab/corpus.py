@@ -10,6 +10,7 @@ import json
 from importlib import resources
 
 from .modelio import parse_model
+from .potential import make_pair
 from .report import full_report
 
 
@@ -74,15 +75,8 @@ ENTRIES: dict[str, dict] = {
 
 
 def compute_report(name: str) -> dict:
-    doc = ENTRIES[name]
-    loaded = parse_model(doc)
-    level, delta_name = loaded.pair
-    delta = (
-        loaded.divisor_at(delta_name, level) if delta_name is not None else None
-    )
-    from .potential import make_pair
-
-    return full_report(make_pair(loaded.model, level, delta))
+    loaded = parse_model(ENTRIES[name])
+    return full_report(make_pair(loaded.model, loaded.pair_level, loaded.delta()))
 
 
 def expected_report(name: str) -> dict:

@@ -175,6 +175,17 @@ class LoadedModel:
         self.divisors: dict[str, tuple[tuple[str, Fraction], ...]] = divisors
         self.pair: tuple[int, str] | None = pair  # (level, delta name)
 
+    @property
+    def pair_level(self) -> int:
+        """The pair's level, or the top of the tower when there is no pair."""
+        return self.pair[0] if self.pair is not None else self.model.top
+
+    def delta(self) -> RDivisor | None:
+        """The pair's Δ at its level, or None when Δ = 0."""
+        if self.pair is None or self.pair[1] is None:
+            return None
+        return self.divisor_at(self.pair[1], self.pair[0])
+
     def divisor_at(self, name: str, level: int) -> RDivisor:
         if name not in self.divisors:
             raise ValidationError("/divisors", f"unknown divisor {name!r}")
@@ -231,8 +242,7 @@ def parse_model(doc) -> LoadedModel:
                 raise ValidationError("/pair/delta", f"unknown divisor {name!r}")
         pair = (level, name)
     loaded = LoadedModel(model, divisors, pair)
-    if pair is not None and pair[1] is not None:
-        loaded.divisor_at(pair[1], pair[0])  # Δ must live at the pair level
+    loaded.delta()  # Δ must live at the pair level
     return loaded
 
 

@@ -106,6 +106,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
         delta = RDivisor.make(level, {})
     if delta.level != level:
         raise PairError("boundary divisor must live at the pair level")
+    for cid in delta.support:
+        if not lvl.has_curve(cid):
+            raise PairError(f"boundary curve {cid!r} is not on level {level}")
     if not delta.is_effective():
         raise PairError("boundary divisor must be effective")
     d_top = pull_back(

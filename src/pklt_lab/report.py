@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import DivisorClass
+from .modelio import LoadedModel
 from .potential import (
     NEG_INFINITY,
     FanoVerdict,
@@ -16,11 +17,7 @@ from .potential import (
     fano_type_test,
 )
 from .surface import RDivisor, SurfaceModel
-from .zariski import (
-    NotPseudoeffectiveError,
-    ZariskiDecomposition,
-    zariski_decompose,
-)
+from .zariski import ZariskiDecomposition, zariski_decompose
 from . import rcc
 
 REPORT_SCHEMA = "pklt-lab/report/1"
@@ -168,16 +165,16 @@ def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
 
 
 def decompose_named(
-    model: SurfaceModel, level: int, name: str, divisors
-) -> tuple[ZariskiDecomposition, str]:
+    loaded: LoadedModel, level: int, name: str
+) -> ZariskiDecomposition:
     """Resolve a divisor name ('antiK'/'K' are built in) and decompose it."""
-    lvl = model.level(level)
-    if divisors is not None and name in divisors.divisors:
-        cls = divisors.divisor_at(name, level).class_at(model)
+    model = loaded.model
+    if name in loaded.divisors:
+        cls = loaded.divisor_at(name, level).class_at(model)
     elif name == "antiK":
-        cls = -lvl.canonical
+        cls = -model.level(level).canonical
     elif name == "K":
-        cls = lvl.canonical
+        cls = model.level(level).canonical
     else:
         raise KeyError(name)
-    return zariski_decompose(model, level, cls), name
+    return zariski_decompose(model, level, cls)

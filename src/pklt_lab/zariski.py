@@ -49,7 +49,6 @@ class ZariskiDecomposition:
     P: DivisorClass
     N: RDivisor
     support: tuple[str, ...]  # curves accumulated by the iteration
-    gram: tuple[tuple[Fraction, ...], ...]
     nef_certificate: NefCertificate
     big: bool  # P² > 0
 
@@ -138,7 +137,6 @@ def zariski_decompose(
         P,
         N,
         tuple(curves[i].id for i in S),
-        tuple(tuple(r[j] for j in S) for r in rows),
         cert,
         intersect(P, P, lvl.form) > 0,
     )

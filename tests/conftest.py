@@ -297,7 +297,6 @@ def reference_zariski(model, level, D):
         P,
         N,
         tuple(c.id for c in S),
-        tuple(tuple(row) for row in gram),
         cert,
         pl.intersect(P, P, lvl.form) > 0,
     )

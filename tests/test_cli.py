@@ -23,6 +23,13 @@ RULED_BLOWUP = {
     "blowups": [{"id": "E1", "on": [{"curve": "C0"}], "point": "p1"}],
     "pair": {"level": 1},
 }
+FANO_TANGENT = {  # (X, N) for this tower is not log-resolution-ready
+    "version": "pklt-lab/1",
+    "base": {"kind": "ruled", "genus": 0, "e": 3},
+    "blowups": [
+        {"id": "E1", "on": [{"curve": "f", "mult": 2}], "point": "p1"}
+    ],
+}
 
 
 def run_cli(args, capsys):
@@ -153,6 +160,31 @@ def test_bad_version_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+# one real input per row of cli.FAILURES -> (exit code, "error" field)
+FAILURE_ROWS = {
+    "schema": (["check"], dict(RULED_BLOWUP, version="pklt-lab/999"), 2),
+    "io": (["check"], None, 2),
+    "validation": (["check"], lattice_base([["1", "0"]]), 3),
+    "pair": (["fano"], FANO_TANGENT, 3),
+    "not-pseudoeffective": (
+        ["zariski", "--divisor", "K"], RULED_BLOWUP, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("error", sorted(FAILURE_ROWS))
+def test_each_library_failure_maps_to_its_exit_code(tmp_path, capsys, error):
+    (command, *options), doc, exit_code = FAILURE_ROWS[error]
+    path = (write_model(tmp_path, doc) if doc is not None
+            else str(tmp_path / "missing.json"))
+    code, out = run_cli([command, path, *options], capsys)
+    assert code == exit_code
+    payload = json.loads(out)
+    assert list(payload) == ["error", "detail"]
+    assert payload["error"] == error and payload["detail"]
+    assert (exit_code, error) in cli.FAILURES.values()
+
+
 def test_check_subcommand_ok(tmp_path, capsys):
     code, out = run_cli(["check", write_model(tmp_path, RULED_BLOWUP)], capsys)
     assert code == 0
@@ -226,15 +258,7 @@ def test_fano_subcommand(tmp_path, capsys):
 
 
 def test_fano_pair_error_exit_3(tmp_path, capsys):
-    # (X, N) for this tower is not log-resolution-ready
-    doc = {
-        "version": "pklt-lab/1",
-        "base": {"kind": "ruled", "genus": 0, "e": 3},
-        "blowups": [
-            {"id": "E1", "on": [{"curve": "f", "mult": 2}], "point": "p1"}
-        ],
-    }
-    code, out = run_cli(["fano", write_model(tmp_path, doc)], capsys)
+    code, out = run_cli(["fano", write_model(tmp_path, FANO_TANGENT)], capsys)
     assert code == 3
     assert json.loads(out)["error"] == "pair"
 

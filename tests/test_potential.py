@@ -248,6 +248,14 @@ def test_make_pair_rejects_bad_input():
         pl.make_pair(m, 0, pl.RDivisor.make(0, {"f": 10}))
 
 
+def test_boundary_curve_above_the_pair_level_is_a_pair_error():
+    """E1 is born at level 1, so a Δ at level 0 cannot name it: the pair
+    fails its hypotheses, which is a PairError, not a ModelError."""
+    with pytest.raises(pl.PairError) as exc:
+        pl.make_pair(blown_ruled(2, 3), 0, pl.RDivisor.make(0, {"E1": 1}))
+    assert "'E1'" in str(exc.value)
+
+
 def test_dropped_pair_leaves_its_model_collectable():
     model = blown_ruled(2, 3)
     pair = pl.make_pair(model, 1)

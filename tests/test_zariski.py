@@ -193,10 +193,10 @@ def test_decomposition_fixed_point_properties_fuzzed():
         assert zd.nef_certificate.nef
         for cid in zd.N.support:
             assert pl.intersect(zd.P, lvl.curve(cid).cls, lvl.form) == 0
-        if zd.N.support:
-            assert pl.is_negative_definite(
-                [list(row) for row in zd.gram]
-            )
+        if zd.support:
+            assert pl.is_negative_definite(pl.gram_submatrix(
+                [lvl.curve(cid).cls for cid in zd.support], lvl.form
+            ))
 
 
 def _decomposition_or_error(decompose, model, level, cls):
@@ -204,7 +204,7 @@ def _decomposition_or_error(decompose, model, level, cls):
         zd = decompose(model, level, cls)
     except pl.NotPseudoeffectiveError as exc:
         return type(exc), str(exc)
-    return zd.P, zd.N, zd.support, zd.gram, zd.nef_certificate
+    return zd.P, zd.N, zd.support, zd.nef_certificate, zd.big
 
 
 SIGNED_POOL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
