@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class LatticeMismatchError(ValueError):
@@ -223,50 +223,73 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
     return x
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """Σ aᵢ·bᵢ, skipping zeros: a tower's Gram rows are mostly zero."""
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
-
-
 class LDLFactor:
     """A symmetric system G·x = b grown one equation at a time, kept as
-    G = L·diag(pivots)·Lᵀ with L unit lower triangular and y = L⁻¹·b.
+    G = L·diag(pivots)·Lᵀ with L unit lower triangular, and
+    z = diag(pivots)⁻¹·L⁻¹·b, which no later equation changes.
 
     There is no pivoting, so the k-th pivot is the ratio of the k-th and
     (k−1)-th leading principal minors of G: G is negative definite exactly
     when every pivot is negative, the test ``is_negative_definite`` runs.
     Extend only while every pivot so far is nonzero.
+
+    L is sparse: each row is kept as its (j, L[k][j]) nonzeros, and each
+    column as the (k, L[k][j]) below its diagonal.  ``extend`` is an
+    up-looking triangular solve over the entries the new row reaches, and
+    ``solve`` back-substitutes over nonzeros only.  When each unknown meets
+    at most one later one (a tree taken from its leaves towards a root,
+    such as the infinitely-near chain's path taken from one end),
+    elimination makes no fill-in (George & Liu 1981): L has one entry per
+    edge of G's graph.
     """
 
     def __init__(self):
-        self.lower: list[list[Fraction]] = []  # row k: L[k][0..k-1]
+        self.lower: list[dict[int, Fraction]] = []  # row k: {j: L[k][j]}, j < k
+        self._columns: list[list[tuple[int, Fraction]]] = []  # col j: (k, L[k][j])
         self.pivots: list[Fraction] = []
-        self._y: list[Fraction] = []
+        self._z: list[Fraction] = []
 
-    def extend(self, row: Sequence[Fraction], rhs: Fraction) -> Fraction:
-        """Add the equation whose Gram row is ``row`` (its entries against
-        the earlier unknowns, then its diagonal) and right-hand side
-        ``rhs``; returns the new pivot."""
-        scaled: list[Fraction] = []  # L[k][j]·pivots[j]
-        lk: list[Fraction] = []
-        for j, (lj, pj) in enumerate(zip(self.lower, self.pivots)):
-            s = row[j] - _dot(scaled, lj)
-            scaled.append(s)
-            lk.append(s / pj)
-        pivot = row[len(lk)] - _dot(scaled, lk)
+    def extend(self, row: Mapping[int, Fraction], rhs: Fraction) -> Fraction:
+        """Add the equation k = len(pivots) with right-hand side ``rhs``,
+        whose Gram row has the nonzeros ``row``: j < k maps to its entry
+        against unknown j, k to its diagonal.  Returns the new pivot."""
+        k = len(self.pivots)
+        scaled = {j: v for j, v in row.items() if j < k}  # → L[k][j]·pivots[j]
+        reach, stack = set(scaled), list(scaled)
+        while stack:  # the unknowns the forward substitution reaches
+            for i, _ in self._columns[stack.pop()]:
+                if i not in reach:
+                    reach.add(i)
+                    stack.append(i)
+        for j in sorted(reach):  # every term of scaled[j] comes from a smaller j
+            sj = scaled.get(j)
+            if sj:
+                for i, l in self._columns[j]:
+                    scaled[i] = scaled.get(i, 0) - l * sj
+        lk: dict[int, Fraction] = {}
+        pivot = row.get(k, Fraction(0))
+        y = rhs
+        for j, sj in scaled.items():
+            if sj:
+                l = sj / self.pivots[j]
+                lk[j] = l
+                self._columns[j].append((k, l))
+                pivot -= sj * l
+                y -= sj * self._z[j]
         self.lower.append(lk)
+        self._columns.append([])
         self.pivots.append(pivot)
-        self._y.append(rhs - _dot(lk, self._y))
+        self._z.append(y / pivot if pivot else y)  # y if 0: nothing follows
         return pivot
 
     def solve(self) -> list[Fraction]:
-        """x with G·x = b, by one back-substitution Lᵀ·x = diag⁻¹·y."""
-        x = [y / p for y, p in zip(self._y, self.pivots)]
+        """x with G·x = b, by one back-substitution Lᵀ·x = z."""
+        x = list(self._z)
         for k in range(len(x) - 1, -1, -1):
-            if x[k]:
-                for j, l in enumerate(self.lower[k]):
-                    if l:
-                        x[j] -= l * x[k]
+            xk = x[k]
+            if xk:
+                for j, l in self.lower[k].items():
+                    x[j] -= l * xk
         return x
 
 

@@ -123,8 +123,10 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     if not report.log_resolution_ready:
         raise PairError("top level is not log-resolution-ready for this pair")
     a = _a_values(model, level, delta)
+    sigma = dict(zd.N.terms)
+    zero = Fraction(0)
     ledger = DiscrepancyLedger(tuple(
-        LedgerEntry(c.id, c.display, a[c.id], zd.N.coeff(c.id))
+        LedgerEntry(c.id, c.display, a[c.id], sigma.get(c.id, zero))
         for c in model.level(model.top).curves
     ))
     return PairSpec(model, level, delta, zd, ledger, zd.big)
@@ -141,7 +143,9 @@ def _a_values(model: SurfaceModel, level: int, delta: RDivisor) -> dict[str, Fra
     Curves of X carry a = -mult_Δ; each exceptional created above X gets
     a = 1 + Σ m·a(C) over the curves through its center.
     """
-    a = {cid: -delta.coeff(cid)
+    mult = dict(delta.terms)
+    zero = Fraction(0)
+    a = {cid: -mult.get(cid, zero)
          for cid, c in model.curves.items() if c.born <= level}
     for center in model.centers[level:]:
         val = Fraction(1)
@@ -450,11 +454,9 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     if not witness.is_effective():
         raise PairError("witness must be effective")
     model = pair.model
-    ft = total_transform(model, witness)
-    n = pair.decomposition.N
-    dominates = all(
-        ft.coeff(cid) >= n.coeff(cid) for cid in model.curves
-    )
+    ft = dict(total_transform(model, witness).terms)
+    n = dict(pair.decomposition.N.terms)
+    dominates = all(ft.get(cid, 0) >= v for cid, v in n.items())
     result = {"dominates": dominates, "inclusion_holds": None, "eps": None}
     if not dominates:
         return result

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .lattice import (
     DivisorClass,
+    IntersectionForm,
     LDLFactor,
     intersect,
     solve_exact,
     SingularMatrixError,
 )
-from .surface import RDivisor, SurfaceModel
+from .surface import Curve, RDivisor, SurfaceModel
 
 NOT_PSEF_MESSAGE = "not pseudoeffective against catalog, or catalog incomplete"
 
@@ -67,6 +69,52 @@ def is_nef_against_catalog(
     return NefCertificate(tuple(tested), tuple(violations))
 
 
+def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
+    """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``curves``, as {j: Cᵢ·Cⱼ}
+    in catalog order.
+
+    An index from each coordinate to the curves with a nonzero term there,
+    read off the sparse classes, names the curves that can meet Cᵢ: through
+    an exceptional coordinate (E² = −1, orthogonal to the rest) only those
+    with a term at it, through a base coordinate u those with a term at any
+    v with gram[u][v] ≠ 0.  Only these are intersected with Cᵢ.
+    """
+    by_coordinate: dict[int, list[int]] = {}
+    for j, c in enumerate(curves):
+        for u in c.cls.terms:
+            by_coordinate.setdefault(u, []).append(j)
+    gram = form.gram
+    meets = [[v for v, g in enumerate(gram_u) if g] for gram_u in gram]
+
+    def row(i: int) -> dict[int, Fraction]:
+        ci = curves[i].cls
+        reached: set[int] = set()
+        for u in ci.terms:
+            for v in meets[u] if u < len(gram) else (u,):
+                reached.update(by_coordinate.get(v, ()))
+        out = {}
+        for j in sorted(reached):
+            v = intersect(ci, curves[j].cls, form)
+            if v:
+                out[j] = v
+        return out
+
+    return row
+
+
+def _p_dot(dc, x, rows, place, on_s: bool) -> dict[int, Fraction]:
+    """P·Cⱼ = D·Cⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, on S
+    (``place``) or off it, over the rows' nonzeros only; an untouched curve
+    has P·C = D·C."""
+    pc: dict[int, Fraction] = {}
+    for xk, row in zip(x, rows):
+        if xk:
+            for j, v in row.items():
+                if (j in place) == on_s:
+                    pc[j] = pc.get(j, dc[j]) - xk * v
+    return pc
+
+
 def zariski_decompose(
     model: SurfaceModel, level: int, D: DivisorClass
 ) -> ZariskiDecomposition:
@@ -77,16 +125,23 @@ def zariski_decompose(
     catalog curve with P·C < 0.  The fixed point is unique, so violators are
     added all at once for determinism.
 
-    S only grows, so D·C and the row Cᵢ·C are computed once per curve, and
-    gram(S) is one LDLᵀ factor extended by the rows of the curves that join:
-    a round is one back-substitution, and P·C = D·C − Σ xᵢ·Cᵢ·C.  While every
+    S only grows, so D·C is computed once per curve and the row Cᵢ·C once
+    when Cᵢ joins, as its nonzeros: ``intersection_rows`` (built when S
+    first becomes nonempty) intersects Cᵢ only with the curves that share a
+    coordinate with it through the form.  gram(S) is one sparse LDLᵀ factor
+    extended by the rows of the curves that join, so a round is one sparse
+    back-substitution.  Each round computes P·C = D·C − Σ xᵢ·Cᵢ·C off S
+    over the rows' nonzeros only: a curve off S that no row touches keeps
+    P·C = D·C ≥ 0, so new violators are looked for among the touched curves
+    alone; P·C on S is computed once, after the last round.  While every
     pivot is negative, gram(S) is negative definite (Sylvester) and x is the
     unique solution.  A pivot ≥ 0 means the final support cannot be negative
     definite, so D is not pseudoeffective; from that round on each system is
-    solved afresh by ``solve_exact``, so the error names the same failure
-    (singular system, negative coefficient, indefinite support) as before.
-    The nef certificate is read off the final P·C: ≥ 0 off S once no curve
-    joins, and 0 on S because x solves the system.
+    solved afresh by ``solve_exact`` on the dense gram(S) read off the rows,
+    so the error names the same failure (singular system, negative
+    coefficient, indefinite support) as before.  The nef certificate is read
+    off the final P·C: ≥ 0 off S once no curve joins, and 0 on S because x
+    solves the system.
     """
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id:
@@ -94,43 +149,45 @@ def zariski_decompose(
     curves = lvl.curves
     dc = [intersect(D, c.cls, lvl.form) for c in curves]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
-    rows: list[list[Fraction]] = []  # rows[i][j] = C_S[i]·C_j
+    row_of = intersection_rows(curves, lvl.form) if S else None
+    rows: list[dict[int, Fraction]] = []  # rows[k] = {j: C_S[k]·C_j ≠ 0}
+    place: dict[int, int] = {}  # catalog index → its unknown in the factor
     factor = LDLFactor()
     definite = True
     x: list[Fraction] = []
-    pc = dc  # P·C per catalog curve
+    off_s: dict[int, Fraction] = {}  # P·C off S where a row touches C
     while len(rows) < len(S):
         for i in S[len(rows):]:
-            row = [intersect(curves[i].cls, c.cls, lvl.form) for c in curves]
+            place[i] = len(rows)
+            row = row_of(i)
             rows.append(row)
             if definite:
-                pivot = factor.extend([row[j] for j in S[: len(rows)]], dc[i])
+                pivot = factor.extend(
+                    {place[j]: v for j, v in row.items() if j in place}, dc[i]
+                )
                 definite = pivot < 0
         if definite:
             x = factor.solve()
         else:
             try:
-                x = solve_exact([[r[j] for j in S] for r in rows],
+                x = solve_exact([[r.get(j, 0) for j in S] for r in rows],
                                 [dc[i] for i in S])
             except SingularMatrixError:
                 raise NotPseudoeffectiveError("singular curve configuration")
-        pc = list(dc)
-        for xi, r in zip(x, rows):
-            for j, v in enumerate(r):
-                if v:
-                    pc[j] -= xi * v
-        in_s = set(S)
-        S.extend(j for j, v in enumerate(pc) if v < 0 and j not in in_s)
+        off_s = _p_dot(dc, x, rows, place, False)
+        S.extend(sorted(j for j, v in off_s.items() if v < 0))
     if any(xi < 0 for xi in x):
         raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
-    assert all(pc[i] == 0 for i in S), "P not orthogonal to Supp N"
+    pc = _p_dot(dc, x, rows, place, True) | off_s
+    pc_all = [pc.get(j, v) for j, v in enumerate(dc)]
+    assert all(pc_all[i] == 0 for i in S), "P not orthogonal to Supp N"
     P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
     cert = NefCertificate(
         tuple(c.id for c in curves),
-        tuple((c.id, v) for c, v in zip(curves, pc) if v < 0),
+        tuple((c.id, v) for c, v in zip(curves, pc_all) if v < 0),
     )
     return ZariskiDecomposition(
         level,

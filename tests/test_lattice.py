@@ -207,7 +207,8 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
         rhs = [Fraction(rng.randrange(-5, 6)) for _ in range(n)]
         factor = LDLFactor()
         for k in range(n):
-            if factor.extend(m[k][: k + 1], rhs[k]) == 0:
+            row = {j: v for j, v in enumerate(m[k][: k + 1]) if v}
+            if factor.extend(row, rhs[k]) == 0:
                 break
         else:
             assert all(p < 0 for p in factor.pivots) == (

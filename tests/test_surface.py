@@ -10,6 +10,7 @@ from conftest import (
     cubic12_model,
     p2,
     random_center,
+    random_lattice_tower,
     random_tower,
     reference_tower,
     ruled,
@@ -307,30 +308,6 @@ def all_pairs_validate(model, supports=()):
                     f"intersection number"
                 )
     return ValidationReport(tuple(violations), not (violations or tangent))
-
-
-def random_lattice_tower(rng):
-    """A rank-3 lattice base (gram diag(1, −1, −1)) whose random catalog
-    often has negative pairs, blown up at random centers, some tangent."""
-    gram = ((Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(-1)))
-    curves = tuple(
-        pl.CurveSpec(
-            f"C{i}", tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)), 0
-        )
-        for i in range(rng.randint(1, 5))
-    )
-    m = pl.make_base(pl.AbstractLattice(
-        ("H", "A", "B"), gram, (Fraction(-3), Fraction(1), Fraction(1)), curves
-    ))
-    for _ in range(rng.randrange(0, 6)):
-        if rng.random() < 0.2:
-            center = pl.BlowUpCenter(((rng.choice(list(m.curves)), 2),))
-        else:
-            center = random_center(rng, m)
-        m = pl.blow_up(m, center)
-    return m
 
 
 def test_validate_matches_the_all_pairs_check():

@@ -8,12 +8,16 @@ import pklt_lab as pl
 from conftest import (
     blown_ruled,
     brute_force_zariski,
+    chain_model,
+    cubic12_model,
     p2,
     random_effective_divisor,
+    random_lattice_tower,
     random_tower,
     reference_zariski,
     ruled,
 )
+from pklt_lab import zariski
 
 
 def test_anticanonical_on_ruled_2_3():
@@ -276,3 +280,44 @@ def test_incremental_factor_matches_per_round_reference():
     lattices = _assert_matches_reference(_lattice_cases(rng, 2000))
     seen = set(towers) | set(lattices)
     assert seen == NOT_PSEF_DETAILS, (towers, lattices)
+
+
+@pytest.mark.parametrize("n", [24, 48, 96])
+def test_chain_rows_intersect_only_neighbouring_curves(n, monkeypatch):
+    """On the infinitely-near chain a joining curve meets at most two other
+    catalog curves, so the coordinate index keeps its row O(1): one
+    intersect per curve for D·C, about three per joining curve, one for P²."""
+    m = chain_model(n)
+    minus_k = -m.level(m.top).canonical
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pl.intersect(*args)
+
+    monkeypatch.setattr(zariski, "intersect", counting)
+    zd = pl.zariski_decompose(m, m.top, minus_k)
+    assert len(zd.support) == n
+    assert calls <= 4 * n + 3
+
+
+def test_index_rows_equal_the_dense_rows():
+    rng = random.Random(5)  # the towers of test_every_level_matches_the_dense_reference
+    towers = [random_tower(rng) for _ in range(60)]
+    towers += [cubic12_model(), chain_model(24)]
+    rng = random.Random(1412)
+    towers += [random_lattice_tower(rng) for _ in range(200)]
+    nonzero = 0
+    for m in towers:
+        for lvl in m.levels:
+            curves, form = lvl.curves, lvl.form
+            row = zariski.intersection_rows(curves, form)
+            for i, ci in enumerate(curves):
+                dense = {
+                    j: v for j, c in enumerate(curves)
+                    if (v := pl.intersect(ci.cls, c.cls, form))
+                }
+                assert row(i) == dense
+                nonzero += len(dense)
+    assert nonzero > 1000
