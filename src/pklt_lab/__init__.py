@@ -54,8 +54,8 @@ from .potential import (
     discrepancies,
     eps_spnklt,
     eps_threshold,
-    fano_type_of_pair,
     fano_type_test,
+    fano_verdict,
     make_pair,
     nklt_locus,
     pnklt_locus,

@@ -371,43 +371,40 @@ class FanoVerdict:
 
 
 def fano_type_test(model: SurfaceModel, level: int) -> FanoVerdict:
-    """Surface Fano-type criterion: -K big and (X, N) klt, with N the
-    negative part of -K.  Cross-checked against the potentially-klt flag
-    of (X, N), which agrees in dimension 2."""
-    lvl = model.level(level)
+    """Surface Fano-type test at ``level``: the verdict of the pair (X, 0),
+    once -K is pseudoeffective against the catalog at ``level`` itself."""
     try:
-        zd = zariski_decompose(model, level, -lvl.canonical)
+        zariski_decompose(model, level, -model.level(level).canonical)
     except NotPseudoeffectiveError as exc:
         return FanoVerdict(False, f"-K is {exc}")
-    return _fano_verdict(model, level, zd.N, zd.big)
+    return fano_verdict(classify_pair(make_pair(model, level)))
 
 
-def fano_type_of_pair(pair: PairSpec) -> FanoVerdict:
-    """fano_type_test(pair.model, pair.level) for a pair with Δ = 0, read off
-    the decomposition of f*(-K) that make_pair already holds: N on X is its
-    pushforward, since f_*f^*N = N, and -K is big when the pair is."""
+def fano_verdict(report: PotentialReport) -> FanoVerdict:
+    """X is of Fano type iff -K is big and X is potentially klt.
+
+    Read off the classification of the pair (X, 0): N on X is the
+    pushforward of the top-level N, since Zariski decomposition commutes
+    with pullback, and a(X, N) = pa(X, 0) on every top-level curve.  The
+    classical criterion, (X, N) klt, is that arithmetic alone and must
+    agree with the pair's potentially-klt flag.
+    """
+    pair = report.pair
     if not pair.delta.is_zero():
         raise PairError("the Fano-type test of a pair needs Δ = 0")
-    model = pair.model
-    n = push_forward(model, model.top, pair.level, pair.decomposition.N)
-    return _fano_verdict(model, pair.level, n, pair.big)
-
-
-def _fano_verdict(
-    model: SurfaceModel, level: int, n: RDivisor, big: bool
-) -> FanoVerdict:
-    """The verdict once N, the negative part of -K at ``level``, is known."""
-    report = classify_pair(make_pair(model, level, n))
-    _require(report.klt == report.potentially_klt, "dim-2-klt-equivalence",
-             f"(X, N) has klt {report.klt} but potentially klt "
+    model, level, big = pair.model, pair.level, pair.big
+    n = push_forward(model, model.top, level, pair.decomposition.N)
+    xn_klt = all(a > -1 for a in _a_values(model, level, n).values())
+    _require(xn_klt == report.potentially_klt, "dim-2-klt-equivalence",
+             f"(X, N) has klt {xn_klt} but X has potentially klt "
              f"{report.potentially_klt}")
     if not big:
         reason = "-K is not big against the catalog"
-    elif not report.klt:
+    elif not xn_klt:
         reason = "(X, N) is not klt"
     else:
         reason = "-K big and (X, N) klt"
-    return FanoVerdict(big and report.klt, reason, big, n, report.klt)
+    return FanoVerdict(big and xn_klt, reason, big, n, xn_klt)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from .potential import (
     PotentialReport,
     classify_pair,
     eps_spnklt,
-    fano_type_of_pair,
     fano_type_test,
+    fano_verdict,
 )
 from .surface import RDivisor, SurfaceModel
 from .zariski import ZariskiDecomposition, zariski_decompose
@@ -36,7 +36,8 @@ def rat_str(x) -> str:
 
 
 def _display(model: SurfaceModel, level: int, cid: str) -> str:
-    return model.level(level).curve(cid).display
+    """Curve.display at ``level``, read off the curve table."""
+    return cid + "~" if level > model.curves[cid].born else cid
 
 
 def divisor_json(model: SurfaceModel, d: RDivisor) -> dict:
@@ -118,10 +119,10 @@ def rcc_json(pair: PairSpec) -> dict:
     return {"applicable": True, "value": value, "reason": reason}
 
 
-def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
-    """The sections about the pair itself: ledger, Zariski data, loci, flags."""
+def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
+    """pair_report from the pair's classification."""
+    pair = pr.pair
     model = pair.model
-    pr = classify_pair(pair)
     ledger = {
         e.display: {
             "a": rat_str(e.a),
@@ -149,13 +150,19 @@ def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
     }
 
 
+def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
+    """The sections about the pair itself: ledger, Zariski data, loci, flags."""
+    return _pair_sections(classify_pair(pair), eps)
+
+
 def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
     """The composite report: the pair sections, then the Fano-type and
-    RCC verdicts on the pair's surface.  With Δ = 0 the pair already holds
-    the decomposition of -K that the Fano-type test needs."""
-    out = pair_report(pair, eps)
+    RCC verdicts on the pair's surface.  With Δ = 0 the pair's own
+    classification gives the Fano-type verdict."""
+    pr = classify_pair(pair)
+    out = _pair_sections(pr, eps)
     if pair.delta.is_zero():
-        verdict = fano_type_of_pair(pair)
+        verdict = fano_verdict(pr)
     else:
         verdict = fano_type_test(pair.model, pair.level)
     out["fano_type"] = fano_json(pair.model, verdict)

@@ -1,10 +1,12 @@
 """Divisorial Zariski decomposition on a tower level.
 
 All verdicts here are catalog-relative: nef, pseudoeffective and big are
-certified only against the finite curve catalog of the model.  On the
-supported bases every irreducible negative curve that the in-scope
-divisors can meet is in the catalog, so the answers are exact for them;
-the limitation is surfaced in every CLI report.
+certified only against the finite curve catalog of the model.  The
+catalog holds the base curves and the exceptionals; curves that the
+centers imply are not in it, such as the fiber through a center on the
+base level of a ruled surface, or the line through two base-level centers
+on P².  Where such a curve is negative, or meets N, the answers can be
+wrong; the limitation is surfaced in every CLI report.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class ZariskiDecomposition:
     P: DivisorClass
     N: RDivisor
     support: tuple[str, ...]  # curves accumulated by the iteration
-    nef_certificate: NefCertificate
     big: bool  # P² > 0
 
 
@@ -133,15 +134,15 @@ def zariski_decompose(
     back-substitution.  Each round computes P·C = D·C − Σ xᵢ·Cᵢ·C off S
     over the rows' nonzeros only: a curve off S that no row touches keeps
     P·C = D·C ≥ 0, so new violators are looked for among the touched curves
-    alone; P·C on S is computed once, after the last round.  While every
-    pivot is negative, gram(S) is negative definite (Sylvester) and x is the
-    unique solution.  A pivot ≥ 0 means the final support cannot be negative
-    definite, so D is not pseudoeffective; from that round on each system is
-    solved afresh by ``solve_exact`` on the dense gram(S) read off the rows,
-    so the error names the same failure (singular system, negative
-    coefficient, indefinite support) as before.  The nef certificate is read
-    off the final P·C: ≥ 0 off S once no curve joins, and 0 on S because x
-    solves the system.
+    alone.  While every pivot is negative, gram(S) is negative definite
+    (Sylvester) and x is the unique solution.  A pivot ≥ 0 means the final
+    support cannot be negative definite, so D is not pseudoeffective; from
+    that round on each system is solved afresh by ``solve_exact`` on the
+    dense gram(S) read off the rows, so the error names the same failure
+    (singular system, negative coefficient, indefinite support) as before.
+    P is nef against the catalog on return: P·C ≥ 0 off S once no curve
+    joins, and P·C = 0 on S because x solves the system, which one pass
+    after the last round asserts.
     """
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id:
@@ -155,7 +156,6 @@ def zariski_decompose(
     factor = LDLFactor()
     definite = True
     x: list[Fraction] = []
-    off_s: dict[int, Fraction] = {}  # P·C off S where a row touches C
     while len(rows) < len(S):
         for i in S[len(rows):]:
             place[i] = len(rows)
@@ -180,21 +180,15 @@ def zariski_decompose(
         raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
-    pc = _p_dot(dc, x, rows, place, True) | off_s
-    pc_all = [pc.get(j, v) for j, v in enumerate(dc)]
-    assert all(pc_all[i] == 0 for i in S), "P not orthogonal to Supp N"
+    on_s = _p_dot(dc, x, rows, place, True)
+    assert all(on_s.get(i, dc[i]) == 0 for i in S), "P not orthogonal to Supp N"
     P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
-    cert = NefCertificate(
-        tuple(c.id for c in curves),
-        tuple((c.id, v) for c, v in zip(curves, pc_all) if v < 0),
-    )
     return ZariskiDecomposition(
         level,
         P,
         N,
         tuple(curves[i].id for i in S),
-        cert,
         intersect(P, P, lvl.form) > 0,
     )
 

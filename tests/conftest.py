@@ -313,17 +313,46 @@ def reference_zariski(model, level, D):
             "support Gram matrix not negative definite"
         )
     N = pl.RDivisor.make(level, [(c.id, xc) for c, xc in zip(S, x)])
-    cert = pl.is_nef_against_catalog(model, level, P)
-    assert cert.nef
+    assert pl.is_nef_against_catalog(model, level, P).nef
     assert all(pl.intersect(P, c.cls, lvl.form) == 0 for c in S)
     return pl.ZariskiDecomposition(
         level,
         P,
         N,
         tuple(c.id for c in S),
-        cert,
         pl.intersect(P, P, lvl.form) > 0,
     )
+
+
+# ---------------------------------------------------------------------------
+# classical Fano-type reference
+
+
+def reference_fano_type_test(model, level):
+    """The surface Fano-type test by the classical criterion, −K big and
+    (X, N) klt, with N the negative part of −K decomposed at ``level`` and
+    (X, N) analysed as a second pair of its own, its klt flag cross-checked
+    against its potentially-klt flag.  The oracle for fano_type_test, which
+    reads the verdict off the classification of (X, 0) instead."""
+    try:
+        zd = pl.zariski_decompose(model, level, -model.level(level).canonical)
+    except pl.NotPseudoeffectiveError as exc:
+        return pl.FanoVerdict(False, f"-K is {exc}")
+    report = pl.classify_pair(pl.make_pair(model, level, zd.N))
+    if report.klt != report.potentially_klt:
+        raise pl.InvariantViolation(
+            "dim-2-klt-equivalence",
+            f"(X, N) has klt {report.klt} but potentially klt "
+            f"{report.potentially_klt}",
+        )
+    if not zd.big:
+        reason = "-K is not big against the catalog"
+    elif not report.klt:
+        reason = "(X, N) is not klt"
+    else:
+        reason = "-K big and (X, N) klt"
+    return pl.FanoVerdict(zd.big and report.klt, reason, zd.big, zd.N,
+                          report.klt)
 
 
 __all__ = [
@@ -340,5 +369,7 @@ __all__ = [
     "reference_tower",
     "brute_force_zariski",
     "reference_zariski",
+    "reference_fano_type_test",
+    "random_lattice_tower",
     "anti_log_canonical",
 ]

@@ -23,7 +23,7 @@ RULED_BLOWUP = {
     "blowups": [{"id": "E1", "on": [{"curve": "C0"}], "point": "p1"}],
     "pair": {"level": 1},
 }
-FANO_TANGENT = {  # (X, N) for this tower is not log-resolution-ready
+FANO_TANGENT = {  # (X, 0) at the top is not log-resolution-ready
     "version": "pklt-lab/1",
     "base": {"kind": "ruled", "genus": 0, "e": 3},
     "blowups": [

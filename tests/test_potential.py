@@ -1,6 +1,7 @@
 import collections
 import gc
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -13,12 +14,15 @@ from conftest import (
     chain_model,
     cubic12_model,
     p2,
+    random_lattice_tower,
     random_pair,
     random_tower,
+    reference_fano_type_test,
     ruled,
 )
 from pklt_lab.potential import anti_log_canonical
-from pklt_lab.report import full_report
+from pklt_lab.report import _display, full_report
+from pklt_lab.zariski import NOT_PSEF_MESSAGE
 
 
 def half_l_pair(coeff=Fraction(3, 2), blowups=0):
@@ -188,6 +192,9 @@ def test_fano_type_examples():
 
     assert pl.fano_type_test(p2(), 0).fano_type
 
+    with pytest.raises(pl.PairError):
+        pl.fano_verdict(pl.classify_pair(half_l_pair()))
+
 
 def _verdict_or_error(fano_test, *args):
     try:
@@ -197,34 +204,61 @@ def _verdict_or_error(fano_test, *args):
         return type(exc), str(exc)
 
 
-def test_fano_verdict_of_a_pair_equals_fano_type_test_fuzzed():
-    """A Δ = 0 pair's own decomposition of f*(-K) gives, field by field,
-    the verdict fano_type_test computes afresh at the pair's level."""
+FANO_OUTCOMES = {
+    "-K big and (X, N) klt", "(X, N) is not klt",
+    "-K is not big against the catalog", "-K is " + NOT_PSEF_MESSAGE,
+    "PairError", "InvariantViolation",
+}
+
+
+def _fano_outcome(verdict_or_error):
+    """The verdict's reason without its parenthesised detail, or the
+    error's type."""
+    if isinstance(verdict_or_error, tuple):
+        return verdict_or_error[0].__name__
+    return re.sub(r" \(.*\)$", "", verdict_or_error["reason"])
+
+
+def test_fano_type_test_equals_the_classical_recipe_fuzzed():
+    """fano_type_test reads the verdict off the classification of (X, 0);
+    field by field, or error by error, it equals the classical recipe of
+    reference_fano_type_test, which analyses (X, N) as a second pair, at
+    every level of 900 random towers (every other one a lattice tower),
+    cubic12 and chain(24).  The one allowed divergence is a lattice catalog
+    with two curves meeting negatively, which no surface has: there the
+    top-level decomposition of f*(-K) need not pull back the level one,
+    and the two recipes may reject the tower differently."""
     rng = random.Random(2841)
-    compared = below_top = 0
-    while compared < 1000:
-        model = random_tower(rng)
-        level = rng.randrange(0, model.top + 1)
-        try:
-            pair = pl.make_pair(model, level)
-        except (pl.NotPseudoeffectiveError, pl.PairError):
-            continue
-        assert _verdict_or_error(pl.fano_type_of_pair, pair) == (
-            _verdict_or_error(pl.fano_type_test, model, level)
-        )
-        compared += 1
-        below_top += level < model.top
-    assert below_top >= compared // 2
+    cases = []
+    for t in range(900):
+        model = random_lattice_tower(rng) if t % 2 else random_tower(rng)
+        cases += [(model, level) for level in range(model.top + 1)]
+    for model in (cubic12_model(), chain_model(24)):
+        cases += [(model, level) for level in range(model.top + 1)]
+    outcomes = collections.Counter()
+    diverged = 0
+    for model, level in cases:
+        got = _verdict_or_error(pl.fano_type_test, model, level)
+        want = _verdict_or_error(reference_fano_type_test, model, level)
+        if got != want:
+            assert not pl.validate(model, list(model.curves)).valid
+            diverged += 1
+        outcomes[_fano_outcome(want)] += 1
+    assert len(cases) >= 3000
+    assert set(outcomes) == FANO_OUTCOMES
+    assert diverged <= len(cases) // 1000
 
 
 def test_delta_zero_report_reuses_the_pair_decomposition(monkeypatch):
-    """make_pair then full_report on a Δ = 0 pair decomposes twice, for the
-    pair and for (X, N), and never solves a Gram system afresh."""
+    """make_pair then full_report on a Δ = 0 pair builds one pair, decomposes
+    once, classifies once and never solves a Gram system afresh: the
+    Fano-type verdict is read off the pair's own classification."""
     model = chain_model(24)
     calls = collections.Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "pklt_lab" or name.startswith("pklt_lab.")]
-    for original in (pl.zariski_decompose, pl.solve_exact):
+    for original in (pl.make_pair, pl.zariski_decompose, pl.classify_pair,
+                     pl.solve_exact):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
             return _original(*args, **kwargs)
@@ -234,8 +268,22 @@ def test_delta_zero_report_reuses_the_pair_decomposition(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     full_report(pl.make_pair(model, model.top))
-    assert calls["zariski_decompose"] == 2
-    assert calls["solve_exact"] == 0
+    assert calls == {"make_pair": 1, "zariski_decompose": 1,
+                     "classify_pair": 1}
+
+
+def test_display_reads_the_curve_table():
+    """report._display gives Curve.display of the level view for every
+    curve and level of the fuzz towers."""
+    rng = random.Random(6150)
+    strict = 0
+    for t in range(300):
+        model = random_lattice_tower(rng) if t % 2 else random_tower(rng)
+        for lvl in model.levels:
+            for c in lvl.curves:
+                assert _display(model, lvl.k, c.id) == c.display
+                strict += c.display.endswith("~")
+    assert strict > 1000
 
 
 def test_make_pair_rejects_bad_input():
