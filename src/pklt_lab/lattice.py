@@ -224,8 +224,8 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
 
 
 class LDLFactor:
-    """A symmetric system G·x = b grown one equation at a time, kept as
-    G = L·diag(pivots)·Lᵀ with L unit lower triangular, and
+    """A symmetric system G·x = b grown one keyed equation at a time, kept
+    as G = L·diag(pivots)·Lᵀ with L unit lower triangular, and
     z = diag(pivots)⁻¹·L⁻¹·b, which no later equation changes.
 
     There is no pivoting, so the k-th pivot is the ratio of the k-th and
@@ -233,57 +233,69 @@ class LDLFactor:
     when every pivot is negative, the test ``is_negative_definite`` runs.
     Extend only while every pivot so far is nonzero.
 
-    L is sparse: each row is kept as its (j, L[k][j]) nonzeros, and each
-    column as the (k, L[k][j]) below its diagonal.  ``extend`` is an
-    up-looking triangular solve over the entries the new row reaches, and
-    ``solve`` back-substitutes over nonzeros only.  When each unknown meets
-    at most one later one (a tree taken from its leaves towards a root,
-    such as the infinitely-near chain's path taken from one end),
-    elimination makes no fill-in (George & Liu 1981): L has one entry per
-    edge of G's graph.
+    The factor is bordered by every equation that a joined row touches
+    but that has not joined: such a key j keeps wⱼ = L⁻¹·(G[k][j])ₖ over
+    its nonzeros and its residual bⱼ − Σₖ G[j][k]·xₖ = bⱼ − wⱼ·z, which
+    needs no x.  wⱼ is the scaled L row j would get on joining, so joining
+    promotes it: pivot G[j][j] − Σ wⱼₖ²/pivotₖ, z = residual/pivot.  When
+    unknown m joins, a border key that m's row or m's L row reaches gets
+    one entry wⱼₘ = G[m][j] − Σₖ L[m][k]·wⱼₖ, and its residual drops by
+    wⱼₘ·zₘ; no earlier entry changes.  So a key's residual is always at
+    hand, x is needed only once, by ``solve``, and the work is one entry
+    per nonzero of the bordered factor: when each unknown meets at most
+    one later one (a tree taken from its leaves towards a root, such as
+    the infinitely-near chain's path taken from one end), elimination
+    makes no fill-in (George & Liu 1981) and L has one entry per edge of
+    G's graph.
     """
 
-    def __init__(self):
+    def __init__(self, rhs: Sequence[Fraction]):
+        self._rhs = rhs  # b over every key that may join or be touched
         self.lower: list[dict[int, Fraction]] = []  # row k: {j: L[k][j]}, j < k
-        self._columns: list[list[tuple[int, Fraction]]] = []  # col j: (k, L[k][j])
         self.pivots: list[Fraction] = []
         self._z: list[Fraction] = []
+        self._joined: set[int] = set()
+        self._border: dict[int, dict[int, Fraction]] = {}  # key j: {k: wⱼₖ ≠ 0}
+        self._reach: list[list[int]] = []  # unknown k: keys that got a wⱼₖ
+        self.residual: dict[int, Fraction] = {}  # border key j: bⱼ − G[j]·x
 
-    def extend(self, row: Mapping[int, Fraction], rhs: Fraction) -> Fraction:
-        """Add the equation k = len(pivots) with right-hand side ``rhs``,
-        whose Gram row has the nonzeros ``row``: j < k maps to its entry
-        against unknown j, k to its diagonal.  Returns the new pivot."""
+    def extend(self, key: int, row: Mapping[int, Fraction]) -> Fraction:
+        """Join equation ``key`` as unknown k = len(pivots).  ``row`` holds
+        its nonzero Gram entries against any keys, its diagonal included;
+        entries against joined keys are already in the border.  Returns
+        the new pivot."""
         k = len(self.pivots)
-        scaled = {j: v for j, v in row.items() if j < k}  # → L[k][j]·pivots[j]
-        reach, stack = set(scaled), list(scaled)
-        while stack:  # the unknowns the forward substitution reaches
-            for i, _ in self._columns[stack.pop()]:
-                if i not in reach:
-                    reach.add(i)
-                    stack.append(i)
-        for j in sorted(reach):  # every term of scaled[j] comes from a smaller j
-            sj = scaled.get(j)
-            if sj:
-                for i, l in self._columns[j]:
-                    scaled[i] = scaled.get(i, 0) - l * sj
-        lk: dict[int, Fraction] = {}
-        pivot = row.get(k, Fraction(0))
-        y = rhs
-        for j, sj in scaled.items():
-            if sj:
-                l = sj / self.pivots[j]
-                lk[j] = l
-                self._columns[j].append((k, l))
-                pivot -= sj * l
-                y -= sj * self._z[j]
+        w = self._border.pop(key, {})
+        y = self.residual.pop(key, self._rhs[key])
+        lk = {j: wj / self.pivots[j] for j, wj in w.items()}
+        pivot = row.get(key, Fraction(0))
+        for j, wj in w.items():
+            pivot -= wj * lk[j]
+        z = y / pivot if pivot else y  # y if 0: nothing follows
+        self._joined.add(key)
         self.lower.append(lk)
-        self._columns.append([])
         self.pivots.append(pivot)
-        self._z.append(y / pivot if pivot else y)  # y if 0: nothing follows
+        self._z.append(z)
+        touched = {j for j in row if j not in self._joined}
+        for i in lk:
+            touched.update(j for j in self._reach[i] if j in self._border)
+        reach = []
+        for j in touched:
+            wj = self._border.setdefault(j, {})
+            v = row.get(j, 0)
+            for i, l in lk.items():
+                if i in wj:
+                    v -= l * wj[i]
+            if v:
+                wj[k] = v
+                reach.append(j)
+                self.residual[j] = self.residual.get(j, self._rhs[j]) - v * z
+        self._reach.append(reach)
         return pivot
 
     def solve(self) -> list[Fraction]:
-        """x with G·x = b, by one back-substitution Lᵀ·x = z."""
+        """x with G·x = b, in joining order, by one back-substitution
+        Lᵀ·x = z."""
         x = list(self._z)
         for k in range(len(x) - 1, -1, -1):
             xk = x[k]

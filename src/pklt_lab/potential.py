@@ -30,6 +30,7 @@ from .surface import (
     validate,
 )
 from .zariski import (
+    InvariantViolation,
     NotPseudoeffectiveError,
     ZariskiDecomposition,
     zariski_decompose,
@@ -38,21 +39,6 @@ from .zariski import (
 
 class PairError(ValueError):
     """The pair does not satisfy its standing hypotheses."""
-
-
-class InvariantViolation(Exception):
-    """A structural guarantee of the theory fails on this model.
-
-    Each holds as a theorem on the actual surface, so a failure means the
-    declared curve catalog is incomplete, e.g. it lacks the fiber through a
-    center declared free.  ``invariant`` names the guarantee.  Not a
-    ValueError: it is neither a bad pair nor a non-pseudoeffective divisor.
-    """
-
-    def __init__(self, invariant: str, detail: str):
-        self.invariant = invariant
-        self.detail = detail
-        super().__init__(f"{invariant}: {detail}")
 
 
 def _require(holds: bool, invariant: str, detail: str) -> None:
@@ -125,10 +111,11 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     a = _a_values(model, level, delta)
     sigma = dict(zd.N.terms)
     zero = Fraction(0)
-    ledger = DiscrepancyLedger(tuple(
-        LedgerEntry(c.id, c.display, a[c.id], sigma.get(c.id, zero))
-        for c in model.level(model.top).curves
-    ))
+    entries = []
+    for c in model.level(model.top).curves:
+        sig = sigma.get(c.id, zero)
+        entries.append(LedgerEntry(c.id, c.display, a[c.id], sig, a[c.id] - sig))
+    ledger = DiscrepancyLedger(tuple(entries))
     return PairSpec(model, level, delta, zd, ledger, zd.big)
 
 
@@ -161,10 +148,7 @@ class LedgerEntry:
     display: str
     a: Fraction
     sigma_num: Fraction
-
-    @property
-    def pa(self) -> Fraction:
-        return self.a - self.sigma_num
+    pa: Fraction  # a − σ_num
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,23 @@ NOT_PSEF_MESSAGE = "not pseudoeffective against catalog, or catalog incomplete"
 ENTIRE_SURFACE = "entire-surface"
 
 
+class InvariantViolation(Exception):
+    """A structural guarantee of the theory fails on this model.
+
+    Most hold as theorems on the actual surface, so a failure means the
+    declared curve catalog is incomplete, e.g. it lacks the fiber through a
+    center declared free; ``zariski-fixed-point`` holds by construction, so
+    its failure is a fault of the engine.  ``invariant`` names the
+    guarantee.  Not a ValueError: it is neither a bad pair nor a
+    non-pseudoeffective divisor.
+    """
+
+    def __init__(self, invariant: str, detail: str):
+        self.invariant = invariant
+        self.detail = detail
+        super().__init__(f"{invariant}: {detail}")
+
+
 class NotPseudoeffectiveError(ValueError):
     def __init__(self, detail: str = ""):
         msg = NOT_PSEF_MESSAGE + (f" ({detail})" if detail else "")
@@ -103,16 +120,14 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
     return row
 
 
-def _p_dot(dc, x, rows, place, on_s: bool) -> dict[int, Fraction]:
-    """P·Cⱼ = D·Cⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, on S
-    (``place``) or off it, over the rows' nonzeros only; an untouched curve
-    has P·C = D·C."""
+def _p_dot(dc, x, rows) -> dict[int, Fraction]:
+    """P·Cⱼ = D·Cⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the
+    rows' nonzeros only; an untouched curve has P·C = D·C."""
     pc: dict[int, Fraction] = {}
     for xk, row in zip(x, rows):
         if xk:
             for j, v in row.items():
-                if (j in place) == on_s:
-                    pc[j] = pc.get(j, dc[j]) - xk * v
+                pc[j] = pc.get(j, dc[j]) - xk * v
     return pc
 
 
@@ -130,19 +145,22 @@ def zariski_decompose(
     when Cᵢ joins, as its nonzeros: ``intersection_rows`` (built when S
     first becomes nonempty) intersects Cᵢ only with the curves that share a
     coordinate with it through the form.  gram(S) is one sparse LDLᵀ factor
-    extended by the rows of the curves that join, so a round is one sparse
-    back-substitution.  Each round computes P·C = D·C − Σ xᵢ·Cᵢ·C off S
-    over the rows' nonzeros only: a curve off S that no row touches keeps
-    P·C = D·C ≥ 0, so new violators are looked for among the touched curves
-    alone.  While every pivot is negative, gram(S) is negative definite
-    (Sylvester) and x is the unique solution.  A pivot ≥ 0 means the final
-    support cannot be negative definite, so D is not pseudoeffective; from
-    that round on each system is solved afresh by ``solve_exact`` on the
-    dense gram(S) read off the rows, so the error names the same failure
+    extended by the rows of the curves that join, and bordered by every
+    curve off S that a row touches: the factor keeps P·C of each such curve
+    up to date as curves join, at one entry per curve a joining row or L
+    row reaches, so a round solves nothing and reads its violators off the
+    border.  A curve off S that no row touches keeps P·C = D·C ≥ 0.  While
+    every pivot is negative, gram(S) is negative definite (Sylvester) and x,
+    back-substituted once after the last round, is the unique solution.  A
+    pivot ≥ 0 means the final support cannot be negative definite, so D is
+    not pseudoeffective; from that round on each system is solved afresh by
+    ``solve_exact`` on the dense gram(S) read off the rows, and P·C is
+    recomputed over the rows' nonzeros, so the error names the same failure
     (singular system, negative coefficient, indefinite support) as before.
-    P is nef against the catalog on return: P·C ≥ 0 off S once no curve
-    joins, and P·C = 0 on S because x solves the system, which one pass
-    after the last round asserts.
+    P is nef against the catalog on return: one pass over the rows with the
+    back-substituted x checks P·C = 0 on S and P·C ≥ 0 on every touched
+    curve off it, and raises ``InvariantViolation`` naming the curves if
+    the factor and its border ever disagree with x.
     """
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id:
@@ -152,36 +170,42 @@ def zariski_decompose(
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
     row_of = intersection_rows(curves, lvl.form) if S else None
     rows: list[dict[int, Fraction]] = []  # rows[k] = {j: C_S[k]·C_j ≠ 0}
-    place: dict[int, int] = {}  # catalog index → its unknown in the factor
-    factor = LDLFactor()
+    joined: set[int] = set()  # catalog indices with a row
+    factor = LDLFactor(dc)
     definite = True
-    x: list[Fraction] = []
     while len(rows) < len(S):
         for i in S[len(rows):]:
-            place[i] = len(rows)
+            joined.add(i)
             row = row_of(i)
             rows.append(row)
             if definite:
-                pivot = factor.extend(
-                    {place[j]: v for j, v in row.items() if j in place}, dc[i]
-                )
-                definite = pivot < 0
+                definite = factor.extend(i, row) < 0
         if definite:
-            x = factor.solve()
+            off_s = factor.residual
         else:
             try:
                 x = solve_exact([[r.get(j, 0) for j in S] for r in rows],
                                 [dc[i] for i in S])
             except SingularMatrixError:
                 raise NotPseudoeffectiveError("singular curve configuration")
-        off_s = _p_dot(dc, x, rows, place, False)
+            off_s = {j: v for j, v in _p_dot(dc, x, rows).items()
+                     if j not in joined}
         S.extend(sorted(j for j, v in off_s.items() if v < 0))
+    if definite:
+        x = factor.solve()
     if any(xi < 0 for xi in x):
         raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
-    on_s = _p_dot(dc, x, rows, place, True)
-    assert all(on_s.get(i, dc[i]) == 0 for i in S), "P not orthogonal to Supp N"
+    pc = _p_dot(dc, x, rows)
+    on_s = [curves[i].id for i in S if pc.get(i, dc[i]) != 0]
+    off_s = [curves[j].id for j, v in pc.items() if j not in joined and v < 0]
+    if on_s or off_s:
+        raise InvariantViolation(
+            "zariski-fixed-point",
+            f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
+            f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
+        )
     P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
     return ZariskiDecomposition(

@@ -192,9 +192,12 @@ def test_negative_definite_matches_minor_oracle():
 
 def test_ldl_factor_matches_sylvester_and_solve_exact():
     """Grown row by row, the factor's pivots give is_negative_definite's
-    verdict and its solution is solve_exact's."""
+    verdict and its solution is solve_exact's.  After every equation its
+    border holds, for each equation still to join and for an extra column
+    c that never joins, the residual c_rhs − cᵀ·solve_exact(G, b) over the
+    equations joined so far."""
     rng = random.Random(1968)
-    definite = 0
+    definite = bordered = 0
     for _ in range(400):
         n = rng.randrange(1, 7)
         m = [[Fraction(0)] * n for _ in range(n)]
@@ -205,20 +208,30 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
             if rng.random() < 0.5:  # diagonally dominant, often definite
                 m[i][i] = Fraction(-4 * n)
         rhs = [Fraction(rng.randrange(-5, 6)) for _ in range(n)]
-        factor = LDLFactor()
+        extra = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                 for _ in range(n)]
+        rhs.append(Fraction(rng.randrange(-5, 6)))  # the extra column's, key n
+        factor = LDLFactor(rhs)
         for k in range(n):
-            row = {j: v for j, v in enumerate(m[k][: k + 1]) if v}
-            if factor.extend(row, rhs[k]) == 0:
+            row = {j: v for j, v in enumerate(m[k] + [extra[k]]) if v}
+            if factor.extend(k, row) == 0:
                 break
+            x = pl.solve_exact([r[: k + 1] for r in m[: k + 1]], rhs[: k + 1])
+            columns = [r[: k + 1] for r in m[k + 1:]] + [extra[: k + 1]]
+            for key, c in enumerate(columns, k + 1):
+                want = rhs[key] - sum(ci * xi for ci, xi in zip(c, x))
+                assert factor.residual.get(key, rhs[key]) == want
+                bordered += key in factor.residual
         else:
             assert all(p < 0 for p in factor.pivots) == (
                 pl.is_negative_definite(m)
             )
-            assert factor.solve() == pl.solve_exact(m, rhs)
+            assert factor.solve() == pl.solve_exact(m, rhs[:n])
             definite += all(p < 0 for p in factor.pivots)
             continue
         assert not pl.is_negative_definite(m)
     assert definite > 100
+    assert bordered > 1000
 
 
 def test_signature_hodge_shape():

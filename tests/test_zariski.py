@@ -303,6 +303,49 @@ def test_chain_rows_intersect_only_neighbouring_curves(n, monkeypatch):
     assert calls <= 4 * n + 3
 
 
+@pytest.mark.parametrize("n", [48, 96, 192])
+def test_chain_decomposition_does_linear_work(n, monkeypatch):
+    """The bordered factor keeps P·C of the touched curves off S, so one
+    decomposition of −K on the chain back-substitutes once, after the last
+    round, and computes O(n) border entries in all (2n: one for f and one
+    for the next curve of the chain per joining curve)."""
+    m = chain_model(n)
+    minus_k = -m.level(m.top).canonical
+    factors = []
+    solve = pl.lattice.LDLFactor.solve
+
+    def counting(self):
+        factors.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(pl.lattice.LDLFactor, "solve", counting)
+    zd = pl.zariski_decompose(m, m.top, minus_k)
+    assert len(zd.support) == n
+    assert len(factors) == 1
+    assert sum(len(keys) for keys in factors[0]._reach) <= 3 * n
+
+
+def test_fixed_point_check_names_the_curves(monkeypatch):
+    """A back-substituted x that does not solve gram(S)·x = D·C, as a
+    bookkeeping slip in the factor would give, is caught by the one pass
+    after the loop: a raise, so it holds under ``python -O`` as well."""
+    m = blown_ruled(2, 3)
+    solve = pl.lattice.LDLFactor.solve
+
+    def off_by_one(self):
+        x = solve(self)
+        return x[:-1] + [x[-1] + 1]
+
+    monkeypatch.setattr(pl.lattice.LDLFactor, "solve", off_by_one)
+    with pytest.raises(pl.InvariantViolation) as exc:
+        pl.zariski_decompose(m, 1, -m.level(1).canonical)
+    assert exc.value.invariant == "zariski-fixed-point"
+    assert exc.value.detail == (
+        "P·C ≠ 0 on Supp N at C0, E1; P·C < 0 off it at no curve"
+    )
+    assert pl.potential.InvariantViolation is zariski.InvariantViolation
+
+
 def test_index_rows_equal_the_dense_rows():
     rng = random.Random(5)  # the towers of test_every_level_matches_the_dense_reference
     towers = [random_tower(rng) for _ in range(60)]
