@@ -1,8 +1,12 @@
 """Exact rational intersection theory.
 
 Divisor classes live in a fixed finite-rank lattice with a symmetric
-bilinear form.  Every coefficient is a ``fractions.Fraction``; there is
-deliberately no floating-point anywhere in this package.
+bilinear form.  A coefficient is an ``int`` where the quantity is
+integral (the base forms, K, catalog classes and their intersection
+numbers) and a ``fractions.Fraction`` otherwise, where a division or a
+rational input makes one; there is deliberately no floating-point
+anywhere in this package.  Since ``int / int`` is a float in Python,
+every division has a Fraction operand.
 """
 
 from __future__ import annotations
@@ -20,17 +24,20 @@ class SingularMatrixError(ValueError):
     """Raised by solve_exact on a singular system."""
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+def rat(x) -> int | Fraction:
+    """Coerce an int, Fraction or 'p/q' string to an exact rational: an
+    int stays an int, a string becomes a Fraction.
 
-    Floats are rejected: they would silently destroy exactness.
+    Floats are rejected: they would silently destroy exactness.  For the
+    same reason a quotient needs a Fraction operand, since int / int is a
+    float.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational coefficient")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -44,23 +51,29 @@ class DivisorClass:
     """A divisor class in a fixed lattice basis: ``terms`` maps basis index
     to coefficient, nonzero ones only (f*C − Σ mⱼEⱼ has one per center on
     C).  Classes are never changed once built, so they may share ``terms``.
+
+    A coefficient is an int or a Fraction, never a float: sums and products
+    of ints stay ints, and nothing here divides.
     """
 
-    terms: dict[int, Fraction]
+    terms: dict[int, int | Fraction]
     rank: int
     lattice_id: str
 
     @classmethod
-    def dense(cls, coeffs: Sequence[Fraction], lattice_id: str) -> "DivisorClass":
+    def dense(
+        cls, coeffs: Sequence[int | Fraction], lattice_id: str
+    ) -> "DivisorClass":
         return cls({i: c for i, c in enumerate(coeffs) if c}, len(coeffs),
                    lattice_id)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        zero = Fraction(0)
-        return tuple(self.terms.get(i, zero) for i in range(self.rank))
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        return tuple(self.terms.get(i, 0) for i in range(self.rank))
 
-    def plus(self, scaled: Iterable[tuple[Fraction, "DivisorClass"]]) -> "DivisorClass":
+    def plus(
+        self, scaled: Iterable[tuple[int | Fraction, "DivisorClass"]]
+    ) -> "DivisorClass":
         """self + Σ r·C over the (r, C) pairs, all in this lattice."""
         terms = dict(self.terms)
         for r, other in scaled:
@@ -90,7 +103,7 @@ class DivisorClass:
 
 
 def basis_class(index: int, rank: int, lattice_id: str) -> DivisorClass:
-    return DivisorClass({index: Fraction(1)}, rank, lattice_id)
+    return DivisorClass({index: 1}, rank, lattice_id)
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,7 @@ class IntersectionForm:
     """
 
     lattice_id: str
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int | Fraction, ...], ...]
     exceptional: int = 0
 
     @property
@@ -112,10 +125,13 @@ class IntersectionForm:
         return len(self.gram) + self.exceptional
 
 
-def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fraction:
+def intersect(
+    a: DivisorClass, b: DivisorClass, form: IntersectionForm
+) -> int | Fraction:
     """Exact intersection product: aᵀ · gram · b on the base coordinates,
     minus Σ aₑbₑ over the exceptional ones.  Runs over the nonzero
-    coordinates of the sparser class."""
+    coordinates of the sparser class; an int when both classes and the
+    form are integral."""
     if a.lattice_id != form.lattice_id or b.lattice_id != form.lattice_id:
         raise LatticeMismatchError(
             f"lattice mismatch: classes {a.lattice_id!r}, {b.lattice_id!r} "
@@ -124,7 +140,7 @@ def intersect(a: DivisorClass, b: DivisorClass, form: IntersectionForm) -> Fract
     if len(a.terms) > len(b.terms):
         a, b = b, a
     n, bt = len(form.gram), b.terms
-    total = Fraction(0)
+    total = 0
     for i, ai in a.terms.items():
         if i >= n:
             if i in bt:
@@ -247,19 +263,23 @@ class LDLFactor:
     the infinitely-near chain's path taken from one end), elimination
     makes no fill-in (George & Liu 1981) and L has one entry per edge of
     G's graph.
+
+    G and b may hold ints.  Each pivot is kept as a Fraction, so that L
+    and z, the quotients by it, are exact (int / int would be a float);
+    entries that need no division stay as the rows give them.
     """
 
-    def __init__(self, rhs: Sequence[Fraction]):
+    def __init__(self, rhs: Sequence[int | Fraction]):
         self._rhs = rhs  # b over every key that may join or be touched
         self.lower: list[dict[int, Fraction]] = []  # row k: {j: L[k][j]}, j < k
         self.pivots: list[Fraction] = []
         self._z: list[Fraction] = []
         self._joined: set[int] = set()
-        self._border: dict[int, dict[int, Fraction]] = {}  # key j: {k: wⱼₖ ≠ 0}
+        self._border: dict[int, dict[int, int | Fraction]] = {}  # j: {k: wⱼₖ ≠ 0}
         self._reach: list[list[int]] = []  # unknown k: keys that got a wⱼₖ
-        self.residual: dict[int, Fraction] = {}  # border key j: bⱼ − G[j]·x
+        self.residual: dict[int, int | Fraction] = {}  # key j: bⱼ − G[j]·x
 
-    def extend(self, key: int, row: Mapping[int, Fraction]) -> Fraction:
+    def extend(self, key: int, row: Mapping[int, int | Fraction]) -> Fraction:
         """Join equation ``key`` as unknown k = len(pivots).  ``row`` holds
         its nonzero Gram entries against any keys, its diagonal included;
         entries against joined keys are already in the border.  Returns
@@ -268,7 +288,7 @@ class LDLFactor:
         w = self._border.pop(key, {})
         y = self.residual.pop(key, self._rhs[key])
         lk = {j: wj / self.pivots[j] for j, wj in w.items()}
-        pivot = row.get(key, Fraction(0))
+        pivot = Fraction(row.get(key, 0))
         for j, wj in w.items():
             pivot -= wj * lk[j]
         z = y / pivot if pivot else y  # y if 0: nothing follows

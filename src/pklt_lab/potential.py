@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .lattice import rat
 from .surface import (
     RDivisor,
     SurfaceModel,
@@ -47,7 +48,8 @@ def _require(holds: bool, invariant: str, detail: str) -> None:
 
 
 class _NegInfinity:
-    """Total potential discrepancy sentinel for divergence to -infinity."""
+    """Total potential discrepancy sentinel for divergence to -infinity.
+    Its str, "-inf", is the text a report prints for it."""
 
     _instance = None
 
@@ -110,10 +112,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
         raise PairError("top level is not log-resolution-ready for this pair")
     a = _a_values(model, level, delta)
     sigma = dict(zd.N.terms)
-    zero = Fraction(0)
     entries = []
     for c in model.level(model.top).curves:
-        sig = sigma.get(c.id, zero)
+        sig = sigma.get(c.id, 0)
         entries.append(LedgerEntry(c.id, c.display, a[c.id], sig, a[c.id] - sig))
     ledger = DiscrepancyLedger(tuple(entries))
     return PairSpec(model, level, delta, zd, ledger, zd.big)
@@ -124,18 +125,20 @@ def anti_log_canonical(pair: PairSpec):
     return -(lvl.canonical + pair.delta.class_at(pair.model))
 
 
-def _a_values(model: SurfaceModel, level: int, delta: RDivisor) -> dict[str, Fraction]:
+def _a_values(
+    model: SurfaceModel, level: int, delta: RDivisor
+) -> dict[str, int | Fraction]:
     """Discrepancies of every top-level catalog curve over (level, Δ).
 
     Curves of X carry a = -mult_Δ; each exceptional created above X gets
-    a = 1 + Σ m·a(C) over the curves through its center.
+    a = 1 + Σ m·a(C) over the curves through its center.  Ints unless Δ
+    has a rational coefficient.
     """
     mult = dict(delta.terms)
-    zero = Fraction(0)
-    a = {cid: -mult.get(cid, zero)
+    a = {cid: -mult.get(cid, 0)
          for cid, c in model.curves.items() if c.born <= level}
     for center in model.centers[level:]:
-        val = Fraction(1)
+        val = 1
         for cid, m in center.on_curves:
             val += m * a[cid]
         a[center.exceptional_id] = val
@@ -146,9 +149,9 @@ def _a_values(model: SurfaceModel, level: int, delta: RDivisor) -> dict[str, Fra
 class LedgerEntry:
     curve_id: str
     display: str
-    a: Fraction
-    sigma_num: Fraction
-    pa: Fraction  # a − σ_num
+    a: int | Fraction
+    sigma_num: int | Fraction
+    pa: int | Fraction  # a − σ_num
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,11 @@ class DiscrepancyLedger:
                 return e
         raise KeyError(cid)
 
-    def min_pa(self) -> Fraction:
-        return min(
-            [Fraction(0)] + [e.pa for e in self.entries]
-        )
+    def min_pa(self) -> int | Fraction:
+        return min([0] + [e.pa for e in self.entries])
 
 
-def discrepancies(pair: PairSpec) -> dict[str, Fraction]:
+def discrepancies(pair: PairSpec) -> dict[str, int | Fraction]:
     return _a_values(pair.model, pair.level, pair.delta)
 
 
@@ -242,7 +243,7 @@ def nklt_locus(pair: PairSpec) -> list[LocusComponent]:
     )
 
 
-def eps_spnklt(pair: PairSpec, eps: Fraction) -> list[LocusComponent]:
+def eps_spnklt(pair: PairSpec, eps: int | Fraction) -> list[LocusComponent]:
     """Centers with pa <= -1 + ε.
 
     Infinitesimal centers add nothing beyond the listed curves: a free
@@ -252,19 +253,20 @@ def eps_spnklt(pair: PairSpec, eps: Fraction) -> list[LocusComponent]:
     ε >= 0: pa_i + 1 <= -1 + ε gives pa_i < -1 + ε, and
     pa_i + pa_j + 1 <= -1 + ε gives min(pa_i, pa_j) <= -1 + ε/2.
     """
-    eps = Fraction(eps)
+    eps = rat(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    limit = -1 + eps
     return _components(
-        pair, [e.curve_id for e in pair.ledger.entries if e.pa <= -1 + eps]
+        pair, [e.curve_id for e in pair.ledger.entries if e.pa <= limit]
     )
 
 
 def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
-    return eps_spnklt(pair, Fraction(0))
+    return eps_spnklt(pair, 0)
 
 
-def eps_threshold(pair: PairSpec) -> Fraction | None:
+def eps_threshold(pair: PairSpec) -> int | Fraction | None:
     """Largest ε below which ε-spNklt equals pNklt: min(pa+1) over pa > -1."""
     vals = [e.pa + 1 for e in pair.ledger.entries if e.pa > -1]
     return min(vals) if vals else None
@@ -278,10 +280,10 @@ def eps_threshold(pair: PairSpec) -> Fraction | None:
 class PotentialReport:
     pair: PairSpec
     ledger: DiscrepancyLedger
-    frakA: object  # Fraction or NEG_INFINITY
+    frakA: object  # int, Fraction or NEG_INFINITY
     nklt: tuple[LocusComponent, ...]
     pnklt: tuple[LocusComponent, ...]
-    eps0: Fraction | None
+    eps0: int | Fraction | None
     klt: bool
     lc: bool
     potentially_klt: bool
@@ -397,7 +399,7 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
 
 def check_monotonicity(
     pair: PairSpec, extra: RDivisor
-) -> list[tuple[str, Fraction, Fraction]]:
+) -> list[tuple[str, int | Fraction, int | Fraction]]:
     """Violations of pa(Δ) >= pa(Δ+extra), per curve.  Must come back empty."""
     if not extra.is_effective():
         raise PairError("extra boundary must be effective")
@@ -442,7 +444,7 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     if not dominates:
         return result
     eps0 = eps_threshold(pair)
-    eps = eps0 / 2 if eps0 is not None and eps0 > 0 else Fraction(0)
+    eps = Fraction(eps0, 2) if eps0 is not None and eps0 > 0 else Fraction(0)
     locus = {c.key for c in eps_spnklt(pair, eps)}
     # Nklt(X, Δ+D) needs no pseudoeffectivity: discrepancies only
     a2 = _a_values(model, pair.level, pair.delta + witness)

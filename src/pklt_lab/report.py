@@ -7,7 +7,6 @@ from fractions import Fraction
 from .lattice import DivisorClass
 from .modelio import LoadedModel
 from .potential import (
-    NEG_INFINITY,
     FanoVerdict,
     PairSpec,
     PotentialReport,
@@ -29,12 +28,6 @@ DISCLAIMER = (
 )
 
 
-def rat_str(x) -> str:
-    if x is NEG_INFINITY:
-        return "-inf"
-    return str(Fraction(x))
-
-
 def _display(model: SurfaceModel, level: int, cid: str) -> str:
     """Curve.display at ``level``, read off the curve table."""
     return cid + "~" if level > model.curves[cid].born else cid
@@ -42,13 +35,13 @@ def _display(model: SurfaceModel, level: int, cid: str) -> str:
 
 def divisor_json(model: SurfaceModel, d: RDivisor) -> dict:
     return {
-        _display(model, d.level, cid): rat_str(v) for cid, v in d.terms
+        _display(model, d.level, cid): str(v) for cid, v in d.terms
     }
 
 
 def class_json(model: SurfaceModel, level: int, cls: DivisorClass) -> dict:
     labels = model.level(level).basis_labels
-    return {lab: rat_str(cls.terms.get(i, 0)) for i, lab in enumerate(labels)}
+    return {lab: str(cls.terms.get(i, 0)) for i, lab in enumerate(labels)}
 
 
 def component_json(model: SurfaceModel, level: int, comp) -> dict:
@@ -86,8 +79,8 @@ def loci_json(pair: PairSpec, pr: PotentialReport, eps: Fraction | None) -> dict
     out = {
         "nklt": [component_json(model, pair.level, c) for c in pr.nklt],
         "pnklt": [component_json(model, pair.level, c) for c in pr.pnklt],
-        "eps0": rat_str(pr.eps0) if pr.eps0 is not None else None,
-        "eps": rat_str(eps) if eps is not None else None,
+        "eps0": str(pr.eps0) if pr.eps0 is not None else None,
+        "eps": str(eps) if eps is not None else None,
         "eps_spnklt": None,
     }
     if eps is not None:
@@ -125,9 +118,9 @@ def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
     model = pair.model
     ledger = {
         e.display: {
-            "a": rat_str(e.a),
-            "sigma_num": rat_str(e.sigma_num),
-            "pa": rat_str(e.pa),
+            "a": str(e.a),
+            "sigma_num": str(e.sigma_num),
+            "pa": str(e.pa),
         }
         for e in pr.ledger.entries
     }
@@ -139,7 +132,7 @@ def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
         },
         "ledger": ledger,
         "zariski": zariski_json(model, pair.decomposition, "-(K+Delta)"),
-        "frakA": rat_str(pr.frakA),
+        "frakA": str(pr.frakA),
         "loci": loci_json(pair, pr, eps),
         "flags": {
             "klt": pr.klt,

@@ -67,7 +67,7 @@ class Ruled:
 @dataclass(frozen=True)
 class CurveSpec:
     id: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     genus: int
 
 
@@ -76,8 +76,8 @@ class AbstractLattice:
     """User-supplied ambient lattice with canonical class and curve catalog."""
 
     basis: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    canonical: tuple[Fraction, ...]
+    gram: tuple[tuple[int | Fraction, ...], ...]
+    canonical: tuple[int | Fraction, ...]
     curves: tuple[CurveSpec, ...]
 
     def lattice_tag(self) -> str:
@@ -182,7 +182,7 @@ class Level:
     @property
     def canonical(self) -> DivisorClass:
         """K₀ + E1 + ... + Ek (Hartshorne V.3.3)."""
-        coeffs = tuple(self.model.lattice.canonical) + (Fraction(1),) * self.k
+        coeffs = tuple(self.model.lattice.canonical) + (1,) * self.k
         return DivisorClass.dense(coeffs, self.form.lattice_id)
 
     @property
@@ -219,22 +219,23 @@ class RDivisor:
     """Finitely supported rational combination of catalog curves."""
 
     level: int
-    terms: tuple[tuple[str, Fraction], ...]
+    terms: tuple[tuple[str, int | Fraction], ...]
 
     @staticmethod
     def make(level: int, mapping: Mapping[str, object] | Iterable = ()) -> "RDivisor":
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        merged: dict[str, Fraction] = {}
+        merged: dict[str, int | Fraction] = {}
         for cid, c in items:
-            merged[cid] = merged.get(cid, Fraction(0)) + rat(c)
+            c = rat(c)
+            merged[cid] = merged[cid] + c if cid in merged else c
         terms = tuple(sorted((k, v) for k, v in merged.items() if v != 0))
         return RDivisor(level, terms)
 
-    def coeff(self, cid: str) -> Fraction:
+    def coeff(self, cid: str) -> int | Fraction:
         for k, v in self.terms:
             if k == cid:
                 return v
-        return Fraction(0)
+        return 0
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -266,19 +267,24 @@ class RDivisor:
 # construction
 
 
+def _integral(v: Sequence) -> tuple:
+    """The entries of ``v`` as exact rationals, the integral ones as ints."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in map(rat, v))
+
+
 def make_base(spec: BaseSpec) -> SurfaceModel:
-    one, zero = Fraction(1), Fraction(0)
+    """The one-level tower over ``spec``.  Its lattice holds the forms, K
+    and the catalog classes with every integral entry as an int, so that
+    intersection numbers are ints; the lattice id is the spec's tag."""
     if isinstance(spec, ProjectivePlane):
-        lattice = AbstractLattice(("L",), ((one,),), (Fraction(-3),),
-                                  (CurveSpec("L", (one,), 0),))
+        lattice = AbstractLattice(("L",), ((1,),), (-3,),
+                                  (CurveSpec("L", (1,), 0),))
     elif isinstance(spec, Ruled):
         g, e = spec.genus, spec.e
         lattice = AbstractLattice(
-            ("C0", "f"), ((Fraction(-e), one), (one, zero)),
-            (Fraction(-2), Fraction(2 * g - 2 - e)),
-            (CurveSpec("C0", (one, zero), g), CurveSpec("f", (zero, one), 0)))
+            ("C0", "f"), ((-e, 1), (1, 0)), (-2, 2 * g - 2 - e),
+            (CurveSpec("C0", (1, 0), g), CurveSpec("f", (0, 1), 0)))
     elif isinstance(spec, AbstractLattice):
-        lattice = spec
         rank = len(spec.gram)
         try:
             sig = signature(spec.gram)
@@ -301,6 +307,11 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
                 raise ModelError(f"curve {cs.id!r} class length must equal rank")
             if cs.genus < 0:
                 raise ModelError(f"curve {cs.id!r} needs genus >= 0")
+        lattice = AbstractLattice(
+            spec.basis, tuple(map(_integral, spec.gram)),
+            _integral(spec.canonical),
+            tuple(replace(cs, coeffs=_integral(cs.coeffs))
+                  for cs in spec.curves))
     else:
         raise ModelError(f"unknown base spec {spec!r}")
     tag = spec.lattice_tag()
@@ -347,7 +358,7 @@ def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
     curves = dict(model.curves)
     for cid, m in incidences:
         c = curves[cid]
-        cls = DivisorClass({**c.cls.terms, e: Fraction(-m)}, e + 1, lat_id)
+        cls = DivisorClass({**c.cls.terms, e: -m}, e + 1, lat_id)
         curves[cid] = Curve(cid, cls, c.genus, c.born, k)
     curves[exc_id] = Curve(exc_id, basis_class(e, e + 1, lat_id), 0, k, k)
     return replace(model, centers=model.centers + (center,), curves=curves)
@@ -404,10 +415,9 @@ def total_transform(
     model.level(to_level)
     coeffs = dict(d.terms)
     for center in model.centers[d.level:to_level]:
-        mult = sum(
-            m * coeffs.get(cid, Fraction(0)) for cid, m in center.on_curves
+        coeffs[center.exceptional_id] = sum(
+            m * coeffs.get(cid, 0) for cid, m in center.on_curves
         )
-        coeffs[center.exceptional_id] = Fraction(mult)
     return RDivisor.make(to_level, coeffs)
 
 

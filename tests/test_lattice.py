@@ -190,32 +190,46 @@ def test_negative_definite_matches_minor_oracle():
         assert pl.is_negative_definite(m) == _all_principal_minors_oracle(m)
 
 
+def _no_float(factor, *more):
+    """The factor's pivots, L, z and residuals, and ``more``, hold ints and
+    Fractions only."""
+    values = [*factor.pivots, *factor._z, *factor.residual.values(), *more]
+    values += [v for row in factor.lower for v in row.values()]
+    return all(type(v) in (int, Fraction) for v in values)
+
+
 def test_ldl_factor_matches_sylvester_and_solve_exact():
     """Grown row by row, the factor's pivots give is_negative_definite's
     verdict and its solution is solve_exact's.  After every equation its
     border holds, for each equation still to join and for an extra column
     c that never joins, the residual c_rhs − cᵀ·solve_exact(G, b) over the
-    equations joined so far."""
+    equations joined so far.  Every other system is all ints, as the
+    Zariski rows of an integral class are; no entry of the factor or of x
+    is ever a float."""
     rng = random.Random(1968)
     definite = bordered = 0
-    for _ in range(400):
+    for t in range(800):
+        def entry(top, den=1):
+            """An int on odd t, else a Fraction with denominator <= den."""
+            v = rng.randrange(-top, top + 1)
+            return v if t % 2 else Fraction(v, rng.randrange(1, den + 1))
+
         n = rng.randrange(1, 7)
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-                m[i][j] = m[j][i] = v
+                m[i][j] = m[j][i] = entry(4, 3)
             if rng.random() < 0.5:  # diagonally dominant, often definite
-                m[i][i] = Fraction(-4 * n)
-        rhs = [Fraction(rng.randrange(-5, 6)) for _ in range(n)]
-        extra = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
-                 for _ in range(n)]
-        rhs.append(Fraction(rng.randrange(-5, 6)))  # the extra column's, key n
+                m[i][i] = -4 * n
+        rhs = [entry(5) for _ in range(n)]
+        extra = [entry(3, 2) for _ in range(n)]
+        rhs.append(entry(5))  # the extra column's, key n
         factor = LDLFactor(rhs)
         for k in range(n):
             row = {j: v for j, v in enumerate(m[k] + [extra[k]]) if v}
             if factor.extend(k, row) == 0:
                 break
+            assert _no_float(factor)
             x = pl.solve_exact([r[: k + 1] for r in m[: k + 1]], rhs[: k + 1])
             columns = [r[: k + 1] for r in m[k + 1:]] + [extra[: k + 1]]
             for key, c in enumerate(columns, k + 1):
@@ -226,12 +240,14 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
             assert all(p < 0 for p in factor.pivots) == (
                 pl.is_negative_definite(m)
             )
-            assert factor.solve() == pl.solve_exact(m, rhs[:n])
+            x = factor.solve()
+            assert x == pl.solve_exact(m, rhs[:n])
+            assert _no_float(factor, *x)
             definite += all(p < 0 for p in factor.pivots)
             continue
         assert not pl.is_negative_definite(m)
-    assert definite > 100
-    assert bordered > 1000
+    assert definite > 200
+    assert bordered > 2000
 
 
 def test_signature_hodge_shape():

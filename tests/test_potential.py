@@ -362,6 +362,76 @@ def test_check_witness_ruled_blowup(ruled_blowup_pair):
     assert not too_small["dominates"]
 
 
+def test_check_witness_halves_an_integral_eps0_exactly():
+    """On P², pa(L) = 0, so ε₀ = 1 is an int; the witness check halves it
+    to the Fraction 1/2, not to the float that 1 / 2 is."""
+    pair = pl.make_pair(p2(), 0)
+    eps0 = pl.eps_threshold(pair)
+    assert eps0 == 1 and type(eps0) is int
+    rep = pl.check_witness(pair, pl.RDivisor.make(0, {}))
+    assert rep["dominates"] and rep["inclusion_holds"]
+    assert type(rep["eps"]) is Fraction and rep["eps"] == Fraction(1, 2)
+
+
+def _inexact(values):
+    """The values that are not an int or a Fraction: a float, a bool, or
+    anything else."""
+    return [v for v in values if type(v) not in (int, Fraction)]
+
+
+def test_no_float_or_bool_among_the_numbers_fuzzed():
+    """At every level of random P², ruled and lattice towers, with Δ = 0 and
+    with a random Δ, every number in a PotentialReport, a FanoVerdict, an
+    eps_threshold and a check_witness result is an int or a Fraction; with
+    Δ = 0 every discrepancy a is an int."""
+    rng = random.Random(1968)
+    pool = [0, 0, 1, Fraction(1, 2), Fraction(1, 3)]
+    kinds = collections.Counter()
+    reports = witnessed = 0
+    for t in range(150):
+        model = random_lattice_tower(rng) if t % 3 == 2 else random_tower(rng)
+        kinds[type(model.base).__name__] += 1
+        for level in range(model.top + 1):
+            try:
+                verdict = pl.fano_type_test(model, level)
+            except (pl.PairError, pl.InvariantViolation):
+                pass
+            else:
+                n = verdict.negative_part
+                assert not _inexact(v for _, v in (n.terms if n else ()))
+            curves = model.level(level).curves
+            for delta in ({}, {c.id: rng.choice(pool) for c in curves}):
+                delta = pl.RDivisor.make(level, delta)
+                try:
+                    pair = pl.make_pair(model, level, delta)
+                    pr = pl.classify_pair(pair)
+                except (pl.PairError, pl.NotPseudoeffectiveError,
+                        pl.InvariantViolation):
+                    continue
+                zd = pair.decomposition
+                numbers = [v for e in pr.ledger.entries
+                           for v in (e.a, e.sigma_num, e.pa)]
+                numbers += [c.genus for c in pr.nklt + pr.pnklt]
+                numbers += [v for _, v in zd.N.terms + delta.terms]
+                numbers += zd.P.terms.values()
+                numbers += [v for v in (pr.frakA, pr.eps0,
+                                        pl.eps_threshold(pair))
+                            if v is not None and v is not pl.NEG_INFINITY]
+                for witness in (pl.RDivisor.make(level, {}),
+                                pl.push_forward(model, model.top, level,
+                                                zd.N)):
+                    eps = pl.check_witness(pair, witness)["eps"]
+                    if eps is not None:
+                        numbers.append(eps)
+                        witnessed += 1
+                assert not _inexact(numbers), (model, level, delta)
+                if delta.is_zero():
+                    assert all(type(e.a) is int for e in pr.ledger.entries)
+                reports += 1
+    assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice"}
+    assert reports > 500 and witnessed > 500
+
+
 def test_monotonicity_fuzzed():
     rng = random.Random(31)
     pool = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -271,6 +272,64 @@ def test_every_level_matches_the_dense_reference():
                 (cid, g, display, pl.DivisorClass.dense(cls, lat))
                 for cid, g, display, cls in curves
             ]
+
+
+def reference_gram(base):
+    """The base Gram block of ``base`` as Fractions, read off its spec."""
+    if isinstance(base, pl.ProjectivePlane):
+        rows = ((1,),)
+    elif isinstance(base, pl.Ruled):
+        rows = ((-base.e, 1), (1, 0))
+    else:
+        rows = base.gram
+    return tuple(tuple(Fraction(g) for g in row) for row in rows)
+
+
+def half_gram_tower(rng):
+    """A lattice base whose form has the entry H·A = 1/2 (gram
+    ((1, 1/2), (1/2, −1)), signature (1, 1)), blown up at random centers."""
+    half = Fraction(1, 2)
+    m = pl.make_base(pl.AbstractLattice(
+        ("H", "A"), ((Fraction(1), half), (half, Fraction(-1))),
+        (Fraction(-3), Fraction(1)),
+        (pl.CurveSpec("H", (Fraction(1), Fraction(0)), 0),
+         pl.CurveSpec("A", (Fraction(0), Fraction(1)), 0),
+         pl.CurveSpec("C", (Fraction(2), Fraction(1)), 0)),
+    ))
+    for _ in range(rng.randrange(0, 5)):
+        m = pl.blow_up(m, random_center(rng, m))
+    return m
+
+
+def test_catalog_products_are_ints_on_an_integral_form():
+    """At every level of random P², ruled and integral-lattice towers, the
+    product of any two catalog classes is an int, equal to the Fraction
+    product of reference_tower's classes under the Fraction base form.  On
+    a form with the entry 1/2 the products are ints and exact Fractions,
+    never floats, equal to the same reference."""
+    rng = random.Random(368)
+    towers = [random_tower(rng) for _ in range(30)]
+    towers += [random_lattice_tower(rng) for _ in range(30)]
+    towers += [half_gram_tower(rng) for _ in range(15)]
+    kinds = collections.Counter()
+    for m in towers:
+        gram = reference_gram(m.base)
+        integral = all(g.denominator == 1 for row in gram for g in row)
+        for k, (lvl, (_, _, curves)) in enumerate(
+            zip(m.levels, reference_tower(m), strict=True)
+        ):
+            lat = lvl.form.lattice_id
+            dense = [pl.DivisorClass.dense(cls, lat) for _, _, _, cls in curves]
+            for a, ra in zip(lvl.curves, dense):
+                for b, rb in zip(lvl.curves, dense):
+                    got = pl.intersect(a.cls, b.cls, lvl.form)
+                    want = dense_intersect(ra, rb, gram, k)
+                    assert type(want) is Fraction and got == want
+                    assert type(got) in ((int,) if integral else (int, Fraction))
+                    kinds[type(m.base).__name__, type(got).__name__] += 1
+    assert {base for base, _ in kinds} == {
+        "ProjectivePlane", "Ruled", "AbstractLattice"}
+    assert kinds["AbstractLattice", "Fraction"] > 100
 
 
 def test_blow_up_keeps_the_curves_off_the_center():
