@@ -20,7 +20,6 @@ from .surface import (
     RDivisor,
     Ruled,
     SurfaceModel,
-    blow_down,
     blow_up,
     make_base,
     pull_back,
@@ -29,13 +28,10 @@ from .surface import (
     validate,
 )
 from .zariski import (
-    ENTIRE_SURFACE,
     NotPseudoeffectiveError,
     ZariskiDecomposition,
     is_big,
     is_nef_against_catalog,
-    is_pseudoeffective,
-    nnef_locus,
     zariski_decompose,
 )
 from .potential import (
@@ -51,7 +47,6 @@ from .potential import (
     check_monotonicity,
     check_witness,
     classify_pair,
-    discrepancies,
     eps_spnklt,
     eps_threshold,
     fano_type_test,

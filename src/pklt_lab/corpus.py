@@ -116,21 +116,3 @@ def run_examples() -> list[dict]:
         results.append({"name": name, "ok": not diffs, "diffs": diffs})
     return results
 
-
-def regenerate(directory=None) -> None:
-    """Rewrite the stored expected reports from the current engine output.
-
-    Maintenance hook: only run after the acceptance suite has verified the
-    values independently.
-    """
-    import pathlib
-
-    if directory is None:
-        directory = pathlib.Path(__file__).parent / "corpus"
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in ENTRIES:
-        path = directory / f"{name}.expected.json"
-        path.write_text(
-            json.dumps(compute_report(name), indent=2) + "\n", encoding="utf-8"
-        )

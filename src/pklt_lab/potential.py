@@ -70,8 +70,9 @@ class PairSpec:
     """A validated pair (X, Δ) with its analysis, computed once by make_pair.
 
     ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
-    top level of the tower; ``ledger`` holds a, σ_num and pa per top-level
-    curve.  Pairs compare and hash by identity.
+    top level of the tower, pulled back from the pair level: P = f*P_X,
+    N = f*N_X, and its ``support`` is Supp f*N.  ``ledger`` holds a, σ_num
+    and pa per top-level curve.  Pairs compare and hash by identity.
     """
 
     model: SurfaceModel
@@ -88,6 +89,12 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     Checks that Δ is effective and lives on curves of the chosen level,
     that -(K+Δ) is pseudoeffective against the catalog, and that the top
     level is log-resolution-ready for Supp Δ, Supp N and the exceptionals.
+
+    -(K+Δ) is decomposed once, at the pair level, and pulled back to the
+    top: Zariski decomposition commutes with pullback by a birational
+    morphism of smooth surfaces (Fujita 1979; Bauer 2009), given distinct
+    catalog curves that meet non-negatively, which ``make_base`` and the
+    budget of ``blow_up`` keep at every level.
     """
     lvl = model.level(level)
     if delta is None:
@@ -99,11 +106,13 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
             raise PairError(f"boundary curve {cid!r} is not on level {level}")
     if not delta.is_effective():
         raise PairError("boundary divisor must be effective")
-    d_top = pull_back(
-        model, level, model.top, -(lvl.canonical + delta.class_at(model))
-    )
-    zd = zariski_decompose(model, model.top, d_top)  # raises NotPseudoeffectiveError
-    supports = set(delta.support) | set(zd.N.support)
+    low = zariski_decompose(  # raises NotPseudoeffectiveError
+        model, level, -(lvl.canonical + delta.class_at(model)))
+    n = total_transform(model, low.N)
+    zd = ZariskiDecomposition(model.top,
+                              pull_back(model, level, model.top, low.P),
+                              n, n.support, low.big)
+    supports = set(delta.support) | set(n.support)
     supports |= {c.id for c in model.curves.values() if c.born > level}
     report = validate(model, sorted(supports))
     if not report.valid:
@@ -111,7 +120,7 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     if not report.log_resolution_ready:
         raise PairError("top level is not log-resolution-ready for this pair")
     a = _a_values(model, level, delta)
-    sigma = dict(zd.N.terms)
+    sigma = dict(n.terms)
     entries = []
     for c in model.level(model.top).curves:
         sig = sigma.get(c.id, 0)
@@ -166,10 +175,6 @@ class DiscrepancyLedger:
 
     def min_pa(self) -> int | Fraction:
         return min([0] + [e.pa for e in self.entries])
-
-
-def discrepancies(pair: PairSpec) -> dict[str, int | Fraction]:
-    return _a_values(pair.model, pair.level, pair.delta)
 
 
 def potential_ledger(pair: PairSpec) -> DiscrepancyLedger:
@@ -357,13 +362,15 @@ class FanoVerdict:
 
 
 def fano_type_test(model: SurfaceModel, level: int) -> FanoVerdict:
-    """Surface Fano-type test at ``level``: the verdict of the pair (X, 0),
-    once -K is pseudoeffective against the catalog at ``level`` itself."""
+    """Surface Fano-type test at ``level``: the verdict of the pair (X, 0).
+    make_pair's one decomposition of -K at ``level`` is the gate: when -K
+    is not pseudoeffective against the catalog there, X is not of Fano
+    type."""
     try:
-        zariski_decompose(model, level, -model.level(level).canonical)
+        pair = make_pair(model, level)
     except NotPseudoeffectiveError as exc:
         return FanoVerdict(False, f"-K is {exc}")
-    return fano_verdict(classify_pair(make_pair(model, level)))
+    return fano_verdict(classify_pair(pair))
 
 
 def fano_verdict(report: PotentialReport) -> FanoVerdict:

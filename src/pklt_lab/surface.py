@@ -275,7 +275,12 @@ def _integral(v: Sequence) -> tuple:
 def make_base(spec: BaseSpec) -> SurfaceModel:
     """The one-level tower over ``spec``.  Its lattice holds the forms, K
     and the catalog classes with every integral entry as an int, so that
-    intersection numbers are ints; the lattice id is the spec's tag."""
+    intersection numbers are ints; the lattice id is the spec's tag.
+
+    Distinct catalog curves must meet non-negatively, as on any surface:
+    a lattice catalog with Cᵢ·Cⱼ < 0 is rejected, naming the first such
+    pair.  P² (L alone) and ruled bases (C0·f = 1) always pass, and the
+    budget of ``blow_up`` keeps the condition at every later level."""
     if isinstance(spec, ProjectivePlane):
         lattice = AbstractLattice(("L",), ((1,),), (-3,),
                                   (CurveSpec("L", (1,), 0),))
@@ -320,6 +325,14 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         cs.id: Curve(cs.id, DivisorClass.dense(cs.coeffs, lat_id), cs.genus, 0, 0)
         for cs in lattice.curves
     }
+    form = IntersectionForm(lat_id, lattice.gram)
+    for a, b in itertools.combinations(curves.values(), 2):
+        num = intersect(a.cls, b.cls, form)
+        if num < 0:
+            raise ModelError(
+                f"catalog curves {a.id!r} and {b.id!r} meet negatively: "
+                f"intersection number is {num}"
+            )
     return SurfaceModel(spec, tag, lattice, (), curves)
 
 
@@ -362,13 +375,6 @@ def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
         curves[cid] = Curve(cid, cls, c.genus, c.born, k)
     curves[exc_id] = Curve(exc_id, basis_class(e, e + 1, lat_id), 0, k, k)
     return replace(model, centers=model.centers + (center,), curves=curves)
-
-
-def blow_down(model: SurfaceModel) -> SurfaceModel:
-    """The tower without its last blow-up, rebuilt from the base."""
-    if model.top == 0:
-        raise ModelError("cannot blow down a single-level model")
-    return functools.reduce(blow_up, model.centers[:-1], make_base(model.base))
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +453,10 @@ def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationRep
     exceptionals); the log-resolution-ready flag asserts that every
     remaining intersection among them is declared transverse and distinct.
 
-    Only base pairs can be negative at the top, with their level-0 number:
-    an exceptional is born meeting every curve ≥ 0, and the budget puts a
-    center on C and C' only while C·C' ≥ m·m'.
+    No pair of supports needs an intersection check: ``make_base`` rejects
+    a catalog with two distinct curves meeting negatively, an exceptional
+    is born meeting every curve ≥ 0, and the budget puts a center on C and
+    C' only while C·C' ≥ m·m', so distinct curves meet ≥ 0 at every level.
     """
     support_set = set(supports)
     violations = [
@@ -463,14 +470,4 @@ def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationRep
         for center in model.centers
         for cid, m in center.on_curves
     )
-    base = model.level(0)
-    base_ids = sorted(cid for cid in support_set
-                      if cid in model.curves and model.curves[cid].born == 0)
-    for i, a in enumerate(base_ids):
-        for b in base_ids[i + 1:]:
-            if intersect(base.curve(a).cls, base.curve(b).cls, base.form) < 0:
-                violations.append(
-                    f"support pair ({a!r}, {b!r}) has negative "
-                    f"intersection number"
-                )
     return ValidationReport(tuple(violations), not (violations or tangent))

@@ -27,9 +27,6 @@ from .surface import Curve, RDivisor, SurfaceModel
 
 NOT_PSEF_MESSAGE = "not pseudoeffective against catalog, or catalog incomplete"
 
-#: Sentinel returned by nnef_locus when the divisor is not pseudoeffective.
-ENTIRE_SURFACE = "entire-surface"
-
 
 class InvariantViolation(Exception):
     """A structural guarantee of the theory fails on this model.
@@ -217,23 +214,7 @@ def zariski_decompose(
     )
 
 
-def is_pseudoeffective(model: SurfaceModel, level: int, D: DivisorClass) -> bool:
-    try:
-        zariski_decompose(model, level, D)
-        return True
-    except NotPseudoeffectiveError:
-        return False
-
-
 def is_big(model: SurfaceModel, level: int, D: DivisorClass) -> bool:
     """Catalog-relative bigness: P² > 0 for the positive part."""
     return zariski_decompose(model, level, D).big
 
-
-def nnef_locus(model: SurfaceModel, level: int, D: DivisorClass):
-    """Support of N, or the ENTIRE_SURFACE sentinel if D is not psef."""
-    try:
-        zd = zariski_decompose(model, level, D)
-    except NotPseudoeffectiveError:
-        return ENTIRE_SURFACE
-    return list(zd.N.support)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 import pklt_lab as pl
 from pklt_lab.potential import anti_log_canonical
+from pklt_lab.surface import Curve
 
 
 def p2():
@@ -152,21 +154,74 @@ def random_center(rng: random.Random, model) -> pl.BlowUpCenter:
     return pl.BlowUpCenter(((rng.choice(curves).id, 1),))
 
 
-def random_lattice_tower(rng):
-    """A rank-3 lattice base (gram diag(1, −1, −1)) whose random catalog
-    often has negative pairs, blown up at random centers, some tangent."""
-    gram = ((Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(-1)))
+def first_negative_pair(spec):
+    """The first two distinct catalog curves of a lattice spec that meet
+    negatively, with their number under the dense gram; None if none do."""
+    for a, b in itertools.combinations(spec.curves, 2):
+        num = sum(x * g * y for x, row in zip(a.coeffs, spec.gram)
+                  for g, y in zip(row, b.coeffs))
+        if num < 0:
+            return a.id, b.id, num
+    return None
+
+
+def make_lattice_base(spec):
+    """make_base(spec), or None when two distinct catalog curves of
+    ``spec`` meet negatively, after checking that make_base rejects that
+    catalog with the ModelError naming the first such pair and its number."""
+    negative = first_negative_pair(spec)
+    if negative is None:
+        return pl.make_base(spec)
+    a, b, num = negative
+    with pytest.raises(pl.ModelError) as exc:
+        pl.make_base(spec)
+    assert str(exc.value) == (
+        f"catalog curves {a!r} and {b!r} meet negatively: "
+        f"intersection number is {num}"
+    )
+    return None
+
+
+def catalog_model(spec):
+    """The one-level model over ``spec``'s catalog as declared, negative
+    pairs included.  No surface has such a catalog, so make_base rejects
+    it; this test-only model feeds it to the catalog-relative solver."""
+    m = pl.make_base(dataclasses.replace(spec, curves=()))
+    lat = m.level(0).form.lattice_id
+    return dataclasses.replace(
+        m, base=spec, lattice=dataclasses.replace(m.lattice, curves=spec.curves),
+        curves={cs.id: Curve(cs.id, pl.DivisorClass.dense(cs.coeffs, lat),
+                             cs.genus, 0, 0)
+                for cs in spec.curves},
+    )
+
+
+LATTICE_GRAM = ((Fraction(1), Fraction(0), Fraction(0)),
+                (Fraction(0), Fraction(-1), Fraction(0)),
+                (Fraction(0), Fraction(0), Fraction(-1)))
+LATTICE_K = (Fraction(-3), Fraction(1), Fraction(1))
+
+
+def random_lattice_spec(rng):
+    """A rank-3 lattice base (gram diag(1, −1, −1)) with 1 to 5 catalog
+    curves of random small integer classes; often two of them meet
+    negatively."""
     curves = tuple(
         pl.CurveSpec(
             f"C{i}", tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)), 0
         )
         for i in range(rng.randint(1, 5))
     )
-    m = pl.make_base(pl.AbstractLattice(
-        ("H", "A", "B"), gram, (Fraction(-3), Fraction(1), Fraction(1)), curves
-    ))
+    return pl.AbstractLattice(("H", "A", "B"), LATTICE_GRAM, LATTICE_K, curves)
+
+
+def random_lattice_tower(rng):
+    """A random_lattice_spec base blown up at random centers, some tangent;
+    None when make_base rejects the catalog for a negative pair (checked
+    by make_lattice_base).  Callers count both kinds of draw."""
+    m = make_lattice_base(random_lattice_spec(rng))
+    if m is None:
+        return None
     for _ in range(rng.randrange(0, 6)):
         if rng.random() < 0.2:
             center = pl.BlowUpCenter(((rng.choice(list(m.curves)), 2),))
@@ -355,6 +410,23 @@ def reference_fano_type_test(model, level):
                           report.klt)
 
 
+# ---------------------------------------------------------------------------
+# top-level pair decomposition
+
+
+def top_level_decomposition(model, level, delta=None):
+    """f*(-(K+Δ)) decomposed at the top of the tower, against every catalog
+    curve there.  The oracle for make_pair, which decomposes -(K+Δ) at the
+    pair level and pulls P and N back."""
+    lvl = model.level(level)
+    d = -lvl.canonical
+    if delta is not None:
+        d = d - delta.class_at(model)
+    return pl.zariski_decompose(
+        model, model.top, pl.pull_back(model, level, model.top, d)
+    )
+
+
 __all__ = [
     "p2",
     "ruled",
@@ -370,6 +442,13 @@ __all__ = [
     "brute_force_zariski",
     "reference_zariski",
     "reference_fano_type_test",
+    "LATTICE_GRAM",
+    "LATTICE_K",
+    "random_lattice_spec",
     "random_lattice_tower",
+    "first_negative_pair",
+    "make_lattice_base",
+    "catalog_model",
+    "top_level_decomposition",
     "anti_log_canonical",
 ]

@@ -114,10 +114,19 @@ def lattice_base(gram):
     }
 
 
+# two distinct catalog curves with A·B = -1, which no surface has
+NEGATIVE_PAIR = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "lattice", "basis": ["L"], "gram": [["1"]], "K": ["-3"],
+             "curves": [{"id": "A", "class": ["1"], "genus": 0},
+                        {"id": "B", "class": ["-1"], "genus": 0}]},
+}
+
 # malformed model -> the JSON pointer its validation error names
 MALFORMED = {
     "gram-not-square": (lattice_base([["1", "0"]]), "/base"),
     "gram-asymmetric": (lattice_base([["1", "1"], ["0", "-1"]]), "/base"),
+    "catalog-curves-meet-negatively": (NEGATIVE_PAIR, "/base"),
     "delta-curve-above-pair-level": (
         dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]},
              pair={"level": 0, "delta": "D"}),
@@ -142,6 +151,20 @@ def test_malformed_model_is_a_validation_error_not_a_traceback(
     payload = json.loads(out)
     assert payload["error"] == "validation"
     assert payload["detail"].startswith(pointer + ":")
+
+
+def test_negative_catalog_pair_exit_3_plain_and_optimized(tmp_path):
+    """make_base rejects two catalog curves that meet negatively: exit 3,
+    a validation error at /base naming both curves and their number, with
+    or without python -O."""
+    path = write_model(tmp_path, NEGATIVE_PAIR)
+    for proc in run_plain_and_optimized(["check", path]):
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout) == {
+            "error": "validation",
+            "detail": "/base: catalog curves 'A' and 'B' meet negatively: "
+                      "intersection number is -1",
+        }
 
 
 def test_zariski_divisor_curve_above_level_exit_3(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import collections
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -122,14 +124,6 @@ def test_total_transform_picks_up_center_multiplicity():
     assert ft.coeff("E1") == Fraction(5, 3)
 
 
-def test_blow_down_round_trip():
-    m = ruled(2, 3)
-    m2 = pl.blow_up(m, pl.BlowUpCenter((("C0", 1),)))
-    assert pl.blow_down(m2) == m
-    with pytest.raises(pl.ModelError):
-        pl.blow_down(m)
-
-
 def test_blow_up_unknown_curve_errors():
     with pytest.raises(pl.ModelError):
         pl.blow_up(p2(), pl.BlowUpCenter((("nope", 1),)))
@@ -167,20 +161,30 @@ def test_validate_flags_tangency_as_not_ready():
     assert not rep.log_resolution_ready
 
 
-def test_validate_reports_unknown_and_negative_supports():
+def test_make_base_rejects_curves_meeting_negatively():
     base = pl.AbstractLattice(
         basis=("L",),
         gram=((Fraction(1),),),
         canonical=(Fraction(-3),),
         curves=(
             pl.CurveSpec("A", (Fraction(1),), 0),
+            pl.CurveSpec("M", (Fraction(2),), 0),
             pl.CurveSpec("B", (Fraction(-1),), 0),
+            pl.CurveSpec("C", (Fraction(-2),), 0),
         ),
     )
-    rep = pl.validate(pl.make_base(base), ["B", "Z", "A"])
+    with pytest.raises(pl.ModelError) as exc:
+        pl.make_base(base)
+    assert str(exc.value) == (
+        "catalog curves 'A' and 'B' meet negatively: intersection number is -1"
+    )
+
+
+def test_validate_reports_unknown_supports():
+    rep = pl.validate(blown_ruled(2, 3), ["E1", "Z", "C0", "Y"])
     assert rep.violations == (
+        "support references unknown curve 'Y'",
         "support references unknown curve 'Z'",
-        "support pair ('A', 'B') has negative intersection number",
     )
     assert not rep.log_resolution_ready
 
@@ -248,7 +252,9 @@ def test_structural_invariants_fuzzed():
                 if c.origin is not None:
                     assert c.genus == prev.curve(c.origin).genus
         if m.top > 0:
-            assert [level_data(lvl) for lvl in pl.blow_down(m).levels] == [
+            prefix = functools.reduce(pl.blow_up, m.centers[:-1],
+                                      pl.make_base(m.base))
+            assert [level_data(lvl) for lvl in prefix.levels] == [
                 level_data(lvl) for lvl in m.levels[:-1]
             ]
         assert pl.validate(m).valid
@@ -309,7 +315,9 @@ def test_catalog_products_are_ints_on_an_integral_form():
     never floats, equal to the same reference."""
     rng = random.Random(368)
     towers = [random_tower(rng) for _ in range(30)]
-    towers += [random_lattice_tower(rng) for _ in range(30)]
+    lattices = [random_lattice_tower(rng) for _ in range(30)]
+    assert None in lattices and lattices.count(None) < len(lattices)
+    towers += [m for m in lattices if m is not None]
     towers += [half_gram_tower(rng) for _ in range(15)]
     kinds = collections.Counter()
     for m in towers:
@@ -370,15 +378,44 @@ def all_pairs_validate(model, supports=()):
 
 
 def test_validate_matches_the_all_pairs_check():
+    """validate scans no pair of supports, yet equals the all-pairs check:
+    on every tower that make_base accepts, no two supports meet negatively
+    (make_base rejects the lattice catalogs that have such a pair)."""
     rng = random.Random(1412)
-    negative = 0
+    kinds = collections.Counter()
     for t in range(800):
         m = random_lattice_tower(rng) if t % 2 else random_tower(rng)
+        if m is None:
+            kinds["rejected"] += 1
+            continue
+        kinds[type(m.base).__name__] += 1
         ids = list(m.curves)
         supports = rng.sample(ids, rng.randint(0, len(ids)))
         if rng.random() < 0.1:
             supports.append("Z")
         expected = all_pairs_validate(m, supports)
         assert pl.validate(m, supports) == expected
-        negative += sum("negative" in v for v in expected.violations)
-    assert negative > 100
+        assert not any("negative" in v for v in expected.violations)
+        kinds["unknown"] += any("unknown" in v for v in expected.violations)
+    assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
+                          "rejected", "unknown"}
+
+
+def test_distinct_curves_meet_non_negatively_at_every_level():
+    """Distinct catalog curves meet ≥ 0 at every level of every tower that
+    make_base accepts: the fact that make_pair's pullback of the pair-level
+    decomposition rests on, and why validate needs no pair scan."""
+    rng = random.Random(1979)
+    towers = [random_tower(rng) for _ in range(300)]
+    towers += [cubic12_model(), chain_model(24)]
+    lattices = [random_lattice_tower(rng) for _ in range(600)]
+    assert None in lattices and lattices.count(None) < len(lattices)
+    towers += [m for m in lattices if m is not None]
+    pairs = collections.Counter()
+    for m in towers:
+        for lvl in m.levels:
+            for a, b in itertools.combinations(lvl.curves, 2):
+                num = pl.intersect(a.cls, b.cls, lvl.form)
+                assert num >= 0, (m, lvl.k, a.id, b.id, num)
+                pairs[num > 0] += 1
+    assert pairs[True] > 1000 and pairs[False] > 1000

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,10 +9,13 @@ import pklt_lab as pl
 from conftest import (
     blown_ruled,
     brute_force_zariski,
+    catalog_model,
     chain_model,
     cubic12_model,
+    make_lattice_base,
     p2,
     random_effective_divisor,
+    random_lattice_spec,
     random_lattice_tower,
     random_tower,
     reference_zariski,
@@ -67,13 +71,12 @@ def test_not_pseudoeffective_raises_with_message():
     with pytest.raises(pl.NotPseudoeffectiveError) as exc:
         pl.zariski_decompose(m, 0, minus_c0)
     assert "catalog" in str(exc.value)
-    assert not pl.is_pseudoeffective(m, 0, minus_c0)
 
 
 def test_effective_divisor_is_pseudoeffective():
     m = blown_ruled(2, 3)
     d = pl.RDivisor.make(1, {"C0": 2, "E1": 1}).class_at(m)
-    assert pl.is_pseudoeffective(m, 1, d)
+    pl.zariski_decompose(m, 1, d)  # raises if not pseudoeffective
 
 
 def test_is_big_examples():
@@ -89,10 +92,8 @@ def test_is_big_examples():
 def test_nnef_locus():
     m = ruled(2, 3)
     lvl = m.level(0)
-    assert pl.nnef_locus(m, 0, -lvl.canonical) == ["C0"]
-    assert pl.nnef_locus(m, 0, lvl.curve("f").cls) == []
-    minus_c0 = lvl.curve("C0").cls.scale(-1)
-    assert pl.nnef_locus(m, 0, minus_c0) is pl.ENTIRE_SURFACE
+    assert pl.zariski_decompose(m, 0, -lvl.canonical).N.support == ("C0",)
+    assert pl.zariski_decompose(m, 0, lvl.curve("f").cls).N.support == ()
 
 
 def test_nef_certificate_contents():
@@ -253,34 +254,30 @@ def _tower_cases(rng, count):
         yield m, level, cls
 
 
-def _lattice_cases(rng, count):
-    """Rank-3 lattices with gram diag(1, -1, -1) and random small integer
-    curve classes, where supports are often indefinite."""
-    gram = ((Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(-1)))
-
-    def small():
-        return tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
-
+def _lattice_cases(rng, count, kinds):
+    """random_lattice_spec bases with a random small integer class, where
+    supports are often indefinite.  A catalog with a negative pair, which
+    make_base rejects (checked by make_lattice_base), still goes to the
+    catalog-relative solver, as catalog_model's test-only model; ``kinds``
+    counts the draws that make_base accepts and rejects."""
     for _ in range(count):
-        curves = tuple(
-            pl.CurveSpec(f"C{i}", small(), 0)
-            for i in range(rng.randint(1, 5))
-        )
-        base = pl.AbstractLattice(("H", "A", "B"), gram,
-                                  (Fraction(-3), Fraction(1), Fraction(1)),
-                                  curves)
-        m = pl.make_base(base)
-        yield m, 0, pl.DivisorClass.dense(small(), m.level(0).form.lattice_id)
+        spec = random_lattice_spec(rng)
+        m = make_lattice_base(spec)
+        kinds["rejected" if m is None else "accepted"] += 1
+        if m is None:
+            m = catalog_model(spec)
+        coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+        yield m, 0, pl.DivisorClass.dense(coeffs, m.level(0).form.lattice_id)
 
 
 def test_incremental_factor_matches_per_round_reference():
     rng = random.Random(2009)
+    kinds = collections.Counter()
     towers = _assert_matches_reference(_tower_cases(rng, 2000))
-    lattices = _assert_matches_reference(_lattice_cases(rng, 2000))
+    lattices = _assert_matches_reference(_lattice_cases(rng, 2000, kinds))
     seen = set(towers) | set(lattices)
     assert seen == NOT_PSEF_DETAILS, (towers, lattices)
+    assert kinds["accepted"] and kinds["rejected"]
 
 
 @pytest.mark.parametrize("n", [24, 48, 96])
@@ -351,7 +348,9 @@ def test_index_rows_equal_the_dense_rows():
     towers = [random_tower(rng) for _ in range(60)]
     towers += [cubic12_model(), chain_model(24)]
     rng = random.Random(1412)
-    towers += [random_lattice_tower(rng) for _ in range(200)]
+    lattices = [random_lattice_tower(rng) for _ in range(200)]
+    assert None in lattices and lattices.count(None) < len(lattices)
+    towers += [m for m in lattices if m is not None]
     nonzero = 0
     for m in towers:
         for lvl in m.levels:
