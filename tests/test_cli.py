@@ -109,7 +109,7 @@ def test_validation_error_exit_3(tmp_path, capsys):
 def lattice_base(gram):
     return {
         "version": "pklt-lab/1",
-        "base": {"kind": "lattice", "basis": ["A", "B"][: len(gram)],
+        "base": {"kind": "lattice", "basis": ["A", "B", "C"][: len(gram)],
                  "gram": gram, "K": ["-3"] * len(gram), "curves": []},
     }
 
@@ -122,10 +122,34 @@ NEGATIVE_PAIR = {
                         {"id": "B", "class": ["-1"], "genus": 0}]},
 }
 
+# E1's point is labelled p2, which E2's unlabelled point would default to
+DUPLICATE_LABEL = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "P2"},
+    "blowups": [{"id": "E1", "on": [{"curve": "L"}], "point": "p2"},
+                {"id": "E2", "on": [{"curve": "L"}]}],
+    "divisors": {"D": [{"curve": "L", "coeff": "2"}]},
+    "pair": {"level": 0, "delta": "D"},
+}
+
+# P¹×P¹: the hyperbolic plane, with its two rulings as the catalog
+HYPERBOLIC_PLANE = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "lattice", "basis": ["F1", "F2"],
+             "gram": [["0", "1"], ["1", "0"]], "K": ["-2", "-2"],
+             "curves": [{"id": "F1", "class": ["1", "0"], "genus": 0},
+                        {"id": "F2", "class": ["0", "1"], "genus": 0}]},
+}
+
 # malformed model -> the JSON pointer its validation error names
 MALFORMED = {
     "gram-not-square": (lattice_base([["1", "0"]]), "/base"),
     "gram-asymmetric": (lattice_base([["1", "1"], ["0", "-1"]]), "/base"),
+    "gram-degenerate": (
+        lattice_base([["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
+        "/base",
+    ),
+    "point-label-repeated": (DUPLICATE_LABEL, "/blowups/1"),
     "catalog-curves-meet-negatively": (NEGATIVE_PAIR, "/base"),
     "delta-curve-above-pair-level": (
         dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]},
@@ -165,6 +189,32 @@ def test_negative_catalog_pair_exit_3_plain_and_optimized(tmp_path):
             "detail": "/base: catalog curves 'A' and 'B' meet negatively: "
                       "intersection number is -1",
         }
+
+
+def test_repeated_point_label_exit_3_plain_and_optimized(tmp_path):
+    path = write_model(tmp_path, DUPLICATE_LABEL)
+    for proc in run_plain_and_optimized(["pnklt", path]):
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout) == {
+            "error": "validation",
+            "detail": "/blowups/1: point label 'p2' already names an "
+                      "earlier center",
+        }
+
+
+def test_hyperbolic_plane_lattice_is_of_fano_type(tmp_path, capsys):
+    """P¹×P¹ as an explicit lattice: its gram has a zero diagonal, and -K
+    is ample."""
+    path = write_model(tmp_path, HYPERBOLIC_PLANE)
+    code, out = run_cli(["classify", path], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fano_type"]["value"] is True
+    assert doc["fano_type"]["reason"] == "-K big and (X, N) klt"
+    assert doc["rcc"] == {
+        "applicable": True, "value": True,
+        "reason": "pNklt(X, 0) is empty; the surface is rationally connected",
+    }
 
 
 def test_zariski_divisor_curve_above_level_exit_3(tmp_path, capsys):
@@ -369,7 +419,7 @@ DISCONNECTED_PNKLT = {
                        {"curve": "E2", "coeff": "2/3"}]},
     "pair": {"level": 2, "delta": "D"},
 }
-PAIR_COMMANDS = ("classify", "potential", "pnklt")
+PAIR_COMMANDS = ("classify", "potential", "pnklt", "rcc")
 
 
 @pytest.mark.parametrize("command", PAIR_COMMANDS)
@@ -404,6 +454,37 @@ def test_incomplete_catalog_same_under_optimized_interpreter(tmp_path):
         assert plain.returncode == optimized.returncode == 1
         assert plain.stdout == optimized.stdout
         assert b"catalog-incomplete" in plain.stdout
+
+
+# -K is big and pNklt(X, 0) = {C0, C1} with C0·C1 = 0: the classification
+# fails its connectedness check, so rcc gives no verdict either
+DISCONNECTED_LATTICE = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "lattice", "basis": ["H", "A", "B"],
+             "gram": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+             "K": ["-3", "1", "1"],
+             "curves": [{"id": "C0", "class": ["0", "-1", "0"], "genus": 0},
+                        {"id": "C1", "class": ["-1", "0", "-2"], "genus": 0}]},
+    "blowups": [{"id": "E1", "on": [{"curve": "C0"}], "point": "p1"}],
+    "pair": {"level": 0},
+}
+
+
+def test_rcc_reads_the_classification(tmp_path):
+    """rcc exits as classify does on a pair that fails classification,
+    and prints the same payload, with or without python -O."""
+    path = write_model(tmp_path, DISCONNECTED_LATTICE)
+    runs = {command: run_plain_and_optimized([command, path])
+            for command in ("classify", "rcc")}
+    payloads = set()
+    for procs in runs.values():
+        for proc in procs:
+            assert proc.returncode == 1
+            payloads.add(proc.stdout)
+    assert len(payloads) == 1
+    payload = json.loads(payloads.pop())
+    assert payload["error"] == "catalog-incomplete"
+    assert payload["invariant"] == "pnklt-connected"
 
 
 def test_model_round_trip(tmp_path):
@@ -468,3 +549,35 @@ def test_corpus_diff_reports_mismatch():
     actual["frakA"] = "0"
     diffs = corpus.diff_json(expected, actual)
     assert diffs and "/frakA" in diffs[0]
+
+
+def test_examples_mismatch_exit_4_names_every_altered_path(monkeypatch, capsys):
+    """A stored report that differs from the computed one: examples exits
+    4 with "ok": false and one diff per altered path (an unexpected field,
+    a missing field, a list of another length, another value)."""
+    from pklt_lab import corpus
+
+    stored = corpus.expected_report
+
+    def altered(name):
+        doc = stored(name)
+        if name == "ruled_blowup_g2e3":
+            del doc["frakA"]
+            doc["flags"]["smooth"] = True
+            doc["loci"]["pnklt"].append(doc["loci"]["pnklt"][0])
+            doc["rcc"]["value"] = True
+        return doc
+
+    monkeypatch.setattr(corpus, "expected_report", altered)
+    code, out = run_cli(["examples"], capsys)
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    bad = [e for e in doc["entries"] if not e["ok"]]
+    assert [e["name"] for e in bad] == ["ruled_blowup_g2e3"]
+    assert bad[0]["diffs"] == [
+        "/flags/smooth: missing (expected True)",
+        "/frakA: unexpected field '-inf'",
+        "/loci/pnklt: length 1, expected 2",
+        "/rcc/value: False, expected True",
+    ]

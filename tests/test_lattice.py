@@ -254,3 +254,61 @@ def test_signature_hodge_shape():
     assert signature(RULED_23.gram) == (1, 1, 0)
     assert signature([[Fraction(1)]]) == (1, 0, 0)
     assert signature([[Fraction(0)]]) == (0, 0, 1)
+
+
+def characteristic_polynomial(m):
+    """Coefficients c[0..n] of det(xI − m), c[n] = 1, by Faddeev–LeVerrier
+    in exact arithmetic."""
+    n = len(m)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(m[i][t] * mk[t][j] for t in range(n))
+               + (c[n - k + 1] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+        trace = sum(m[i][t] * mk[t][i] for i in range(n) for t in range(n))
+        c[n - k] = -trace / k
+    return c
+
+
+def sign_changes(coeffs):
+    signs = [x > 0 for x in coeffs if x != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def descartes_signature(m):
+    """Signature by Descartes' rule of signs on the characteristic
+    polynomial.  The rule counts positive roots exactly when every root is
+    real, as it is for a symmetric matrix."""
+    c = characteristic_polynomial(m)
+    zero = next(i for i, x in enumerate(c) if x != 0)
+    pos = sign_changes(c)
+    neg = sign_changes([x if i % 2 == 0 else -x for i, x in enumerate(c)])
+    return pos, neg, zero
+
+
+def test_signature_matches_descartes_rule_of_signs():
+    """Random symmetric matrices of size 1 to 5 with small entries, zero
+    diagonals frequent: the diagonal swap and the off-diagonal congruence
+    of signature both run."""
+    rng = random.Random(339)
+    zero_diagonal = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = Fraction(rng.choice([-2, -1, 0, 0, 0, 1, 2]))
+        zero_diagonal += any(m[i][i] == 0 for i in range(n))
+        assert signature(m) == descartes_signature(m), m
+    assert zero_diagonal > 1000
+
+
+@pytest.mark.parametrize("gram, expected", [
+    ([[0, 1], [1, 0]], (1, 1, 0)),  # the hyperbolic plane: off-diagonal step
+    ([[0, 1], [1, 1]], (1, 1, 0)),  # diagonal swap
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),
+])
+def test_signature_zero_diagonal_branches(gram, expected):
+    m = [[Fraction(x) for x in row] for row in gram]
+    assert signature(m) == expected == descartes_signature(m)

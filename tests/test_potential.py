@@ -480,7 +480,7 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                         pl.InvariantViolation):
                     continue
                 zd = pair.decomposition
-                numbers = [v for e in pr.ledger.entries
+                numbers = [v for e in pr.pair.ledger.entries
                            for v in (e.a, e.sigma_num, e.pa)]
                 numbers += [c.genus for c in pr.nklt + pr.pnklt]
                 numbers += [v for _, v in zd.N.terms + delta.terms]
@@ -497,7 +497,7 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                         witnessed += 1
                 assert not _inexact(numbers), (model, level, delta)
                 if delta.is_zero():
-                    assert all(type(e.a) is int for e in pr.ledger.entries)
+                    assert all(type(e.a) is int for e in pr.pair.ledger.entries)
                 reports += 1
     assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
                           "rejected"}

@@ -1,10 +1,26 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
 import pklt_lab as pl
-from conftest import blown_ruled, cubic12_model, p2, random_klt_pair, random_pair, ruled
+from conftest import (
+    blown_ruled,
+    cubic12_model,
+    p2,
+    random_klt_pair,
+    random_lattice_tower,
+    random_pair,
+    random_tower,
+    reference_rcc_json,
+    ruled,
+)
+from pklt_lab.report import rcc_json
+
+
+def classify(model, level, delta=None):
+    return pl.classify_pair(pl.make_pair(model, level, delta))
 
 
 def test_incidence_graph_singleton(ruled_blowup_pair):
@@ -76,28 +92,28 @@ def test_is_rcc_locus_disconnected_is_false():
 
 
 def test_surface_rcc_examples(ruled_blowup_pair):
-    ok, reason = pl.surface_rcc_via_pnklt(pl.make_pair(ruled(0, 3), 0))
+    ok, reason = pl.surface_rcc_via_pnklt(classify(ruled(0, 3), 0))
     assert ok and "empty" in reason
 
-    ok, reason = pl.surface_rcc_via_pnklt(ruled_blowup_pair)
+    ok, reason = pl.surface_rcc_via_pnklt(pl.classify_pair(ruled_blowup_pair))
     assert not ok and "C0" in reason
 
     m = p2()
     for _ in range(3):
         m = pl.blow_up(m, pl.BlowUpCenter(()))
-    ok, _ = pl.surface_rcc_via_pnklt(pl.make_pair(m, m.top))
+    ok, _ = pl.surface_rcc_via_pnklt(classify(m, m.top))
     assert ok
 
 
 def test_surface_rcc_preconditions():
-    pair = pl.make_pair(p2(), 0, pl.RDivisor.make(0, {"L": Fraction(1, 2)}))
+    report = classify(p2(), 0, pl.RDivisor.make(0, {"L": Fraction(1, 2)}))
     with pytest.raises(ValueError, match="requires"):
-        pl.surface_rcc_via_pnklt(pair)
+        pl.surface_rcc_via_pnklt(report)
     # -K on Ruled(2,2) is psef with N = 2C0 and P = 0, so not big
     m = ruled(2, 2)
     assert not pl.is_big(m, 0, -m.level(0).canonical)
     with pytest.raises(ValueError, match="big"):
-        pl.surface_rcc_via_pnklt(pl.make_pair(m, 0))
+        pl.surface_rcc_via_pnklt(classify(m, 0))
 
 
 def test_rcc_never_true_on_known_non_rcc_towers():
@@ -112,7 +128,7 @@ def test_rcc_never_true_on_known_non_rcc_towers():
         if not pair.delta.is_zero():
             continue
         try:
-            ok, _ = pl.surface_rcc_via_pnklt(pair)
+            ok, _ = pl.surface_rcc_via_pnklt(pl.classify_pair(pair))
         except ValueError:
             continue
         assert not ok
@@ -140,3 +156,35 @@ def test_connectedness_fuzzed_with_big_anticanonical():
 
         assert is_connected(graph)
         checked += 1
+
+
+def test_rcc_of_the_classification_matches_the_bare_pair_fuzzed():
+    """Every level of seeded towers with Δ = 0: wherever classify_pair
+    passes, rcc_json(classify_pair(pair)) equals the verdict rebuilt from
+    the bare pair.  Where it fails, the bare pair's verdict contradicts the
+    connectedness theorem, and rcc gives none."""
+    rng = random.Random(1)
+    towers = [random_lattice_tower(rng) for _ in range(2000)]
+    towers += [random_tower(rng) for _ in range(1000)]
+    seen = collections.Counter()
+    for m in towers:
+        if m is None:
+            continue
+        for level in range(m.top + 1):
+            try:
+                pair = pl.make_pair(m, level)
+            except (pl.NotPseudoeffectiveError, pl.PairError):
+                seen["rejected"] += 1
+                continue
+            try:
+                report = pl.classify_pair(pair)
+            except pl.InvariantViolation as exc:
+                assert exc.invariant == "pnklt-connected"
+                assert reference_rcc_json(pair)["value"] is False
+                seen["unclassified"] += 1
+                continue
+            expected = reference_rcc_json(pair)
+            assert rcc_json(report) == expected
+            seen[expected.get("value", "inapplicable")] += 1
+    assert seen["unclassified"] >= 1
+    assert all(seen[k] for k in (True, False, "inapplicable", "rejected"))

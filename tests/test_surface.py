@@ -19,7 +19,6 @@ from conftest import (
     ruled,
 )
 from pklt_lab.lattice import basis_class, signature
-from pklt_lab.surface import ValidationReport
 
 
 def test_make_base_p2():
@@ -144,21 +143,32 @@ def test_tangency_budget_enforced():
 
 
 def test_validate_fresh_model_ready():
-    rep = pl.validate(ruled(2, 3), ["C0", "f"])
-    assert rep.valid and rep.log_resolution_ready
+    assert pl.validate(ruled(2, 3), ["C0", "f"]) is True
 
 
 def test_validate_ruled_blowup_tower():
     m = blown_ruled(2, 3)
-    rep = pl.validate(m, ["C0", "E1"])
-    assert rep.valid and rep.log_resolution_ready
+    assert pl.validate(m, ["C0", "E1"]) is True
 
 
 def test_validate_flags_tangency_as_not_ready():
     m = pl.blow_up(ruled(2, 3), pl.BlowUpCenter((("f", 2),)))
-    rep = pl.validate(m, ["f", "E1"])
-    assert rep.valid
-    assert not rep.log_resolution_ready
+    assert pl.validate(m, ["f", "E1"]) is False
+
+
+def test_blow_up_rejects_a_point_label_already_in_use():
+    """Loci name a point by its label, so two centers may not share one,
+    whether it was given or is the default p{k}."""
+    on_l = (("L", 1),)
+    m = pl.blow_up(p2(), pl.BlowUpCenter(on_l, point_label="p2"))
+    for center in (pl.BlowUpCenter(on_l), pl.BlowUpCenter(point_label="p2")):
+        with pytest.raises(pl.ModelError) as exc:
+            pl.blow_up(m, center)
+        assert str(exc.value) == "point label 'p2' already names an earlier center"
+    m = pl.blow_up(pl.blow_up(p2(), pl.BlowUpCenter(on_l, point_label="p1")),
+                   pl.BlowUpCenter(on_l))
+    pair = pl.make_pair(m, 0, pl.RDivisor.make(0, {"L": 2}))
+    assert [c.ref for c in pl.pnklt_locus(pair)] == ["L", "p1", "p2"]
 
 
 def test_make_base_rejects_curves_meeting_negatively():
@@ -181,12 +191,9 @@ def test_make_base_rejects_curves_meeting_negatively():
 
 
 def test_validate_reports_unknown_supports():
-    rep = pl.validate(blown_ruled(2, 3), ["E1", "Z", "C0", "Y"])
-    assert rep.violations == (
-        "support references unknown curve 'Y'",
-        "support references unknown curve 'Z'",
-    )
-    assert not rep.log_resolution_ready
+    with pytest.raises(pl.ModelError) as exc:
+        pl.validate(blown_ruled(2, 3), ["E1", "Z", "C0", "Y"])
+    assert str(exc.value) == "support references unknown curve 'Y'"
 
 
 def dense_intersect(a, b, base_gram, blowups):
@@ -257,7 +264,7 @@ def test_structural_invariants_fuzzed():
             assert [level_data(lvl) for lvl in prefix.levels] == [
                 level_data(lvl) for lvl in m.levels[:-1]
             ]
-        assert pl.validate(m).valid
+        assert pl.validate(m)
 
 
 def level_data(lvl):
@@ -354,27 +361,33 @@ def test_blow_up_keeps_the_curves_off_the_center():
 
 def all_pairs_validate(model, supports=()):
     """validate as it was first written: every pair of support curves is
-    intersected at the top level."""
+    intersected at the top level.  Returns the log-resolution-ready bool,
+    or raises ModelError naming the least unknown support or the first
+    pair of supports that meet negatively."""
     top = model.level(model.top)
     support_set = set(supports)
     ids = sorted(cid for cid in support_set if top.has_curve(cid))
-    violations = [
-        f"support references unknown curve {cid!r}"
-        for cid in sorted(support_set.difference(ids))
-    ]
-    tangent = any(
+    unknown = sorted(support_set.difference(ids))
+    if unknown:
+        raise pl.ModelError(f"support references unknown curve {unknown[0]!r}")
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if pl.intersect(top.curve(a).cls, top.curve(b).cls, top.form) < 0:
+                raise pl.ModelError(f"support pair ({a!r}, {b!r}) has "
+                                    f"negative intersection number")
+    return not any(
         m >= 2 and cid in support_set
         for lvl in model.levels[1:]
         for cid, m in lvl.center.effective_incidences()
     )
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if pl.intersect(top.curve(a).cls, top.curve(b).cls, top.form) < 0:
-                violations.append(
-                    f"support pair ({a!r}, {b!r}) has negative "
-                    f"intersection number"
-                )
-    return ValidationReport(tuple(violations), not (violations or tangent))
+
+
+def validate_outcome(check, model, supports):
+    """check(model, supports), or the text of the ModelError it raises."""
+    try:
+        return check(model, supports)
+    except pl.ModelError as exc:
+        return str(exc)
 
 
 def test_validate_matches_the_all_pairs_check():
@@ -393,10 +406,9 @@ def test_validate_matches_the_all_pairs_check():
         supports = rng.sample(ids, rng.randint(0, len(ids)))
         if rng.random() < 0.1:
             supports.append("Z")
-        expected = all_pairs_validate(m, supports)
-        assert pl.validate(m, supports) == expected
-        assert not any("negative" in v for v in expected.violations)
-        kinds["unknown"] += any("unknown" in v for v in expected.violations)
+        expected = validate_outcome(all_pairs_validate, m, supports)
+        assert validate_outcome(pl.validate, m, supports) == expected
+        kinds["unknown"] += isinstance(expected, str) and "unknown" in expected
     assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
                           "rejected", "unknown"}
 

@@ -198,9 +198,9 @@ def test_decomposition_fixed_point_properties_fuzzed():
         assert pl.is_nef_against_catalog(m, level, zd.P).nef
         for cid in zd.N.support:
             assert pl.intersect(zd.P, lvl.curve(cid).cls, lvl.form) == 0
-        if zd.support:
+        if zd.N.support:
             assert pl.is_negative_definite(pl.gram_submatrix(
-                [lvl.curve(cid).cls for cid in zd.support], lvl.form
+                [lvl.curve(cid).cls for cid in zd.N.support], lvl.form
             ))
 
 
@@ -210,7 +210,7 @@ def _decomposition_or_error(decompose, model, level, cls):
     except pl.NotPseudoeffectiveError as exc:
         return type(exc), str(exc)
     assert pl.is_nef_against_catalog(model, level, zd.P).nef
-    return zd.P, zd.N, zd.support, zd.big
+    return zd.P, zd.N, zd.big
 
 
 SIGNED_POOL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
@@ -296,7 +296,7 @@ def test_chain_rows_intersect_only_neighbouring_curves(n, monkeypatch):
 
     monkeypatch.setattr(zariski, "intersect", counting)
     zd = pl.zariski_decompose(m, m.top, minus_k)
-    assert len(zd.support) == n
+    assert len(zd.N.support) == n
     assert calls <= 4 * n + 3
 
 
@@ -317,7 +317,7 @@ def test_chain_decomposition_does_linear_work(n, monkeypatch):
 
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", counting)
     zd = pl.zariski_decompose(m, m.top, minus_k)
-    assert len(zd.support) == n
+    assert len(zd.N.support) == n
     assert len(factors) == 1
     assert sum(len(keys) for keys in factors[0]._reach) <= 3 * n
 
