@@ -215,11 +215,10 @@ def parse_model(doc) -> LoadedModel:
         model = make_base(base)
     except ModelError as exc:
         raise ValidationError("/base", str(exc))
-    for i, c in enumerate(centers):
-        try:
-            model = blow_up(model, c)
-        except ModelError as exc:
-            raise ValidationError(f"/blowups/{i}", str(exc))
+    try:
+        model = blow_up(model, centers)
+    except ModelError as exc:
+        raise ValidationError(f"/blowups/{exc.center}", str(exc))
 
     divisors: dict[str, tuple[tuple[str, Fraction], ...]] = {}
     if "divisors" in doc:

@@ -28,7 +28,12 @@ from .lattice import (
 
 
 class ModelError(ValueError):
-    """Invalid model construction (unknown curves, budget overruns, ...)."""
+    """Invalid model construction (unknown curves, budget overruns, ...).
+
+    ``center`` is the index, in the sequence given to ``blow_up``, of the
+    center that failed; None for an error raised anywhere else."""
+
+    center: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,13 @@ class BlowUpCenter:
     exceptional_id: str | None = None
 
     def effective_incidences(self) -> tuple[tuple[str, int], ...]:
-        pairs = dict(self.on_curves)
-        for cid, m in pairs.items():
+        pairs: dict[str, int] = {}
+        for cid, m in self.on_curves:
             if m < 1:
                 raise ModelError(f"multiplicity must be >= 1 on {cid!r}")
+            if cid in pairs:
+                raise ModelError(f"center lists curve {cid!r} more than once")
+            pairs[cid] = m
         if self.near is not None and self.near not in pairs:
             pairs[self.near] = 1
         return tuple(sorted(pairs.items()))
@@ -301,6 +309,9 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
             )
         if len(spec.basis) != rank:
             raise ModelError("basis label count must equal rank")
+        for i, label in enumerate(spec.basis):
+            if label in spec.basis[:i]:
+                raise ModelError(f"duplicate basis label {label!r}")
         if len(spec.canonical) != rank:
             raise ModelError("canonical class length must equal rank")
         seen: set[str] = set()
@@ -336,47 +347,85 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
     return SurfaceModel(spec, tag, lattice, (), curves)
 
 
-def blow_up(model: SurfaceModel, center: BlowUpCenter) -> SurfaceModel:
-    """The tower with one more level: E_k, and f*C − m·E_k for each curve C
-    through the center with multiplicity m; every other entry is kept."""
-    prev = model.level(model.top)
-    k = model.top + 1
-    incidences = center.effective_incidences()
-    for cid, _ in incidences:
-        if cid not in model.curves:
-            raise ModelError(f"blow-up center references unknown curve {cid!r}")
-    if center.near is not None and model.curves[center.near].born == 0:
-        raise ModelError(
-            f"infinitely-near center must sit on an exceptional, "
-            f"not {center.near!r}"
-        )
-    # intersection-point budget: a center on both C and C' (mults m, m')
-    # consumes m·m' of their intersection number
-    for (c1, m1), (c2, m2) in itertools.combinations(incidences, 2):
-        num = intersect(prev.curve(c1).cls, prev.curve(c2).cls, prev.form)
-        if num < m1 * m2:
-            raise ModelError(
-                f"intersection budget exceeded for pair ({c1!r}, {c2!r}): "
-                f"center consumes {m1 * m2}, intersection number is {num}"
-            )
+def blow_up(
+    model: SurfaceModel, centers: Sequence[BlowUpCenter]
+) -> SurfaceModel:
+    """The tower with one more level per center, in order: level k adds
+    E_k, and f*C − m·E_k for each curve C through the k-th center with
+    multiplicity m; every other entry is kept, the same object.
 
-    exc_id = center.exceptional_id or f"E{k}"
-    if exc_id in model.curves:
-        raise ModelError(f"exceptional id {exc_id!r} already in catalog")
-    label = center.point_label or f"p{k}"
-    if any(c.point_label == label for c in model.centers):
-        raise ModelError(f"point label {label!r} already names an earlier center")
-    center = BlowUpCenter(incidences, center.near, label, exc_id)
-
-    lat_id = f"{model.tag}/{k}"
-    e = prev.form.rank  # index of E_k
+    One pass: each curve a center touches collects its new coordinates in
+    one terms dict, and its class is built once, at the end, at the level
+    of its last center.  The input model is not changed.  A center that
+    fails a check raises ModelError with ``center`` set to its index in
+    ``centers``."""
     curves = dict(model.curves)
-    for cid, m in incidences:
-        c = curves[cid]
-        cls = DivisorClass({**c.cls.terms, e: -m}, e + 1, lat_id)
+    placed = list(model.centers)
+    labels = {c.point_label for c in placed}
+    gram, base_rank = model.lattice.gram, len(model.lattice.gram)
+    grown: dict[str, dict[int, int | Fraction]] = {}
+    last: dict[str, int] = {}  # level of the last center on each grown curve
+
+    def terms(cid: str) -> dict[int, int | Fraction]:
+        return grown[cid] if cid in grown else curves[cid].cls.terms
+
+    for j, center in enumerate(centers):
+        k = len(placed) + 1
+        e = base_rank + k - 1  # index of E_k
+        try:
+            incidences = center.effective_incidences()
+            for cid, _ in incidences:
+                if cid not in curves:
+                    raise ModelError(
+                        f"blow-up center references unknown curve {cid!r}")
+            if center.near is not None and curves[center.near].born == 0:
+                raise ModelError(
+                    f"infinitely-near center must sit on an exceptional, "
+                    f"not {center.near!r}"
+                )
+            # intersection-point budget: a center on both C and C' (mults
+            # m, m') consumes m·m' of their intersection number at level k−1
+            if len(incidences) > 1:
+                lat_id = f"{model.tag}/{k - 1}"
+                form = IntersectionForm(lat_id, gram, k - 1)
+                for (c1, m1), (c2, m2) in itertools.combinations(incidences, 2):
+                    num = intersect(DivisorClass(terms(c1), e, lat_id),
+                                    DivisorClass(terms(c2), e, lat_id), form)
+                    if num < m1 * m2:
+                        raise ModelError(
+                            f"intersection budget exceeded for pair "
+                            f"({c1!r}, {c2!r}): center consumes {m1 * m2}, "
+                            f"intersection number is {num}"
+                        )
+            exc_id = center.exceptional_id or f"E{k}"
+            if exc_id in curves:
+                raise ModelError(
+                    f"exceptional id {exc_id!r} already in catalog")
+            if exc_id in model.lattice.basis:
+                raise ModelError(
+                    f"exceptional id {exc_id!r} is a base basis label")
+            label = center.point_label or f"p{k}"
+            if label in labels:
+                raise ModelError(
+                    f"point label {label!r} already names an earlier center")
+        except ModelError as exc:
+            exc.center = j
+            raise
+        labels.add(label)
+        placed.append(BlowUpCenter(incidences, center.near, label, exc_id))
+        for cid, m in incidences:
+            if cid not in grown:
+                grown[cid] = dict(curves[cid].cls.terms)
+            grown[cid][e] = -m
+            last[cid] = k
+        curves[exc_id] = Curve(
+            exc_id, basis_class(e, e + 1, f"{model.tag}/{k}"), 0, k, k)
+
+    for cid, t in grown.items():
+        c, k = curves[cid], last[cid]
+        cls = DivisorClass(t, base_rank + k, f"{model.tag}/{k}")
         curves[cid] = Curve(cid, cls, c.genus, c.born, k)
-    curves[exc_id] = Curve(exc_id, basis_class(e, e + 1, lat_id), 0, k, k)
-    return replace(model, centers=model.centers + (center,), curves=curves)
+    return replace(model, centers=tuple(placed), curves=curves)
 
 
 # ---------------------------------------------------------------------------

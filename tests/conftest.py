@@ -24,17 +24,16 @@ def ruled(g, e):
 
 def blown_ruled(g, e):
     """Ruled surface blown up at one point of the negative section."""
-    return pl.blow_up(ruled(g, e), pl.BlowUpCenter((("C0", 1),)))
+    return pl.blow_up(ruled(g, e), (pl.BlowUpCenter((("C0", 1),)),))
 
 
 def chain_model(n):
     """Ruled (2, 3) blown up at a point of C0, then at n - 1 successive
     infinitely-near points: a Zariski support that grows by one curve per
     round."""
-    m = blown_ruled(2, 3)
-    for k in range(2, n + 1):
-        m = pl.blow_up(m, pl.BlowUpCenter((), near=f"E{k - 1}"))
-    return m
+    return pl.blow_up(blown_ruled(2, 3), [
+        pl.BlowUpCenter((), near=f"E{k - 1}") for k in range(2, n + 1)
+    ])
 
 
 def cubic12_model():
@@ -48,10 +47,7 @@ def cubic12_model():
             pl.CurveSpec("C", (Fraction(3),), 1),
         ),
     )
-    m = pl.make_base(base)
-    for _ in range(12):
-        m = pl.blow_up(m, pl.BlowUpCenter((("C", 1),)))
-    return m
+    return pl.blow_up(pl.make_base(base), [pl.BlowUpCenter((("C", 1),))] * 12)
 
 
 @pytest.fixture
@@ -101,7 +97,7 @@ def random_tower(rng: random.Random, max_blowups=5) -> pl.SurfaceModel:
                 incidences = ((a.id, 1), (b.id, 1))
             else:
                 incidences = ((rng.choice(curves).id, 1),)
-        m = pl.blow_up(m, pl.BlowUpCenter(incidences))
+        m = pl.blow_up(m, (pl.BlowUpCenter(incidences),))
     return m
 
 
@@ -227,7 +223,7 @@ def random_lattice_tower(rng):
             center = pl.BlowUpCenter(((rng.choice(list(m.curves)), 2),))
         else:
             center = random_center(rng, m)
-        m = pl.blow_up(m, center)
+        m = pl.blow_up(m, (center,))
     return m
 
 

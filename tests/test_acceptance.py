@@ -128,7 +128,7 @@ def test_criterion_5_birational_stability():
         }
         center = random_center(rng, pair.model)
         try:
-            bigger = pl.blow_up(pair.model, center)
+            bigger = pl.blow_up(pair.model, (center,))
             pair2 = pl.make_pair(bigger, pair.level, pair.delta)
         except (pl.ModelError, pl.PairError, pl.NotPseudoeffectiveError):
             continue

@@ -141,6 +141,56 @@ HYPERBOLIC_PLANE = {
                         {"id": "F2", "class": ["0", "1"], "genus": 0}]},
 }
 
+
+def blowups_doc(base, blowups):
+    return {"version": "pklt-lab/1", "base": base, "blowups": blowups}
+
+
+P2 = {"kind": "P2"}
+# P² with the genus-1 cubic C = 3H in its catalog
+CUBIC_BASE = {"kind": "lattice", "basis": ["H"], "gram": [["1"]], "K": ["-3"],
+              "curves": [{"id": "C", "class": ["3"], "genus": 1}]}
+ON_C = {"curve": "C"}
+# an exceptional named like a basis element: class_json would merge the two
+BASIS_LABEL_EXCEPTIONAL = blowups_doc(CUBIC_BASE, [{"id": "H", "on": [ON_C]}])
+REPEATED_BASIS_LABEL = blowups_doc(
+    {"kind": "lattice", "basis": ["H", "H"],
+     "gram": [["1", "0"], ["0", "-1"]], "K": ["-3", "1"],
+     "curves": [{"id": "C", "class": ["3", "0"], "genus": 1}]}, [])
+# L listed twice: the multiplicity would depend on the order of the entries
+REPEATED_ON_CURVE = blowups_doc(
+    P2, [{}, {"on": [{"curve": "L", "mult": 2}, {"curve": "L"}]}])
+
+# blow_up's checks on a center, each failing at a center j >= 1 of a
+# multi-center document, and the validation error each gives; the first
+# five texts are those of the one-center blow_up
+CENTER_CHECKS = {
+    "unknown-curve": (
+        blowups_doc(P2, [{}, {"on": [{"curve": "nope"}]}]),
+        "/blowups/1: blow-up center references unknown curve 'nope'"),
+    "near-a-base-curve": (
+        blowups_doc(P2, [{}, {"near": "E1"}, {"near": "L"}]),
+        "/blowups/2: infinitely-near center must sit on an exceptional, "
+        "not 'L'"),
+    "intersection-budget": (
+        blowups_doc({"kind": "ruled", "genus": 2, "e": 3},
+                    [{"on": [{"curve": "C0"}, {"curve": "f"}]}] * 2),
+        "/blowups/1: intersection budget exceeded for pair ('C0', 'f'): "
+        "center consumes 1, intersection number is 0"),
+    "exceptional-id-repeated": (
+        blowups_doc(P2, [{"id": "E2"}, {"on": [{"curve": "L"}]}]),
+        "/blowups/1: exceptional id 'E2' already in catalog"),
+    "point-label-repeated": (
+        blowups_doc(P2, [{"point": "q"}, {"point": "r"}, {"point": "q"}]),
+        "/blowups/2: point label 'q' already names an earlier center"),
+    "exceptional-id-is-a-basis-label": (
+        blowups_doc(CUBIC_BASE, [{"on": [ON_C]}, {"id": "H", "on": [ON_C]}]),
+        "/blowups/1: exceptional id 'H' is a base basis label"),
+    "curve-repeated-in-a-center": (
+        REPEATED_ON_CURVE,
+        "/blowups/1: center lists curve 'L' more than once"),
+}
+
 # malformed model -> the JSON pointer its validation error names
 MALFORMED = {
     "gram-not-square": (lattice_base([["1", "0"]]), "/base"),
@@ -151,6 +201,9 @@ MALFORMED = {
     ),
     "point-label-repeated": (DUPLICATE_LABEL, "/blowups/1"),
     "catalog-curves-meet-negatively": (NEGATIVE_PAIR, "/base"),
+    "basis-label-repeated": (REPEATED_BASIS_LABEL, "/base"),
+    "exceptional-id-is-a-basis-label": (BASIS_LABEL_EXCEPTIONAL, "/blowups/0"),
+    "curve-repeated-in-a-center": (REPEATED_ON_CURVE, "/blowups/1"),
     "delta-curve-above-pair-level": (
         dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]},
              pair={"level": 0, "delta": "D"}),
@@ -200,6 +253,33 @@ def test_repeated_point_label_exit_3_plain_and_optimized(tmp_path):
             "detail": "/blowups/1: point label 'p2' already names an "
                       "earlier center",
         }
+
+
+@pytest.mark.parametrize("check", sorted(CENTER_CHECKS))
+def test_each_center_check_reports_its_center(tmp_path, capsys, check):
+    doc, detail = CENTER_CHECKS[check]
+    code, out = run_cli(["check", write_model(tmp_path, doc)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "validation", "detail": detail}
+
+
+@pytest.mark.parametrize("doc, detail", [
+    (BASIS_LABEL_EXCEPTIONAL,
+     "/blowups/0: exceptional id 'H' is a base basis label"),
+    (REPEATED_BASIS_LABEL, "/base: duplicate basis label 'H'"),
+    (REPEATED_ON_CURVE, "/blowups/1: center lists curve 'L' more than once"),
+], ids=["exceptional-id-is-a-basis-label", "basis-label-repeated",
+        "curve-repeated-in-a-center"])
+def test_ambiguous_labels_exit_3_plain_and_optimized(tmp_path, doc, detail):
+    """A basis label that names two coordinates, or a curve listed twice in
+    one center, is a validation error, not an answer read off the merged
+    labels: exit 3 with or without python -O."""
+    path = write_model(tmp_path, doc)
+    args = ["zariski", path, "--divisor", "antiK"]
+    for proc in run_plain_and_optimized(args):
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout) == {"error": "validation",
+                                           "detail": detail}
 
 
 def test_hyperbolic_plane_lattice_is_of_fano_type(tmp_path, capsys):

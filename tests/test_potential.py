@@ -30,9 +30,7 @@ from pklt_lab.zariski import NOT_PSEF_MESSAGE
 
 
 def half_l_pair(coeff=Fraction(3, 2), blowups=0):
-    m = p2()
-    for _ in range(blowups):
-        m = pl.blow_up(m, pl.BlowUpCenter((("L", 1),)))
+    m = pl.blow_up(p2(), [pl.BlowUpCenter((("L", 1),))] * blowups)
     return pl.make_pair(m, 0, pl.RDivisor.make(0, {"L": coeff}))
 
 
@@ -96,7 +94,7 @@ def test_divergence_oracle_ruled_blowup():
     prev_exc = "E1"
     expected = [Fraction(-2, 3)]
     for _ in range(5):
-        m = pl.blow_up(m, pl.BlowUpCenter((("C0", 1), (prev_exc, 1))))
+        m = pl.blow_up(m, (pl.BlowUpCenter((("C0", 1), (prev_exc, 1))),))
         prev_exc = m.levels[-1].center.exceptional_id
         expected.append(expected[-1] + Fraction(-5, 3) + 1)
     pair = pl.make_pair(m, 1)
@@ -123,9 +121,8 @@ def test_nklt_locus_concurrent_lines_point():
         ),
     )
     m = pl.make_base(base)
-    m = pl.blow_up(
-        m, pl.BlowUpCenter((("L1", 1), ("L2", 1), ("L3", 1)), point_label="q")
-    )
+    lines = (("L1", 1), ("L2", 1), ("L3", 1))
+    m = pl.blow_up(m, (pl.BlowUpCenter(lines, point_label="q"),))
     delta = pl.RDivisor.make(0, {"L1": 1, "L2": 1, "L3": 1})
     pair = pl.make_pair(m, 0, delta)
     assert pair.ledger.get("E1").a == -2  # 1 + 3·(-1)
@@ -382,7 +379,7 @@ def test_dropped_pair_leaves_its_model_collectable():
 
 
 def test_make_pair_rejects_unready_resolution():
-    m = pl.blow_up(ruled(2, 3), pl.BlowUpCenter((("f", 2),)))
+    m = pl.blow_up(ruled(2, 3), (pl.BlowUpCenter((("f", 2),)),))
     with pytest.raises(pl.PairError):
         pl.make_pair(m, 0, pl.RDivisor.make(0, {"f": Fraction(1, 2)}))
 
@@ -533,7 +530,7 @@ def test_birational_stability_fuzzed():
             e.curve_id: e.pa for e in pl.potential_ledger(pair).entries
         }
         try:
-            bigger = pl.blow_up(pair.model, random_center(rng, pair.model))
+            bigger = pl.blow_up(pair.model, (random_center(rng, pair.model),))
             pair2 = pl.make_pair(bigger, pair.level, pair.delta)
         except (pl.ModelError, pl.PairError, pl.NotPseudoeffectiveError):
             continue
@@ -558,7 +555,7 @@ def test_reading_big_intersects_nothing(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    pair = pl.make_pair(pl.blow_up(p2(), pl.BlowUpCenter(())), 1)
+    pair = pl.make_pair(pl.blow_up(p2(), (pl.BlowUpCenter(()),)), 1)
     assert calls
     calls.clear()
     assert [pair.big for _ in range(4)] == [True] * 4

@@ -54,9 +54,8 @@ def test_incidence_graph_point_on_curve():
         ),
     )
     m = pl.make_base(base)
-    m = pl.blow_up(
-        m, pl.BlowUpCenter((("L1", 1), ("L2", 1), ("L3", 1)), point_label="q")
-    )
+    lines = (("L1", 1), ("L2", 1), ("L3", 1))
+    m = pl.blow_up(m, (pl.BlowUpCenter(lines, point_label="q"),))
     delta = pl.RDivisor.make(0, {"L1": 1, "L2": 1, "L3": 1})
     pair = pl.make_pair(m, 0, delta)
     comps = pl.pnklt_locus(pair)
@@ -100,7 +99,7 @@ def test_surface_rcc_examples(ruled_blowup_pair):
 
     m = p2()
     for _ in range(3):
-        m = pl.blow_up(m, pl.BlowUpCenter(()))
+        m = pl.blow_up(m, (pl.BlowUpCenter(()),))
     ok, _ = pl.surface_rcc_via_pnklt(classify(m, m.top))
     assert ok
 

@@ -1,5 +1,4 @@
 import collections
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -60,7 +59,7 @@ def test_blow_up_section_point():
 
 
 def test_blow_up_free_point_on_p2_degree_8():
-    m = pl.blow_up(p2(), pl.BlowUpCenter(()))
+    m = pl.blow_up(p2(), (pl.BlowUpCenter(()),))
     lvl = m.level(1)
     antik = -lvl.canonical
     assert antik.coeffs == (Fraction(3), Fraction(-1))
@@ -68,8 +67,8 @@ def test_blow_up_free_point_on_p2_degree_8():
 
 
 def test_infinitely_near_chain():
-    m = pl.blow_up(p2(), pl.BlowUpCenter(()))
-    m = pl.blow_up(m, pl.BlowUpCenter(near="E1"))
+    m = pl.blow_up(p2(), (pl.BlowUpCenter(()),))
+    m = pl.blow_up(m, (pl.BlowUpCenter(near="E1"),))
     lvl = m.level(2)
     e1 = lvl.curve("E1")
     assert pl.intersect(e1.cls, e1.cls, lvl.form) == -2
@@ -78,7 +77,7 @@ def test_infinitely_near_chain():
 
 def test_infinitely_near_rejects_base_curve():
     with pytest.raises(pl.ModelError):
-        pl.blow_up(p2(), pl.BlowUpCenter(near="L"))
+        pl.blow_up(p2(), (pl.BlowUpCenter(near="L"),))
 
 
 def test_canonical_update_rule():
@@ -125,21 +124,21 @@ def test_total_transform_picks_up_center_multiplicity():
 
 def test_blow_up_unknown_curve_errors():
     with pytest.raises(pl.ModelError):
-        pl.blow_up(p2(), pl.BlowUpCenter((("nope", 1),)))
+        pl.blow_up(p2(), (pl.BlowUpCenter((("nope", 1),)),))
 
 
 def test_intersection_budget_enforced():
     m = ruled(2, 3)
     # C0·f = 1: one shared transverse point is fine, a second is not
-    m = pl.blow_up(m, pl.BlowUpCenter((("C0", 1), ("f", 1))))
+    m = pl.blow_up(m, (pl.BlowUpCenter((("C0", 1), ("f", 1))),))
     with pytest.raises(pl.ModelError) as exc:
-        pl.blow_up(m, pl.BlowUpCenter((("C0", 1), ("f", 1))))
+        pl.blow_up(m, (pl.BlowUpCenter((("C0", 1), ("f", 1))),))
     assert "C0" in str(exc.value) and "f" in str(exc.value)
 
 
 def test_tangency_budget_enforced():
     with pytest.raises(pl.ModelError):
-        pl.blow_up(ruled(2, 3), pl.BlowUpCenter((("C0", 2), ("f", 1))))
+        pl.blow_up(ruled(2, 3), (pl.BlowUpCenter((("C0", 2), ("f", 1))),))
 
 
 def test_validate_fresh_model_ready():
@@ -152,7 +151,7 @@ def test_validate_ruled_blowup_tower():
 
 
 def test_validate_flags_tangency_as_not_ready():
-    m = pl.blow_up(ruled(2, 3), pl.BlowUpCenter((("f", 2),)))
+    m = pl.blow_up(ruled(2, 3), (pl.BlowUpCenter((("f", 2),)),))
     assert pl.validate(m, ["f", "E1"]) is False
 
 
@@ -160,13 +159,13 @@ def test_blow_up_rejects_a_point_label_already_in_use():
     """Loci name a point by its label, so two centers may not share one,
     whether it was given or is the default p{k}."""
     on_l = (("L", 1),)
-    m = pl.blow_up(p2(), pl.BlowUpCenter(on_l, point_label="p2"))
+    m = pl.blow_up(p2(), (pl.BlowUpCenter(on_l, point_label="p2"),))
     for center in (pl.BlowUpCenter(on_l), pl.BlowUpCenter(point_label="p2")):
         with pytest.raises(pl.ModelError) as exc:
-            pl.blow_up(m, center)
+            pl.blow_up(m, (center,))
         assert str(exc.value) == "point label 'p2' already names an earlier center"
-    m = pl.blow_up(pl.blow_up(p2(), pl.BlowUpCenter(on_l, point_label="p1")),
-                   pl.BlowUpCenter(on_l))
+    m = pl.blow_up(p2(), (pl.BlowUpCenter(on_l, point_label="p1"),
+                          pl.BlowUpCenter(on_l)))
     pair = pl.make_pair(m, 0, pl.RDivisor.make(0, {"L": 2}))
     assert [c.ref for c in pl.pnklt_locus(pair)] == ["L", "p1", "p2"]
 
@@ -259,8 +258,7 @@ def test_structural_invariants_fuzzed():
                 if c.origin is not None:
                     assert c.genus == prev.curve(c.origin).genus
         if m.top > 0:
-            prefix = functools.reduce(pl.blow_up, m.centers[:-1],
-                                      pl.make_base(m.base))
+            prefix = pl.blow_up(pl.make_base(m.base), m.centers[:-1])
             assert [level_data(lvl) for lvl in prefix.levels] == [
                 level_data(lvl) for lvl in m.levels[:-1]
             ]
@@ -310,7 +308,7 @@ def half_gram_tower(rng):
          pl.CurveSpec("C", (Fraction(2), Fraction(1)), 0)),
     ))
     for _ in range(rng.randrange(0, 5)):
-        m = pl.blow_up(m, random_center(rng, m))
+        m = pl.blow_up(m, (random_center(rng, m),))
     return m
 
 
@@ -352,11 +350,64 @@ def test_blow_up_keeps_the_curves_off_the_center():
     for _ in range(60):
         m = random_tower(rng)
         center = random_center(rng, m)
-        up = pl.blow_up(m, center)
+        up = pl.blow_up(m, (center,))
         on = dict(center.on_curves)
         assert len(up.curves) == len(m.curves) + 1
         for old, new in zip(m.curves.values(), up.curves.values()):
             assert (new is old) == (old.id not in on)
+
+
+def tower_table(m):
+    """What blow_up builds: the centers, and per curve in dict order its
+    id, class terms in order, rank, lattice id, genus, born and level."""
+    return m.centers, [
+        (cid, c.id, list(c.cls.terms.items()), c.cls.rank, c.cls.lattice_id,
+         c.genus, c.born, c.level)
+        for cid, c in m.curves.items()
+    ]
+
+
+def test_one_call_equals_a_fold_of_one_center_calls():
+    """blow_up(m, centers) builds the same tower as one call per center,
+    from the base or from any prefix of the tower, and changes neither
+    the model it is given nor any class in it."""
+    rng = random.Random(13)
+    towers = [random_tower(rng, 8) for _ in range(150)]
+    lattices = [random_lattice_tower(rng) for _ in range(150)]
+    towers += [m for m in lattices if m is not None]
+    towers += [cubic12_model(), chain_model(24)]
+    for m in towers:
+        # the centers as given, with the default id and label of each level
+        centers = [
+            pl.BlowUpCenter(tuple(i for i in c.on_curves if i[0] != c.near),
+                            c.near)
+            for c in m.centers
+        ]
+        base = pl.make_base(m.base)
+        folded = base
+        for center in centers:
+            folded = pl.blow_up(folded, (center,))
+        expected = tower_table(folded)
+        assert tower_table(m) == expected
+        split = rng.randint(0, m.top)
+        prefix = pl.blow_up(base, centers[:split])
+        base_table, prefix_table = tower_table(base), tower_table(prefix)
+        assert tower_table(pl.blow_up(base, centers)) == expected
+        assert tower_table(pl.blow_up(prefix, centers[split:])) == expected
+        assert tower_table(base) == base_table
+        assert tower_table(prefix) == prefix_table
+
+
+def test_each_center_check_names_the_failing_center():
+    """A multiplicity below 1 is a schema error in a model file, so only a
+    library caller reaches blow_up's own check: ``center`` is the index of
+    the failing center in the sequence given, here the third."""
+    centers = [pl.BlowUpCenter((("L", 1),)), pl.BlowUpCenter(),
+               pl.BlowUpCenter((("E1", 1), ("L", 0)))]
+    with pytest.raises(pl.ModelError) as exc:
+        pl.blow_up(p2(), centers)
+    assert exc.value.center == 2
+    assert str(exc.value) == "multiplicity must be >= 1 on 'L'"
 
 
 def all_pairs_validate(model, supports=()):
