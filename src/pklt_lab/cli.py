@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus
+from .lattice import rat
 from .modelio import SchemaError, ValidationError, load_model
 from .potential import (
     InvariantViolation,
@@ -92,11 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_eps(value) -> Fraction | None:
+def _parse_eps(value) -> int | Fraction | None:
     if value is None:
         return None
     try:
-        eps = Fraction(value)
+        eps = rat(value)
     except (ValueError, ZeroDivisionError):
         raise CliFailure(EXIT_SCHEMA, {"error": "bad-eps", "detail": value})
     if eps < 0:

@@ -1,12 +1,17 @@
 """Exact rational intersection theory.
 
 Divisor classes live in a fixed finite-rank lattice with a symmetric
-bilinear form.  A coefficient is an ``int`` where the quantity is
-integral (the base forms, K, catalog classes and their intersection
-numbers) and a ``fractions.Fraction`` otherwise, where a division or a
-rational input makes one; there is deliberately no floating-point
-anywhere in this package.  Since ``int / int`` is a float in Python,
-every division has a Fraction operand.
+bilinear form.  An exact number is canonical: an ``int`` when its value
+is integral, a ``fractions.Fraction`` only when it is not.  ``rat`` makes
+a number canonical, and every input and every quotient goes through it,
+so this module is the only one that builds a Fraction; there is
+deliberately no floating-point anywhere in this package.  Since
+``int / int`` is a float in Python, every division has a Fraction
+operand: the pivots of the LDLᵀ factor stay Fractions, being the
+divisors.  Sums are not normalized, except a class's coefficients in
+``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still come out of a
+sum of genuine fractions from a rational Δ or form, such as an
+intersection number.
 """
 
 from __future__ import annotations
@@ -25,22 +30,28 @@ class SingularMatrixError(ValueError):
 
 
 def rat(x) -> int | Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational: an
-    int stays an int, a string becomes a Fraction.
+    """Coerce an int, Fraction or 'p/q' string to a canonical exact
+    rational: an int when the value is integral, else a Fraction.
 
-    Floats are rejected: they would silently destroy exactness.  For the
-    same reason a quotient needs a Fraction operand, since int / int is a
-    float.
+    Floats are rejected: they would silently destroy exactness.  A bad
+    string raises ValueError, or ZeroDivisionError for a zero denominator.
     """
-    if isinstance(x, Fraction):
+    if type(x) is int:  # the common case, tested first
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational coefficient")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        return rat(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def quotient(p, q) -> int | Fraction:
+    """p / q as a canonical exact rational, for ints and Fractions p, q."""
+    return rat(Fraction(p, q))
 
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -53,7 +64,8 @@ class DivisorClass:
     C).  Classes are never changed once built, so they may share ``terms``.
 
     A coefficient is an int or a Fraction, never a float: sums and products
-    of ints stay ints, and nothing here divides.
+    of ints stay ints, and nothing here divides.  ``plus`` makes the
+    coefficients it sums canonical.
     """
 
     terms: dict[int, int | Fraction]
@@ -74,7 +86,8 @@ class DivisorClass:
     def plus(
         self, scaled: Iterable[tuple[int | Fraction, "DivisorClass"]]
     ) -> "DivisorClass":
-        """self + Σ r·C over the (r, C) pairs, all in this lattice."""
+        """self + Σ r·C over the (r, C) pairs, all in this lattice, with
+        canonical coefficients."""
         terms = dict(self.terms)
         for r, other in scaled:
             if other.lattice_id != self.lattice_id:
@@ -84,7 +97,7 @@ class DivisorClass:
                 )
             for i, c in other.terms.items():
                 terms[i] = terms.get(i, 0) + r * c
-        terms = {i: c for i, c in terms.items() if c}
+        terms = {i: rat(c) for i, c in terms.items() if c}
         return DivisorClass(terms, self.rank, self.lattice_id)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -266,14 +279,16 @@ class LDLFactor:
 
     G and b may hold ints.  Each pivot is kept as a Fraction, so that L
     and z, the quotients by it, are exact (int / int would be a float);
-    entries that need no division stay as the rows give them.
+    those quotients, and x, are canonical, an int when integral, so an
+    integral solution of an integral system is solved in ints after its
+    divisions.  Entries that need no division stay as the rows give them.
     """
 
     def __init__(self, rhs: Sequence[int | Fraction]):
         self._rhs = rhs  # b over every key that may join or be touched
-        self.lower: list[dict[int, Fraction]] = []  # row k: {j: L[k][j]}, j < k
+        self.lower: list[dict[int, int | Fraction]] = []  # {j: L[k][j]}, j < k
         self.pivots: list[Fraction] = []
-        self._z: list[Fraction] = []
+        self._z: list[int | Fraction] = []
         self._joined: set[int] = set()
         self._border: dict[int, dict[int, int | Fraction]] = {}  # j: {k: wⱼₖ ≠ 0}
         self._reach: list[list[int]] = []  # unknown k: keys that got a wⱼₖ
@@ -287,11 +302,11 @@ class LDLFactor:
         k = len(self.pivots)
         w = self._border.pop(key, {})
         y = self.residual.pop(key, self._rhs[key])
-        lk = {j: wj / self.pivots[j] for j, wj in w.items()}
+        lk = {j: rat(wj / self.pivots[j]) for j, wj in w.items()}
         pivot = Fraction(row.get(key, 0))
         for j, wj in w.items():
             pivot -= wj * lk[j]
-        z = y / pivot if pivot else y  # y if 0: nothing follows
+        z = rat(y / pivot) if pivot else y  # y if 0: nothing follows
         self._joined.add(key)
         self.lower.append(lk)
         self.pivots.append(pivot)
@@ -313,12 +328,12 @@ class LDLFactor:
         self._reach.append(reach)
         return pivot
 
-    def solve(self) -> list[Fraction]:
+    def solve(self) -> list[int | Fraction]:
         """x with G·x = b, in joining order, by one back-substitution
-        Lᵀ·x = z."""
+        Lᵀ·x = z; each xₖ canonical."""
         x = list(self._z)
         for k in range(len(x) - 1, -1, -1):
-            xk = x[k]
+            xk = x[k] = rat(x[k])
             if xk:
                 for j, l in self.lower[k].items():
                     x[j] -= l * xk

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .lattice import rat
 from .surface import (
     AbstractLattice,
     BlowUpCenter,
@@ -49,16 +50,17 @@ def _require_object(doc, pointer, allowed, required=()):
             raise SchemaError(pointer, f"missing required field {key!r}")
 
 
-def parse_rational(value, pointer) -> Fraction:
+def parse_rational(value, pointer) -> int | Fraction:
+    """A JSON int or 'p/q' string as a canonical exact rational."""
     if isinstance(value, bool):
         raise SchemaError(pointer, "expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         raise SchemaError(pointer, "floats are forbidden; use a 'p/q' string")
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return rat(value)
         except (ValueError, ZeroDivisionError):
             raise SchemaError(pointer, f"not a rational: {value!r}")
     raise SchemaError(pointer, f"not a rational: {value!r}")
@@ -78,7 +80,7 @@ def _parse_str(value, pointer) -> str:
     return value
 
 
-def _parse_vector(value, pointer) -> tuple[Fraction, ...]:
+def _parse_vector(value, pointer) -> tuple[int | Fraction, ...]:
     if not isinstance(value, list):
         raise SchemaError(pointer, "expected an array of rationals")
     return tuple(parse_rational(v, f"{pointer}/{i}") for i, v in enumerate(value))
@@ -153,7 +155,7 @@ def _parse_blowup(doc, pointer) -> BlowUpCenter:
     return BlowUpCenter(tuple(on), near, label, exc_id)
 
 
-def _parse_divisor_terms(doc, pointer) -> tuple[tuple[str, Fraction], ...]:
+def _parse_divisor_terms(doc, pointer) -> tuple[tuple[str, int | Fraction], ...]:
     if not isinstance(doc, list):
         raise SchemaError(pointer, "expected an array of terms")
     terms = []
@@ -172,7 +174,7 @@ class LoadedModel:
 
     def __init__(self, model, divisors, pair):
         self.model: SurfaceModel = model
-        self.divisors: dict[str, tuple[tuple[str, Fraction], ...]] = divisors
+        self.divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = divisors
         self.pair: tuple[int, str] | None = pair  # (level, delta name)
 
     @property
@@ -214,13 +216,14 @@ def parse_model(doc) -> LoadedModel:
     try:
         model = make_base(base)
     except ModelError as exc:
-        raise ValidationError("/base", str(exc))
+        at = "" if exc.curve is None else f"/curves/{exc.curve}"
+        raise ValidationError(f"/base{at}", str(exc))
     try:
         model = blow_up(model, centers)
     except ModelError as exc:
         raise ValidationError(f"/blowups/{exc.center}", str(exc))
 
-    divisors: dict[str, tuple[tuple[str, Fraction], ...]] = {}
+    divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
     if "divisors" in doc:
         if not isinstance(doc["divisors"], dict):
             raise SchemaError("/divisors", "expected an object")

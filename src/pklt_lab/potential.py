@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import intersect, rat
+from .lattice import intersect, quotient, rat
 from .surface import (
     RDivisor,
     SurfaceModel,
@@ -493,7 +493,7 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     if not dominates:
         return result
     eps0 = eps_threshold(pair)
-    eps = Fraction(eps0, 2) if eps0 is not None and eps0 > 0 else Fraction(0)
+    eps = quotient(eps0, 2) if eps0 is not None and eps0 > 0 else 0
     locus = {c.key for c in eps_spnklt(pair, eps)}
     # Nklt(X, Δ+D) needs no pseudoeffectivity: discrepancies only
     a2 = _a_values(model, pair.level, pair.delta + witness)

@@ -22,6 +22,7 @@ from .lattice import (
     IntersectionForm,
     basis_class,
     intersect,
+    quotient,
     rat,
     signature,
 )
@@ -31,9 +32,12 @@ class ModelError(ValueError):
     """Invalid model construction (unknown curves, budget overruns, ...).
 
     ``center`` is the index, in the sequence given to ``blow_up``, of the
-    center that failed; None for an error raised anywhere else."""
+    center that failed; ``curve`` the index, in the base catalog, of a
+    curve that ``make_base`` rejects for its id or its genus.  None for an
+    error raised anywhere else."""
 
     center: int | None = None
+    curve: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ class RDivisor:
         merged: dict[str, int | Fraction] = {}
         for cid, c in items:
             c = rat(c)
-            merged[cid] = merged[cid] + c if cid in merged else c
+            merged[cid] = rat(merged[cid] + c) if cid in merged else c
         terms = tuple(sorted((k, v) for k, v in merged.items() if v != 0))
         return RDivisor(level, terms)
 
@@ -275,9 +279,29 @@ class RDivisor:
 # construction
 
 
-def _integral(v: Sequence) -> tuple:
-    """The entries of ``v`` as exact rationals, the integral ones as ints."""
-    return tuple(x.numerator if x.denominator == 1 else x for x in map(rat, v))
+def _check_id(cid: str, what: str) -> None:
+    """A trailing '~' marks a strict transform in printed names, so no
+    curve id may end in one: it would print as another curve."""
+    if cid.endswith("~"):
+        raise ModelError(
+            f"{what} {cid!r} ends in '~', which marks a strict transform")
+
+
+def _check_genus(
+    c: Curve, canonical: DivisorClass, form: IntersectionForm
+) -> None:
+    """The arithmetic genus p_a = 1 + (K·C + C²)/2 of a catalog curve C
+    (Hartshorne V.1.5) is an integer and at least its geometric genus."""
+    pa = 1 + quotient(
+        intersect(canonical, c.cls, form) + intersect(c.cls, c.cls, form), 2)
+    if type(pa) is not int:
+        raise ModelError(
+            f"curve {c.id!r} has arithmetic genus 1 + (K.C + C.C)/2 = {pa}, "
+            f"not an integer")
+    if pa < c.genus:
+        raise ModelError(
+            f"curve {c.id!r} has genus {c.genus} above its arithmetic genus "
+            f"1 + (K.C + C.C)/2 = {pa}")
 
 
 def make_base(spec: BaseSpec) -> SurfaceModel:
@@ -285,10 +309,13 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
     and the catalog classes with every integral entry as an int, so that
     intersection numbers are ints; the lattice id is the spec's tag.
 
-    Distinct catalog curves must meet non-negatively, as on any surface:
-    a lattice catalog with Cᵢ·Cⱼ < 0 is rejected, naming the first such
-    pair.  P² (L alone) and ruled bases (C0·f = 1) always pass, and the
-    budget of ``blow_up`` keeps the condition at every later level."""
+    Each catalog curve needs an id that does not end in '~' and an
+    integral arithmetic genus at least its declared genus; a failure sets
+    ``ModelError.curve``.  Distinct catalog curves must meet
+    non-negatively, as on any surface: a lattice catalog with Cᵢ·Cⱼ < 0 is
+    rejected, naming the first such pair.  P² (L alone) and ruled bases
+    (C0·f = 1) always pass, and the budget of ``blow_up`` keeps the
+    condition at every later level."""
     if isinstance(spec, ProjectivePlane):
         lattice = AbstractLattice(("L",), ((1,),), (-3,),
                                   (CurveSpec("L", (1,), 0),))
@@ -324,9 +351,9 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
             if cs.genus < 0:
                 raise ModelError(f"curve {cs.id!r} needs genus >= 0")
         lattice = AbstractLattice(
-            spec.basis, tuple(map(_integral, spec.gram)),
-            _integral(spec.canonical),
-            tuple(replace(cs, coeffs=_integral(cs.coeffs))
+            spec.basis, tuple(tuple(map(rat, row)) for row in spec.gram),
+            tuple(map(rat, spec.canonical)),
+            tuple(replace(cs, coeffs=tuple(map(rat, cs.coeffs)))
                   for cs in spec.curves))
     else:
         raise ModelError(f"unknown base spec {spec!r}")
@@ -337,6 +364,14 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         for cs in lattice.curves
     }
     form = IntersectionForm(lat_id, lattice.gram)
+    canonical = DivisorClass.dense(lattice.canonical, lat_id)
+    for i, c in enumerate(curves.values()):
+        try:
+            _check_id(c.id, "curve id")
+            _check_genus(c, canonical, form)
+        except ModelError as exc:
+            exc.curve = i
+            raise
     for a, b in itertools.combinations(curves.values(), 2):
         num = intersect(a.cls, b.cls, form)
         if num < 0:
@@ -398,6 +433,7 @@ def blow_up(
                             f"intersection number is {num}"
                         )
             exc_id = center.exceptional_id or f"E{k}"
+            _check_id(exc_id, "exceptional id")
             if exc_id in curves:
                 raise ModelError(
                     f"exceptional id {exc_id!r} already in catalog")

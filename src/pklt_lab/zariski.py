@@ -54,7 +54,7 @@ class NotPseudoeffectiveError(ValueError):
 @dataclass(frozen=True)
 class NefCertificate:
     tested_curves: tuple[str, ...]
-    violations: tuple[tuple[str, Fraction], ...]
+    violations: tuple[tuple[str, int | Fraction], ...]
 
     @property
     def nef(self) -> bool:
@@ -100,7 +100,7 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
     gram = form.gram
     meets = [[v for v, g in enumerate(gram_u) if g] for gram_u in gram]
 
-    def row(i: int) -> dict[int, Fraction]:
+    def row(i: int) -> dict[int, int | Fraction]:
         ci = curves[i].cls
         reached: set[int] = set()
         for u in ci.terms:
@@ -116,10 +116,10 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
     return row
 
 
-def _p_dot(dc, x, rows) -> dict[int, Fraction]:
+def _p_dot(dc, x, rows) -> dict[int, int | Fraction]:
     """P·Cⱼ = D·Cⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the
     rows' nonzeros only; an untouched curve has P·C = D·C."""
-    pc: dict[int, Fraction] = {}
+    pc: dict[int, int | Fraction] = {}
     for xk, row in zip(x, rows):
         if xk:
             for j, v in row.items():
@@ -165,7 +165,7 @@ def zariski_decompose(
     dc = [intersect(D, c.cls, lvl.form) for c in curves]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
     row_of = intersection_rows(curves, lvl.form) if S else None
-    rows: list[dict[int, Fraction]] = []  # rows[k] = {j: C_S[k]·C_j ≠ 0}
+    rows: list[dict[int, int | Fraction]] = []  # rows[k] = {j: C_S[k]·C_j ≠ 0}
     joined: set[int] = set()  # catalog indices with a row
     factor = LDLFactor(dc)
     definite = True

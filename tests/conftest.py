@@ -36,8 +36,8 @@ def chain_model(n):
     ])
 
 
-def cubic12_model():
-    """P² with a genus-1 cubic in the catalog, blown up at 12 of its points."""
+def cubic_model(n):
+    """P² with a genus-1 cubic in the catalog, blown up at n of its points."""
     base = pl.AbstractLattice(
         basis=("L",),
         gram=((Fraction(1),),),
@@ -47,7 +47,11 @@ def cubic12_model():
             pl.CurveSpec("C", (Fraction(3),), 1),
         ),
     )
-    return pl.blow_up(pl.make_base(base), [pl.BlowUpCenter((("C", 1),))] * 12)
+    return pl.blow_up(pl.make_base(base), [pl.BlowUpCenter((("C", 1),))] * n)
+
+
+def cubic12_model():
+    return cubic_model(12)
 
 
 @pytest.fixture
@@ -150,31 +154,59 @@ def random_center(rng: random.Random, model) -> pl.BlowUpCenter:
     return pl.BlowUpCenter(((rng.choice(curves).id, 1),))
 
 
+def _dense_product(x, y, gram):
+    return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
+
+
 def first_negative_pair(spec):
     """The first two distinct catalog curves of a lattice spec that meet
     negatively, with their number under the dense gram; None if none do."""
     for a, b in itertools.combinations(spec.curves, 2):
-        num = sum(x * g * y for x, row in zip(a.coeffs, spec.gram)
-                  for g, y in zip(row, b.coeffs))
+        num = _dense_product(a.coeffs, b.coeffs, spec.gram)
         if num < 0:
             return a.id, b.id, num
     return None
 
 
+def first_bad_genus(spec):
+    """The index of the first catalog curve of a lattice spec whose
+    arithmetic genus 1 + (K·C + C²)/2, under the dense gram, is not an
+    integer at least its declared genus, and the ModelError text naming
+    it; None if every curve passes."""
+    for i, cs in enumerate(spec.curves):
+        pa = 1 + Fraction(_dense_product(spec.canonical, cs.coeffs, spec.gram)
+                          + _dense_product(cs.coeffs, cs.coeffs, spec.gram), 2)
+        if pa.denominator != 1:
+            return i, (f"curve {cs.id!r} has arithmetic genus "
+                       f"1 + (K.C + C.C)/2 = {pa}, not an integer")
+        if pa < cs.genus:
+            return i, (f"curve {cs.id!r} has genus {cs.genus} above its "
+                       f"arithmetic genus 1 + (K.C + C.C)/2 = {pa}")
+    return None
+
+
 def make_lattice_base(spec):
-    """make_base(spec), or None when two distinct catalog curves of
-    ``spec`` meet negatively, after checking that make_base rejects that
-    catalog with the ModelError naming the first such pair and its number."""
+    """make_base(spec), or None when a catalog curve of ``spec`` has a
+    genus its arithmetic genus rules out, or two distinct ones meet
+    negatively, after checking that make_base rejects that catalog with
+    the ModelError naming the first such curve, with its index, or the
+    first such pair and its number."""
+    bad = first_bad_genus(spec)
     negative = first_negative_pair(spec)
-    if negative is None:
+    if bad is None and negative is None:
         return pl.make_base(spec)
-    a, b, num = negative
     with pytest.raises(pl.ModelError) as exc:
         pl.make_base(spec)
+    if bad is not None:
+        index, text = bad
+        assert (str(exc.value), exc.value.curve) == (text, index)
+        return None
+    a, b, num = negative
     assert str(exc.value) == (
         f"catalog curves {a!r} and {b!r} meet negatively: "
         f"intersection number is {num}"
     )
+    assert exc.value.curve is None
     return None
 
 
@@ -213,8 +245,9 @@ def random_lattice_spec(rng):
 
 def random_lattice_tower(rng):
     """A random_lattice_spec base blown up at random centers, some tangent;
-    None when make_base rejects the catalog for a negative pair (checked
-    by make_lattice_base).  Callers count both kinds of draw."""
+    None when make_base rejects the catalog for a curve's genus or a
+    negative pair (checked by make_lattice_base).  Callers count both
+    kinds of draw."""
     m = make_lattice_base(random_lattice_spec(rng))
     if m is None:
         return None
@@ -454,6 +487,7 @@ __all__ = [
     "ruled",
     "blown_ruled",
     "chain_model",
+    "cubic_model",
     "cubic12_model",
     "random_tower",
     "random_effective_divisor",
@@ -469,6 +503,7 @@ __all__ = [
     "random_lattice_spec",
     "random_lattice_tower",
     "first_negative_pair",
+    "first_bad_genus",
     "make_lattice_base",
     "catalog_model",
     "top_level_decomposition",

@@ -189,6 +189,52 @@ CENTER_CHECKS = {
     "curve-repeated-in-a-center": (
         REPEATED_ON_CURVE,
         "/blowups/1: center lists curve 'L' more than once"),
+    "exceptional-id-ends-in-tilde": (
+        blowups_doc(P2, [{}, {"id": "L~", "on": [{"curve": "L"}]}]),
+        "/blowups/1: exceptional id 'L~' ends in '~', which marks a strict "
+        "transform"),
+}
+
+# an exceptional named like the strict transform of C0, which prints as
+# C0~ too: N and the support would show one name for two curves
+TILDE_EXCEPTIONAL = dict(RULED_BLOWUP, blowups=[
+    {"id": "C0~", "on": [{"curve": "C0"}], "point": "p1"}])
+
+
+def lattice_curves_doc(gram, canonical, curves):
+    """A lattice base of rank 1 or 2 with the catalog ``curves``, given as
+    (id, class, genus)."""
+    return blowups_doc({
+        "kind": "lattice", "basis": ["H", "A"][: len(gram)], "gram": gram,
+        "K": canonical,
+        "curves": [{"id": cid, "class": cls, "genus": g}
+                   for cid, cls, g in curves]}, [])
+
+
+# make_base's checks on one catalog curve, and the validation error each
+# gives, at the curve's index in /base/curves
+CATALOG_CURVE_CHECKS = {
+    "curve-id-ends-in-tilde": (
+        lattice_curves_doc([["1"]], ["-3"], [("L", ["1"], 0),
+                                               ("C~", ["3"], 1)]),
+        "/base/curves/1: curve id 'C~' ends in '~', which marks a strict "
+        "transform"),
+    # a line of genus 5: p_a(L) = 1 + (−3 + 1)/2 = 0
+    "genus-above-arithmetic-genus": (
+        lattice_curves_doc([["1"]], ["-3"], [("L", ["1"], 5)]),
+        "/base/curves/0: curve 'L' has genus 5 above its arithmetic genus "
+        "1 + (K.C + C.C)/2 = 0"),
+    # K = −2H is not characteristic: K·H + H² = −1 is odd
+    "arithmetic-genus-not-an-integer": (
+        lattice_curves_doc([["1"]], ["-2"], [("H", ["1"], 0)]),
+        "/base/curves/0: curve 'H' has arithmetic genus "
+        "1 + (K.C + C.C)/2 = 1/2, not an integer"),
+    # on the form with H·A = 1/2 and K = −3H + A: K·A + A² = −7/2
+    "arithmetic-genus-not-an-integer-on-a-rational-form": (
+        lattice_curves_doc([["1", "1/2"], ["1/2", "-1"]], ["-3", "1"],
+                           [("A", ["0", "1"], 0)]),
+        "/base/curves/0: curve 'A' has arithmetic genus "
+        "1 + (K.C + C.C)/2 = -3/4, not an integer"),
 }
 
 # malformed model -> the JSON pointer its validation error names
@@ -204,6 +250,10 @@ MALFORMED = {
     "basis-label-repeated": (REPEATED_BASIS_LABEL, "/base"),
     "exceptional-id-is-a-basis-label": (BASIS_LABEL_EXCEPTIONAL, "/blowups/0"),
     "curve-repeated-in-a-center": (REPEATED_ON_CURVE, "/blowups/1"),
+    "exceptional-id-ends-in-tilde": (TILDE_EXCEPTIONAL, "/blowups/0"),
+    "genus-above-arithmetic-genus": (
+        CATALOG_CURVE_CHECKS["genus-above-arithmetic-genus"][0],
+        "/base/curves/0"),
     "delta-curve-above-pair-level": (
         dict(RULED_BLOWUP, divisors={"D": [{"curve": "E1", "coeff": "1"}]},
              pair={"level": 0, "delta": "D"}),
@@ -280,6 +330,43 @@ def test_ambiguous_labels_exit_3_plain_and_optimized(tmp_path, doc, detail):
         assert proc.returncode == 3
         assert json.loads(proc.stdout) == {"error": "validation",
                                            "detail": detail}
+
+
+@pytest.mark.parametrize("check", sorted(CATALOG_CURVE_CHECKS))
+def test_each_catalog_curve_check_points_at_its_curve(tmp_path, capsys,
+                                                      check):
+    doc, detail = CATALOG_CURVE_CHECKS[check]
+    code, out = run_cli(["check", write_model(tmp_path, doc)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "validation", "detail": detail}
+
+
+def test_tilde_exceptional_id_exit_3_plain_and_optimized(tmp_path):
+    """An exceptional named C0~ would print as the strict transform of C0:
+    N and its support would name two curves alike.  It is a validation
+    error at its blow-up, exit 3 with or without python -O."""
+    path = write_model(tmp_path, TILDE_EXCEPTIONAL)
+    for command in (["zariski", path, "--divisor", "antiK"],
+                    ["potential", path]):
+        for proc in run_plain_and_optimized(command):
+            assert proc.returncode == 3
+            assert json.loads(proc.stdout) == {
+                "error": "validation",
+                "detail": "/blowups/0: exceptional id 'C0~' ends in '~', "
+                          "which marks a strict transform",
+            }
+
+
+def test_genus_above_arithmetic_genus_exit_3_plain_and_optimized(tmp_path):
+    """A lattice curve of class L with genus 5 has arithmetic genus 0, so
+    no surface has it: check and classify exit 3 with or without -O."""
+    doc, detail = CATALOG_CURVE_CHECKS["genus-above-arithmetic-genus"]
+    path = write_model(tmp_path, dict(doc, pair={"level": 0}))
+    for command in ("check", "classify"):
+        for proc in run_plain_and_optimized([command, path]):
+            assert proc.returncode == 3
+            assert json.loads(proc.stdout) == {"error": "validation",
+                                               "detail": detail}
 
 
 def test_hyperbolic_plane_lattice_is_of_fano_type(tmp_path, capsys):

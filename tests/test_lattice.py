@@ -190,12 +190,20 @@ def test_negative_definite_matches_minor_oracle():
         assert pl.is_negative_definite(m) == _all_principal_minors_oracle(m)
 
 
+def canonical(v):
+    """An int, or a Fraction whose value is not integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 def _no_float(factor, *more):
-    """The factor's pivots, L, z and residuals, and ``more``, hold ints and
-    Fractions only."""
-    values = [*factor.pivots, *factor._z, *factor.residual.values(), *more]
-    values += [v for row in factor.lower for v in row.values()]
-    return all(type(v) in (int, Fraction) for v in values)
+    """The factor's pivots are Fractions and its residuals ints and
+    Fractions; its quotients, L and z, and ``more`` are canonical."""
+    quotients = [*factor._z, *more]
+    quotients += [v for row in factor.lower for v in row.values()]
+    return (all(type(p) is Fraction for p in factor.pivots)
+            and all(type(v) in (int, Fraction)
+                    for v in factor.residual.values())
+            and all(map(canonical, quotients)))
 
 
 def test_ldl_factor_matches_sylvester_and_solve_exact():
@@ -205,7 +213,7 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
     c that never joins, the residual c_rhs − cᵀ·solve_exact(G, b) over the
     equations joined so far.  Every other system is all ints, as the
     Zariski rows of an integral class are; no entry of the factor or of x
-    is ever a float."""
+    is ever a float, and L, z and x are canonical: an int when integral."""
     rng = random.Random(1968)
     definite = bordered = 0
     for t in range(800):

@@ -16,6 +16,7 @@ from conftest import (
     blown_ruled,
     chain_model,
     cubic12_model,
+    cubic_model,
     p2,
     random_lattice_tower,
     random_pair,
@@ -437,21 +438,43 @@ def test_check_witness_halves_an_integral_eps0_exactly():
     assert type(rep["eps"]) is Fraction and rep["eps"] == Fraction(1, 2)
 
 
+def test_the_cubic_pair_is_solved_in_ints():
+    """On 48 points of a plane cubic, C̃² = −K·C̃ = 9 − 48 = −39, so the one
+    quotient of the Zariski solve is z = −39/−39 = 1: N = C̃ with the int
+    coefficient 1, P = −K − C̃ = 0, and every ledger value is an int."""
+    pair = pl.make_pair(cubic_model(48), 48)
+    zd = pair.decomposition
+    assert zd.N.terms == (("C", 1),) and type(zd.N.coeff("C")) is int
+    assert zd.P.terms == {} and not zd.big
+    values = [v for e in pair.ledger.entries for v in (e.a, e.sigma_num, e.pa)]
+    assert len(values) == 3 * 50 and all(type(v) is int for v in values)
+
+
 def _inexact(values):
     """The values that are not an int or a Fraction: a float, a bool, or
     anything else."""
     return [v for v in values if type(v) not in (int, Fraction)]
 
 
+def _uncanonical(values):
+    """The values that are not canonical: anything but an int or a
+    Fraction, and a Fraction whose value is integral."""
+    return [v for v in values
+            if type(v) is not int
+            and (type(v) is not Fraction or v.denominator == 1)]
+
+
 def test_no_float_or_bool_among_the_numbers_fuzzed():
-    """At every level of random P², ruled and lattice towers, with Δ = 0 and
-    with a random Δ, every number in a PotentialReport, a FanoVerdict, an
-    eps_threshold and a check_witness result is an int or a Fraction; with
-    Δ = 0 every discrepancy a is an int."""
+    """At every level of random P², ruled and lattice towers, all on an
+    integral form, with Δ = 0, an integral Δ and a random Δ, every number
+    in a PotentialReport, a FanoVerdict, an eps_threshold and a
+    check_witness result is an int or a Fraction; with Δ = 0 every
+    discrepancy a is an int.  With an integral Δ every one is canonical:
+    an int when its value is integral, never a Fraction(n, 1)."""
     rng = random.Random(1968)
     pool = [0, 0, 1, Fraction(1, 2), Fraction(1, 3)]
     kinds = collections.Counter()
-    reports = witnessed = 0
+    reports = witnessed = integral = 0
     for t in range(150):
         if t % 3 == 2:
             while (model := random_lattice_tower(rng)) is None:
@@ -466,9 +489,10 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                 pass
             else:
                 n = verdict.negative_part
-                assert not _inexact(v for _, v in (n.terms if n else ()))
+                assert not _uncanonical(v for _, v in (n.terms if n else ()))
             curves = model.level(level).curves
-            for delta in ({}, {c.id: rng.choice(pool) for c in curves}):
+            for delta in ({}, {c.id: rng.choice((0, 1)) for c in curves},
+                          {c.id: rng.choice(pool) for c in curves}):
                 delta = pl.RDivisor.make(level, delta)
                 try:
                     pair = pl.make_pair(model, level, delta)
@@ -493,12 +517,15 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                         numbers.append(eps)
                         witnessed += 1
                 assert not _inexact(numbers), (model, level, delta)
+                if all(type(v) is int for _, v in delta.terms):
+                    assert not _uncanonical(numbers), (model, level, delta)
+                    integral += 1
                 if delta.is_zero():
                     assert all(type(e.a) is int for e in pr.pair.ledger.entries)
                 reports += 1
     assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
                           "rejected"}
-    assert reports > 500 and witnessed > 500
+    assert reports > 500 and witnessed > 500 and integral > 400
 
 
 def test_monotonicity_fuzzed():

@@ -298,11 +298,13 @@ def reference_gram(base):
 
 def half_gram_tower(rng):
     """A lattice base whose form has the entry H·A = 1/2 (gram
-    ((1, 1/2), (1/2, −1)), signature (1, 1)), blown up at random centers."""
+    ((1, 1/2), (1/2, −1)), signature (1, 1)), blown up at random centers.
+    K = −2H − 2A gives H, A and C = 2H + A the integral arithmetic genera
+    0, 1 and 1 that make_base requires."""
     half = Fraction(1, 2)
     m = pl.make_base(pl.AbstractLattice(
         ("H", "A"), ((Fraction(1), half), (half, Fraction(-1))),
-        (Fraction(-3), Fraction(1)),
+        (Fraction(-2), Fraction(-2)),
         (pl.CurveSpec("H", (Fraction(1), Fraction(0)), 0),
          pl.CurveSpec("A", (Fraction(0), Fraction(1)), 0),
          pl.CurveSpec("C", (Fraction(2), Fraction(1)), 0)),
