@@ -16,9 +16,8 @@ intersection number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class LatticeMismatchError(ValueError):
@@ -57,8 +56,7 @@ def quotient(p, q) -> int | Fraction:
 Matrix = Sequence[Sequence[Fraction]]
 
 
-@dataclass(slots=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """A divisor class in a fixed lattice basis: ``terms`` maps basis index
     to coefficient, nonzero ones only (f*C − Σ mⱼEⱼ has one per center on
     C).  Classes are never changed once built, so they may share ``terms``.
@@ -119,8 +117,7 @@ def basis_class(index: int, rank: int, lattice_id: str) -> DivisorClass:
     return DivisorClass({index: 1}, rank, lattice_id)
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(NamedTuple):
     """Symmetric bilinear form: a base Gram block ⊕ ⟨−1⟩^exceptional.
 
     A blow-up adds one basis vector E with E² = −1, orthogonal to the

@@ -18,13 +18,13 @@ towers rather than trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import intersect, quotient, rat
 from .surface import (
     RDivisor,
+    Record,
     SurfaceModel,
     pull_back,
     push_forward,
@@ -66,8 +66,7 @@ class _NegInfinity:
 NEG_INFINITY = _NegInfinity()
 
 
-@dataclass(frozen=True, eq=False)
-class PairSpec:
+class PairSpec(Record):
     """A validated pair (X, Δ) with its analysis, computed once by make_pair.
 
     ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
@@ -76,6 +75,9 @@ class PairSpec:
     Pairs compare and hash by identity.
     """
 
+    __slots__ = ("model", "level", "delta", "decomposition", "ledger", "big")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     model: SurfaceModel
     level: int
     delta: RDivisor
@@ -120,9 +122,10 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     a = _a_values(model, level, delta)
     sigma = dict(n.terms)
     entries = []
-    for c in model.level(model.top).curves:
-        sig = sigma.get(c.id, 0)
-        entries.append(LedgerEntry(c.id, c.display, a[c.id], sig, a[c.id] - sig))
+    for cid, c in model.curves.items():
+        sig = sigma.get(cid, 0)
+        display = cid + "~" if model.top > c.born else cid
+        entries.append(LedgerEntry(cid, display, a[cid], sig, a[cid] - sig))
     ledger = DiscrepancyLedger(tuple(entries))
     return PairSpec(model, level, delta, zd, ledger, zd.big)
 
@@ -152,8 +155,7 @@ def _a_values(
     return a
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     curve_id: str
     display: str
     a: int | Fraction
@@ -161,8 +163,7 @@ class LedgerEntry:
     pa: int | Fraction  # a − σ_num
 
 
-@dataclass(frozen=True)
-class DiscrepancyLedger:
+class DiscrepancyLedger(NamedTuple):
     entries: tuple[LedgerEntry, ...]
 
     def get(self, cid: str) -> LedgerEntry:
@@ -190,8 +191,7 @@ def total_potential_discrepancy(pair: PairSpec):
 # loci
 
 
-@dataclass(frozen=True)
-class LocusComponent:
+class LocusComponent(NamedTuple):
     kind: str  # "curve" | "point"
     ref: str  # curve id at the pair level, or a point label
     genus: int
@@ -240,8 +240,7 @@ def _components(pair: PairSpec, curve_ids: Sequence[str]) -> list[LocusComponent
     return out
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
+class IncidenceGraph(NamedTuple):
     nodes: tuple[LocusComponent, ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -327,8 +326,7 @@ def eps_threshold(pair: PairSpec) -> int | Fraction | None:
 # classification
 
 
-@dataclass(frozen=True)
-class PotentialReport:
+class PotentialReport(NamedTuple):
     pair: PairSpec
     frakA: object  # int, Fraction or NEG_INFINITY
     nklt: tuple[LocusComponent, ...]
@@ -394,8 +392,7 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
     )
 
 
-@dataclass(frozen=True)
-class FanoVerdict:
+class FanoVerdict(NamedTuple):
     fano_type: bool
     reason: str
     big: bool | None = None

@@ -11,11 +11,10 @@ enforced from their intersection number.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-from dataclasses import dataclass, replace
+import zlib
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lattice import (
     DivisorClass,
@@ -44,44 +43,72 @@ class ModelError(ValueError):
 # base specs
 
 
-@dataclass(frozen=True)
-class ProjectivePlane:
-    """P² with basis {L}, gram [[1]], K = -3L."""
+class Record:
+    """Base of the records that cannot be NamedTuples.  The constructor
+    takes the fields that ``__slots__`` names, in order; assigning to one
+    later raises AttributeError.  Records of one type compare and hash by
+    their fields, and may be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class ProjectivePlane(Record):
+    """P² with basis {L}, gram [[1]], K = -3L.  A Record, not a NamedTuple,
+    which would be an empty tuple: false, and equal to ()."""
+
+    __slots__ = ()
 
     def lattice_tag(self) -> str:
         return "P2"
 
 
-@dataclass(frozen=True)
-class Ruled:
+class Ruled(NamedTuple("Ruled", [("genus", int), ("e", int)])):
     """Ruled surface over a genus-g curve with normalized section C0² = -e.
 
     Basis {C0, f}, gram [[-e, 1], [1, 0]], K = -2·C0 + (2g-2-e)·f.
     The catalog contains exactly C0 (genus g) and a fiber f (genus 0).
     """
 
-    genus: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __new__(cls, genus: int, e: int):
+        if genus < 0:
             raise ModelError("ruled surface needs genus >= 0")
-        if self.e <= 0:
+        if e <= 0:
             raise ModelError("ruled surface needs invariant e > 0")
+        return super().__new__(cls, genus, e)
 
     def lattice_tag(self) -> str:
         return f"ruled(g={self.genus},e={self.e})"
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     id: str
     coeffs: tuple[int | Fraction, ...]
     genus: int
 
 
-@dataclass(frozen=True)
-class AbstractLattice:
+class AbstractLattice(NamedTuple):
     """User-supplied ambient lattice with canonical class and curve catalog."""
 
     basis: tuple[str, ...]
@@ -90,10 +117,8 @@ class AbstractLattice:
     curves: tuple[CurveSpec, ...]
 
     def lattice_tag(self) -> str:
-        digest = hashlib.sha256(
-            repr((self.basis, self.gram, self.canonical)).encode()
-        ).hexdigest()[:8]
-        return f"lattice({digest})"
+        crc = zlib.crc32(repr((self.basis, self.gram, self.canonical)).encode())
+        return f"lattice({crc:08x})"
 
 
 BaseSpec = ProjectivePlane | Ruled | AbstractLattice
@@ -103,8 +128,7 @@ BaseSpec = ProjectivePlane | Ruled | AbstractLattice
 # tower data
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """A catalog curve at tower level ``level``, with its class there."""
 
     id: str
@@ -124,8 +148,7 @@ class Curve:
         return self.id + "~" if self.level > self.born else self.id
 
 
-@dataclass(frozen=True)
-class BlowUpCenter:
+class BlowUpCenter(NamedTuple):
     """A combinatorial point: incidences with multiplicities.
 
     ``near`` marks an infinitely-near point on the named exceptional; it
@@ -150,17 +173,17 @@ class BlowUpCenter:
         return tuple(sorted(pairs.items()))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A base (as a lattice), the centers blown up over it, one curve table.
 
     Level k's basis is the base basis then E1..Ek, so a class keeps its
     coordinates up the tower.  ``curves`` maps each id, in catalog order,
     to the curve at its last change (birth, or the last center through it).
     ``blow_up`` stores each center with every incidence, ``near`` included,
-    in ``on_curves``.
+    in ``on_curves``.  A Record: a tuple cannot be weakly referenced.
     """
 
+    __slots__ = ("base", "tag", "lattice", "centers", "curves")
     base: BaseSpec
     tag: str  # level k's lattice id is f"{tag}/{k}"
     lattice: AbstractLattice
@@ -226,8 +249,7 @@ class Level:
         return self._at(self.model.curves[cid])
 
 
-@dataclass(frozen=True)
-class RDivisor:
+class RDivisor(NamedTuple):
     """Finitely supported rational combination of catalog curves."""
 
     level: int
@@ -353,7 +375,7 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         lattice = AbstractLattice(
             spec.basis, tuple(tuple(map(rat, row)) for row in spec.gram),
             tuple(map(rat, spec.canonical)),
-            tuple(replace(cs, coeffs=tuple(map(rat, cs.coeffs)))
+            tuple(cs._replace(coeffs=tuple(map(rat, cs.coeffs)))
                   for cs in spec.curves))
     else:
         raise ModelError(f"unknown base spec {spec!r}")
@@ -461,7 +483,7 @@ def blow_up(
         c, k = curves[cid], last[cid]
         cls = DivisorClass(t, base_rank + k, f"{model.tag}/{k}")
         curves[cid] = Curve(cid, cls, c.genus, c.born, k)
-    return replace(model, centers=tuple(placed), curves=curves)
+    return SurfaceModel(model.base, model.tag, model.lattice, tuple(placed), curves)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +510,11 @@ def push_forward(
     model.level(to_level)
     if from_level < to_level:
         raise ModelError("push_forward goes down the tower")
-    kept = [
-        (cid, c) for cid, c in d.terms if src.curve(cid).born <= to_level
-    ]
-    return RDivisor.make(to_level, kept)
+    for cid, _ in d.terms:
+        if not src.has_curve(cid):
+            raise ModelError(f"unknown curve {cid!r}")
+    return RDivisor.make(to_level, [
+        (cid, c) for cid, c in d.terms if model.curves[cid].born <= to_level])
 
 
 def total_transform(

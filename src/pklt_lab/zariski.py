@@ -11,9 +11,8 @@ wrong; the limitation is surfaced in every CLI report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import (
     DivisorClass,
@@ -51,8 +50,7 @@ class NotPseudoeffectiveError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class NefCertificate:
+class NefCertificate(NamedTuple):
     tested_curves: tuple[str, ...]
     violations: tuple[tuple[str, int | Fraction], ...]
 
@@ -61,8 +59,7 @@ class NefCertificate:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     level: int
     P: DivisorClass
     N: RDivisor

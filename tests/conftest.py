@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -214,13 +213,12 @@ def catalog_model(spec):
     """The one-level model over ``spec``'s catalog as declared, negative
     pairs included.  No surface has such a catalog, so make_base rejects
     it; this test-only model feeds it to the catalog-relative solver."""
-    m = pl.make_base(dataclasses.replace(spec, curves=()))
+    m = pl.make_base(spec._replace(curves=()))
     lat = m.level(0).form.lattice_id
-    return dataclasses.replace(
-        m, base=spec, lattice=dataclasses.replace(m.lattice, curves=spec.curves),
-        curves={cs.id: Curve(cs.id, pl.DivisorClass.dense(cs.coeffs, lat),
-                             cs.genus, 0, 0)
-                for cs in spec.curves},
+    return pl.SurfaceModel(
+        spec, m.tag, m.lattice._replace(curves=spec.curves), m.centers,
+        {cs.id: Curve(cs.id, pl.DivisorClass.dense(cs.coeffs, lat), cs.genus, 0, 0)
+         for cs in spec.curves},
     )
 
 

@@ -556,6 +556,19 @@ def run_plain_and_optimized(args):
     ]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_hashlib():
+    """A cold start of the CLI pays for neither module: dataclasses brings
+    inspect, ast and dis, and hashlib its OpenSSL binding."""
+    src = str(Path(pl.__file__).resolve().parents[1])
+    probe = ("import sys, pklt_lab.cli; "
+             "print(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize(
     "args", [["classify", "models/ruled_blowup.json"], ["examples"]]
 )

@@ -199,7 +199,7 @@ def test_fano_type_examples():
 
 def _verdict_or_error(fano_test, *args):
     try:
-        return vars(fano_test(*args))
+        return fano_test(*args)._asdict()
     except (pl.PairError, pl.NotPseudoeffectiveError,
             pl.InvariantViolation) as exc:
         return type(exc), str(exc)
