@@ -31,7 +31,6 @@ from .zariski import (
     NotPseudoeffectiveError,
     ZariskiDecomposition,
     is_big,
-    is_nef_against_catalog,
     zariski_decompose,
 )
 from .potential import (

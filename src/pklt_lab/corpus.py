@@ -7,7 +7,7 @@ Each entry is a model document plus a stored expected report; the
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .modelio import parse_model
 from .potential import make_pair
@@ -80,8 +80,10 @@ def compute_report(name: str) -> dict:
 
 
 def expected_report(name: str) -> dict:
-    ref = resources.files("pklt_lab") / "corpus" / f"{name}.expected.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "corpus",
+                        f"{name}.expected.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def diff_json(expected, actual, path="") -> list[str]:

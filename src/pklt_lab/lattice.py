@@ -164,7 +164,7 @@ def intersect(
 
 def gram_submatrix(
     classes: Sequence[DivisorClass], form: IntersectionForm
-) -> list[list[Fraction]]:
+) -> list[list[int | Fraction]]:
     """Pairwise intersection matrix of the given classes.
 
     zariski_decompose builds its Gram rows itself; this stays as the
@@ -172,14 +172,7 @@ def gram_submatrix(
     """
     if not classes:
         raise ValueError("gram_submatrix of an empty list")
-    n = len(classes)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = intersect(classes[i], classes[j], form)
-            out[i][j] = v
-            out[j][i] = v
-    return out
+    return [[intersect(a, b, form) for b in classes] for a in classes]
 
 
 def _check_symmetric(m: Matrix) -> None:
@@ -194,33 +187,14 @@ def _check_symmetric(m: Matrix) -> None:
 
 
 def is_negative_definite(m: Matrix) -> bool:
-    """Sylvester test: leading principal minors alternate, starting negative.
+    """Whether the symmetric matrix m is negative definite: its signature
+    is (0, n, 0), by Sylvester's law of inertia.  True on [].
 
-    Computed by exact Gaussian elimination without row swaps; the k-th
-    leading minor is the product of the first k pivots, so a zero pivot
-    means a zero minor and the matrix is not definite.  zariski_decompose
-    reads the same pivots off its LDLFactor; this stays as the tests'
-    reference and as a span that bench/spans.py traces.
+    zariski_decompose reads the same answer off the pivots of its
+    LDLFactor; this stays as the tests' reference and as a span that
+    bench/spans.py traces.
     """
-    _check_symmetric(m)
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    minor = Fraction(1)
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
-            return False
-        minor *= pivot
-        expected_sign = -1 if (k + 1) % 2 else 1
-        if (minor > 0) != (expected_sign > 0):
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
+    return signature(m) == (0, len(m), 0)
 
 
 def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -256,7 +230,7 @@ class LDLFactor:
 
     There is no pivoting, so the k-th pivot is the ratio of the k-th and
     (k−1)-th leading principal minors of G: G is negative definite exactly
-    when every pivot is negative, the test ``is_negative_definite`` runs.
+    when every pivot is negative (Sylvester's criterion).
     Extend only while every pivot so far is nonzero.
 
     The factor is bordered by every equation that a joined row touches

@@ -1,4 +1,4 @@
-"""Strict JSON model schema ("pklt-lab/1") and its loader/serializer.
+"""Strict JSON model schema ("pklt-lab/1") and its loader.
 
 Rational coefficients travel as "p/q" strings (plain integers accepted
 as shorthand); floats are rejected outright.  Unknown fields are schema
@@ -256,54 +256,7 @@ def load_model(source: str) -> LoadedModel:
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int past the digit limit
         raise SchemaError("", f"invalid JSON: {exc}")
     return parse_model(doc)
 
-
-def serialize_model(loaded: LoadedModel) -> dict:
-    model = loaded.model
-    base = model.base
-    if isinstance(base, ProjectivePlane):
-        base_doc = {"kind": "P2"}
-    elif isinstance(base, Ruled):
-        base_doc = {"kind": "ruled", "genus": base.genus, "e": base.e}
-    else:
-        base_doc = {
-            "kind": "lattice",
-            "basis": list(base.basis),
-            "gram": [[str(x) for x in row] for row in base.gram],
-            "K": [str(x) for x in base.canonical],
-            "curves": [
-                {"id": c.id, "class": [str(x) for x in c.coeffs],
-                 "genus": c.genus}
-                for c in base.curves
-            ],
-        }
-    blowups = []
-    for c in model.centers:
-        doc = {"id": c.exceptional_id}
-        if c.on_curves:
-            doc["on"] = [
-                {"curve": cid, "mult": m} if m != 1 else {"curve": cid}
-                for cid, m in c.on_curves
-            ]
-        if c.near is not None:
-            doc["near"] = c.near
-        doc["point"] = c.point_label
-        blowups.append(doc)
-    out = {"version": SCHEMA_VERSION, "base": base_doc}
-    if blowups:
-        out["blowups"] = blowups
-    if loaded.divisors:
-        out["divisors"] = {
-            name: [{"curve": cid, "coeff": str(v)} for cid, v in terms]
-            for name, terms in loaded.divisors.items()
-        }
-    if loaded.pair is not None:
-        level, name = loaded.pair
-        pair_doc = {"level": level}
-        if name is not None:
-            pair_doc["delta"] = name
-        out["pair"] = pair_doc
-    return out

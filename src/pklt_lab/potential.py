@@ -26,6 +26,7 @@ from .surface import (
     RDivisor,
     Record,
     SurfaceModel,
+    display_name,
     pull_back,
     push_forward,
     total_transform,
@@ -124,7 +125,7 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     entries = []
     for cid, c in model.curves.items():
         sig = sigma.get(cid, 0)
-        display = cid + "~" if model.top > c.born else cid
+        display = display_name(cid, c.born, model.top)
         entries.append(LedgerEntry(cid, display, a[cid], sig, a[cid] - sig))
     ledger = DiscrepancyLedger(tuple(entries))
     return PairSpec(model, level, delta, zd, ledger, zd.big)

@@ -15,7 +15,7 @@ from .potential import (
     fano_type_test,
     fano_verdict,
 )
-from .surface import RDivisor, SurfaceModel
+from .surface import RDivisor, SurfaceModel, display_name
 from .zariski import ZariskiDecomposition, zariski_decompose
 from . import rcc
 
@@ -30,7 +30,7 @@ DISCLAIMER = (
 
 def _display(model: SurfaceModel, level: int, cid: str) -> str:
     """Curve.display at ``level``, read off the curve table."""
-    return cid + "~" if level > model.curves[cid].born else cid
+    return display_name(cid, model.curves[cid].born, level)
 
 
 def divisor_json(model: SurfaceModel, d: RDivisor) -> dict:

@@ -144,8 +144,14 @@ class Curve(NamedTuple):
 
     @property
     def display(self) -> str:
-        """Printable name: strict transforms carry a trailing '~'."""
-        return self.id + "~" if self.level > self.born else self.id
+        """Printable name at this level."""
+        return display_name(self.id, self.born, self.level)
+
+
+def display_name(cid: str, born: int, level: int) -> str:
+    """Printable name at ``level`` of the curve ``cid`` born at ``born``:
+    above its birth it is a strict transform, which carries a trailing '~'."""
+    return cid + "~" if level > born else cid
 
 
 class BlowUpCenter(NamedTuple):

@@ -50,34 +50,11 @@ class NotPseudoeffectiveError(ValueError):
         super().__init__(msg)
 
 
-class NefCertificate(NamedTuple):
-    tested_curves: tuple[str, ...]
-    violations: tuple[tuple[str, int | Fraction], ...]
-
-    @property
-    def nef(self) -> bool:
-        return not self.violations
-
-
 class ZariskiDecomposition(NamedTuple):
     level: int
     P: DivisorClass
     N: RDivisor
     big: bool  # P² > 0
-
-
-def is_nef_against_catalog(
-    model: SurfaceModel, level: int, D: DivisorClass
-) -> NefCertificate:
-    lvl = model.level(level)
-    tested = []
-    violations = []
-    for c in lvl.curves:
-        tested.append(c.id)
-        v = intersect(D, c.cls, lvl.form)
-        if v < 0:
-            violations.append((c.id, v))
-    return NefCertificate(tuple(tested), tuple(violations))
 
 
 def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
@@ -149,7 +126,12 @@ def zariski_decompose(
     not pseudoeffective; from that round on each system is solved afresh by
     ``solve_exact`` on the dense gram(S) read off the rows, and P·C is
     recomputed over the rows' nonzeros, so the error names the same failure
-    (singular system, negative coefficient, indefinite support) as before.
+    (singular system, negative coefficient, indefinite support) as a solve
+    per round would.  The factor alone cannot name it: on P² blown up at
+    two points of L, D = K meets a zero pivot (pivots −1, 0 at level 2;
+    0 at level 1, where L̃² = 0), yet gram(S) is nonsingular (determinant
+    1 at level 2, −1 at level 1) and the solve finds a negative
+    coefficient in N, not a singular configuration.
     P is nef against the catalog on return: one pass over the rows with the
     back-substituted x checks P·C = 0 on S and P·C ≥ 0 on every touched
     curve off it, and raises ``InvariantViolation`` naming the curves if

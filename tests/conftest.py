@@ -1,14 +1,17 @@
-"""Shared model builders, fuzz generators and the brute-force oracle."""
+"""Shared model builders, fuzz generators, the brute-force and reference
+oracles, the catalog nef test and the model serializer."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 import pklt_lab as pl
+from pklt_lab.modelio import SCHEMA_VERSION, LoadedModel
 from pklt_lab.potential import anti_log_canonical, is_connected
 from pklt_lab.surface import Curve
 
@@ -345,6 +348,53 @@ def brute_force_zariski(model, level, D):
 
 
 # ---------------------------------------------------------------------------
+# exact determinant and catalog nef test
+
+
+def determinant(m):
+    """Exact determinant by Gaussian elimination, as a test oracle."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+class NefCertificate(NamedTuple):
+    tested_curves: tuple[str, ...]
+    violations: tuple[tuple[str, int | Fraction], ...]
+
+    @property
+    def nef(self) -> bool:
+        return not self.violations
+
+
+def is_nef_against_catalog(model, level, D) -> NefCertificate:
+    """D·C for every catalog curve C of the level, and the negative ones."""
+    lvl = model.level(level)
+    tested = tuple(c.id for c in lvl.curves)
+    violations = []
+    for c in lvl.curves:
+        v = pl.intersect(D, c.cls, lvl.form)
+        if v < 0:
+            violations.append((c.id, v))
+    return NefCertificate(tested, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
 # per-round Zariski reference
 
 
@@ -395,7 +445,7 @@ def reference_zariski(model, level, D):
             "support Gram matrix not negative definite"
         )
     N = pl.RDivisor.make(level, [(c.id, xc) for c, xc in zip(S, x)])
-    assert pl.is_nef_against_catalog(model, level, P).nef
+    assert is_nef_against_catalog(model, level, P).nef
     assert all(pl.intersect(P, c.cls, lvl.form) == 0 for c in S)
     return pl.ZariskiDecomposition(level, P, N, pl.intersect(P, P, lvl.form) > 0)
 
@@ -508,3 +558,56 @@ __all__ = [
     "reference_rcc_json",
     "anti_log_canonical",
 ]
+
+
+# ---------------------------------------------------------------------------
+# model serializer
+
+
+def serialize_model(loaded: LoadedModel) -> dict:
+    """The model document that ``parse_model`` reads back to ``loaded``."""
+    model = loaded.model
+    base = model.base
+    if isinstance(base, pl.ProjectivePlane):
+        base_doc = {"kind": "P2"}
+    elif isinstance(base, pl.Ruled):
+        base_doc = {"kind": "ruled", "genus": base.genus, "e": base.e}
+    else:
+        base_doc = {
+            "kind": "lattice",
+            "basis": list(base.basis),
+            "gram": [[str(x) for x in row] for row in base.gram],
+            "K": [str(x) for x in base.canonical],
+            "curves": [
+                {"id": c.id, "class": [str(x) for x in c.coeffs],
+                 "genus": c.genus}
+                for c in base.curves
+            ],
+        }
+    blowups = []
+    for c in model.centers:
+        doc = {"id": c.exceptional_id}
+        if c.on_curves:
+            doc["on"] = [
+                {"curve": cid, "mult": m} if m != 1 else {"curve": cid}
+                for cid, m in c.on_curves
+            ]
+        if c.near is not None:
+            doc["near"] = c.near
+        doc["point"] = c.point_label
+        blowups.append(doc)
+    out = {"version": SCHEMA_VERSION, "base": base_doc}
+    if blowups:
+        out["blowups"] = blowups
+    if loaded.divisors:
+        out["divisors"] = {
+            name: [{"curve": cid, "coeff": str(v)} for cid, v in terms]
+            for name, terms in loaded.divisors.items()
+        }
+    if loaded.pair is not None:
+        level, name = loaded.pair
+        pair_doc = {"level": level}
+        if name is not None:
+            pair_doc["delta"] = name
+        out["pair"] = pair_doc
+    return out

@@ -2,8 +2,10 @@
 
 ``bench/spans.py`` wraps each function in its ``LAYERS`` table; a name
 that no longer resolves breaks ``bench/run.py --trace 1``, and nothing in
-``src/`` would notice, since some of them (``gram_submatrix``,
-``is_negative_definite``) are kept only as test oracles.
+``src/`` would notice, since the engine never calls some of them:
+``gram_submatrix``, ``is_negative_definite``, ``is_big`` and
+``potential_ledger`` are kept for the tracer and as test references, and
+``solve_exact`` runs only in the dense branch of the Zariski solve.
 """
 
 import ast

@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 import pklt_lab as pl
+from conftest import serialize_model
 from pklt_lab import cli
 from pklt_lab.modelio import (
     SchemaError,
     ValidationError,
     load_model,
     parse_model,
-    serialize_model,
 )
 
 RULED_BLOWUP = {
@@ -557,16 +557,61 @@ def run_plain_and_optimized(args):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
-    """A cold start of the CLI pays for neither module: dataclasses brings
-    inspect, ast and dis, and hashlib its OpenSSL binding."""
+    """A cold start of the CLI pays for none of these modules: dataclasses
+    brings inspect, ast and dis, hashlib its OpenSSL binding, and
+    importlib.resources pathlib, tempfile and zipfile machinery."""
     src = str(Path(pl.__file__).resolve().parents[1])
-    probe = ("import sys, pklt_lab.cli; "
-             "print(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))")
+    probe = ("import sys, pklt_lab.cli; print(sorted("
+             "{'dataclasses', 'hashlib', 'importlib.resources'} "
+             "& set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# Two points of L blown up: at level 1, L~ has square 0
+TWO_POINTS_ON_L = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "P2"},
+    "blowups": [{"on": [{"curve": "L"}]}, {"on": [{"curve": "L"}]}],
+}
+
+
+@pytest.mark.parametrize("level", [[], ["--level", "1"]])
+def test_zariski_of_k_names_a_negative_coefficient_plain_and_optimized(
+    tmp_path, level
+):
+    """The Zariski factor meets a zero pivot on K at either level, yet
+    gram(S) is nonsingular: the error is the dense solve's negative
+    coefficient in N, not a singular configuration, with or without -O."""
+    path = write_model(tmp_path, TWO_POINTS_ON_L)
+    for proc in run_plain_and_optimized(
+        ["zariski", path, "--divisor", "K", *level]
+    ):
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {
+            "error": "not-pseudoeffective",
+            "detail": "not pseudoeffective against catalog, or catalog "
+                      "incomplete (negative coefficient in N)",
+        }
+
+
+def test_huge_json_integer_is_a_schema_error_plain_and_optimized(tmp_path):
+    """An integer past the interpreter's digit limit on int/str conversion
+    makes json.loads raise ValueError: check exits 2 with a schema error at
+    the document root, not a traceback, with or without python -O."""
+    doc = json.dumps(dict(RULED_BLOWUP, base={"kind": "ruled", "genus": 2,
+                                              "e": 3}))
+    path = tmp_path / "model.json"
+    path.write_text(doc.replace('"e": 3', '"e": ' + "9" * 4400),
+                    encoding="utf-8")
+    for proc in run_plain_and_optimized(["check", str(path)]):
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == "schema"
+        assert payload["detail"].startswith(": invalid JSON: ")
 
 
 @pytest.mark.parametrize(

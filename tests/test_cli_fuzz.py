@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import COEFF_POOL, random_tower
+from conftest import COEFF_POOL, random_tower, serialize_model
 from pklt_lab import cli
-from pklt_lab.modelio import LoadedModel, serialize_model
+from pklt_lab.modelio import LoadedModel
 
 EXIT_CODES = {0, 1, 2, 3}
 

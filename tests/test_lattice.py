@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pklt_lab as pl
+from conftest import determinant
 from pklt_lab.lattice import (
     DivisorClass,
     IntersectionForm,
@@ -12,28 +13,6 @@ from pklt_lab.lattice import (
     basis_class,
     signature,
 )
-
-
-def determinant(m):
-    """Exact determinant by Gaussian elimination, as a test oracle."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 RULED_23 = IntersectionForm(
@@ -101,6 +80,8 @@ def test_gram_submatrix_empty_list_errors():
         ([[1]], False),
         ([[0]], False),
         ([[-2, 0], [0, 0]], False),
+        ([[0, 1], [1, 0]], False),
+        ([], True),
     ],
 )
 def test_is_negative_definite(m, expected):
@@ -109,9 +90,11 @@ def test_is_negative_definite(m, expected):
 
 
 def test_is_negative_definite_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         pl.is_negative_definite([[Fraction(-1), Fraction(2)],
                                  [Fraction(0), Fraction(-1)]])
+    with pytest.raises(ValueError, match="square"):
+        pl.is_negative_definite([[-1, 0]])
 
 
 def test_solve_exact_known_values():

@@ -27,6 +27,7 @@ from conftest import (
 )
 from pklt_lab.potential import anti_log_canonical
 from pklt_lab.report import _display, full_report
+from pklt_lab.surface import display_name
 from pklt_lab.zariski import NOT_PSEF_MESSAGE
 
 
@@ -334,8 +335,9 @@ def test_make_pair_equals_the_top_level_decomposition_fuzzed():
 
 
 def test_display_reads_the_curve_table():
-    """report._display gives Curve.display of the level view for every
-    curve and level of the fuzz towers."""
+    """The naming rule surface.display_name, read off the curve table as
+    report._display reads it, gives Curve.display of the level view for
+    every curve and level of the fuzz towers."""
     rng = random.Random(6150)
     strict = rejected = 0
     for t in range(300):
@@ -346,7 +348,8 @@ def test_display_reads_the_curve_table():
             model = random_tower(rng)
         for lvl in model.levels:
             for c in lvl.curves:
-                assert _display(model, lvl.k, c.id) == c.display
+                name = display_name(c.id, model.curves[c.id].born, lvl.k)
+                assert name == _display(model, lvl.k, c.id) == c.display
                 strict += c.display.endswith("~")
     assert strict > 1000 and rejected > 0
 

@@ -29,7 +29,6 @@ def one_of_each_record():
         model.centers[0],
         model,
         pl.RDivisor.make(1, {"C0": 1}),
-        pl.is_nef_against_catalog(model, 1, level.canonical),
         pair.decomposition,
         pair,
         pair.ledger.entries[0],

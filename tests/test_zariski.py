@@ -12,6 +12,8 @@ from conftest import (
     catalog_model,
     chain_model,
     cubic12_model,
+    determinant,
+    is_nef_against_catalog,
     make_lattice_base,
     p2,
     random_effective_divisor,
@@ -22,6 +24,7 @@ from conftest import (
     ruled,
 )
 from pklt_lab import zariski
+from pklt_lab.lattice import LDLFactor
 
 
 def test_anticanonical_on_ruled_2_3():
@@ -99,7 +102,7 @@ def test_nnef_locus():
 def test_nef_certificate_contents():
     m = ruled(2, 3)
     lvl = m.level(0)
-    cert = pl.is_nef_against_catalog(m, 0, -lvl.canonical)
+    cert = is_nef_against_catalog(m, 0, -lvl.canonical)
     assert not cert.nef
     assert cert.violations == (("C0", Fraction(-5)),)
     assert set(cert.tested_curves) == {"C0", "f"}
@@ -173,7 +176,7 @@ def test_maximality_of_positive_part():
     nef_seen = 0
     for c0, f, e1 in itertools.product(grid["C0"], grid["f"], grid["E1"]):
         ell = pl.RDivisor.make(1, {"C0": c0, "f": f, "E1": e1})
-        if not pl.is_nef_against_catalog(m, 1, ell.class_at(m)).nef:
+        if not is_nef_against_catalog(m, 1, ell.class_at(m)).nef:
             continue
         nef_seen += 1
         rest = d + ell.scale(-1)
@@ -195,7 +198,7 @@ def test_decomposition_fixed_point_properties_fuzzed():
         except pl.NotPseudoeffectiveError:
             continue
         assert zd.N.is_effective()
-        assert pl.is_nef_against_catalog(m, level, zd.P).nef
+        assert is_nef_against_catalog(m, level, zd.P).nef
         for cid in zd.N.support:
             assert pl.intersect(zd.P, lvl.curve(cid).cls, lvl.form) == 0
         if zd.N.support:
@@ -209,7 +212,7 @@ def _decomposition_or_error(decompose, model, level, cls):
         zd = decompose(model, level, cls)
     except pl.NotPseudoeffectiveError as exc:
         return type(exc), str(exc)
-    assert pl.is_nef_against_catalog(model, level, zd.P).nef
+    assert is_nef_against_catalog(model, level, zd.P).nef
     return zd.P, zd.N, zd.big
 
 
@@ -278,6 +281,28 @@ def test_incremental_factor_matches_per_round_reference():
     seen = set(towers) | set(lattices)
     assert seen == NOT_PSEF_DETAILS, (towers, lattices)
     assert kinds["accepted"] and kinds["rejected"]
+
+
+@pytest.mark.parametrize("level, pivots, det", [(2, [-1, 0], 1), (1, [0], -1)])
+def test_dense_branch_names_what_the_factor_cannot(level, pivots, det):
+    """P² blown up at two points of L, D = K: the factor meets a zero pivot
+    (L̃² = 0 at level 1), yet gram(S) is nonsingular, so the dense solve
+    finds a negative coefficient in N where a factor-only solve would call
+    the configuration singular."""
+    m = pl.blow_up(p2(), [pl.BlowUpCenter((("L", 1),))] * 2)
+    lvl = m.level(level)
+    K = lvl.canonical
+    S = [c for c in lvl.curves if pl.intersect(K, c.cls, lvl.form) < 0]
+    gram = pl.gram_submatrix([c.cls for c in S], lvl.form)
+    factor = LDLFactor([pl.intersect(K, c.cls, lvl.form) for c in S])
+    for k, row in enumerate(gram):
+        if factor.extend(k, {j: v for j, v in enumerate(row) if v}) >= 0:
+            break
+    assert factor.pivots == pivots
+    assert determinant(gram) == det
+    with pytest.raises(pl.NotPseudoeffectiveError,
+                       match=r"\(negative coefficient in N\)$"):
+        pl.zariski_decompose(m, level, K)
 
 
 @pytest.mark.parametrize("n", [24, 48, 96])
