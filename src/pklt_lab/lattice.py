@@ -7,15 +7,16 @@ a number canonical, and every input and every quotient goes through it,
 so this module is the only one that builds a Fraction; there is
 deliberately no floating-point anywhere in this package.  Since
 ``int / int`` is a float in Python, every division has a Fraction
-operand: the pivots of the LDLᵀ factor stay Fractions, being the
-divisors.  Sums are not normalized, except a class's coefficients in
-``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still come out of a
-sum of genuine fractions from a rational Δ or form, such as an
-intersection number.
+operand or is an exact ``//``: the LDLᵀ factor of the Zariski solve
+holds only ints, scaled by leading minors.  Sums are not normalized,
+except a class's coefficients in ``DivisorClass.plus``, so a
+``Fraction(n, 1)`` can still come out of a sum of genuine fractions from
+a rational Δ or form, such as an intersection number.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -28,12 +29,16 @@ class SingularMatrixError(ValueError):
     """Raised by solve_exact on a singular system."""
 
 
+# p and q of at most 4300 digits: the default limit of int/str conversion
+RATIONAL = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+
+
 def rat(x) -> int | Fraction:
     """Coerce an int, Fraction or 'p/q' string to a canonical exact
     rational: an int when the value is integral, else a Fraction.
 
-    Floats are rejected: they would silently destroy exactness.  A bad
-    string raises ValueError, or ZeroDivisionError for a zero denominator.
+    Floats are rejected: they would silently destroy exactness.  A string
+    not '[-]p[/q]' raises ValueError, or ZeroDivisionError for q = 0.
     """
     if type(x) is int:  # the common case, tested first
         return x
@@ -44,12 +49,17 @@ def rat(x) -> int | Fraction:
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        return rat(Fraction(x))
+        if not RATIONAL.fullmatch(x):
+            raise ValueError(f"not a '[-]p[/q]' rational: {x!r}")
+        p, _, q = x.partition("/")
+        return quotient(int(p), int(q or 1))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 def quotient(p, q) -> int | Fraction:
     """p / q as a canonical exact rational, for ints and Fractions p, q."""
+    if type(p) is int and type(q) is int and not p % q:
+        return p // q
     return rat(Fraction(p, q))
 
 
@@ -224,91 +234,89 @@ def solve_exact(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction]:
 
 
 class LDLFactor:
-    """A symmetric system G·x = b grown one keyed equation at a time, kept
-    as G = L·diag(pivots)·Lᵀ with L unit lower triangular, and
-    z = diag(pivots)⁻¹·L⁻¹·b, which no later equation changes.
+    """A symmetric system G·x = b of ints, grown one keyed equation at a
+    time by fraction-free elimination (Bareiss 1968), without pivoting.
 
-    There is no pivoting, so the k-th pivot is the ratio of the k-th and
-    (k−1)-th leading principal minors of G: G is negative definite exactly
-    when every pivot is negative (Sylvester's criterion).
-    Extend only while every pivot so far is nonzero.
+    ``minors[k]`` is the k-th leading principal minor Δₖ of G (Δ₀ = 1), and
+    Δₖ₊₁/Δₖ the k-th pivot of G = L·diag(pivots)·Lᵀ, so G is negative
+    definite exactly when consecutive minors alternate in sign (Sylvester);
+    extend only while every minor is nonzero.  After stage k (k unknowns
+    eliminated) each entry of (G | b) is A/Δₖ for a bordered minor A, an
+    int; stage k+1 makes it (Δₖ₊₁·A − Aᵢₖ·Aⱼₖ)/Δₖ, exact by Sylvester's
+    identity, which is A·Δₖ₊₁/Δₖ where Aᵢₖ·Aⱼₖ = 0.  So an entry is kept at
+    the stage s that last changed it, and scaled by Δₜ/Δₛ when read at t.
 
-    The factor is bordered by every equation that a joined row touches
-    but that has not joined: such a key j keeps wⱼ = L⁻¹·(G[k][j])ₖ over
-    its nonzeros and its residual bⱼ − Σₖ G[j][k]·xₖ = bⱼ − wⱼ·z, which
-    needs no x.  wⱼ is the scaled L row j would get on joining, so joining
-    promotes it: pivot G[j][j] − Σ wⱼₖ²/pivotₖ, z = residual/pivot.  When
-    unknown m joins, a border key that m's row or m's L row reaches gets
-    one entry wⱼₘ = G[m][j] − Σₖ L[m][k]·wⱼₖ, and its residual drops by
-    wⱼₘ·zₘ; no earlier entry changes.  So a key's residual is always at
-    hand, x is needed only once, by ``solve``, and the work is one entry
-    per nonzero of the bordered factor: when each unknown meets at most
-    one later one (a tree taken from its leaves towards a root, such as
-    the infinitely-near chain's path taken from one end), elimination
-    makes no fill-in (George & Liu 1981) and L has one entry per edge of
-    G's graph.
-
-    G and b may hold ints.  Each pivot is kept as a Fraction, so that L
-    and z, the quotients by it, are exact (int / int would be a float);
-    those quotients, and x, are canonical, an int when integral, so an
-    integral solution of an integral system is solved in ints after its
-    divisions.  Entries that need no division stay as the rows give them.
+    The factor is bordered by every key that a joined row touches but that
+    has not joined: key j keeps Aⱼₖ for each unknown k whose join reached
+    it, and ``residual[j]`` = (A, s) with bⱼ − Σₖ G[j][k]·xₖ = A/Δₛ, which
+    needs no x.  Joining key m folds G[m][m] through the stages of its
+    border into Δₘ₊₁, and its border becomes ``lower[m]``, L's row m times
+    the Δₖ₊₁; a border key that m's row or L row reaches gets one entry,
+    folded likewise from G[m][j], and its residual moves to stage m+1: one
+    entry per nonzero of the bordered factor, with no fill-in when each
+    unknown meets at most one later one (George & Liu 1981), as on a tree
+    taken from its leaves, such as the infinitely-near chain's path.
     """
 
-    def __init__(self, rhs: Sequence[int | Fraction]):
+    def __init__(self, rhs: Sequence[int]):
         self._rhs = rhs  # b over every key that may join or be touched
-        self.lower: list[dict[int, int | Fraction]] = []  # {j: L[k][j]}, j < k
-        self.pivots: list[Fraction] = []
-        self._z: list[int | Fraction] = []
+        self.minors = [1]
+        self.lower: list[dict[int, int]] = []  # unknown k: {j: Aₖⱼ}, j < k
+        self._z: list[int] = []  # unknown k: b's entry at stage k
         self._joined: set[int] = set()
-        self._border: dict[int, dict[int, int | Fraction]] = {}  # j: {k: wⱼₖ ≠ 0}
-        self._reach: list[list[int]] = []  # unknown k: keys that got a wⱼₖ
-        self.residual: dict[int, int | Fraction] = {}  # key j: bⱼ − G[j]·x
+        self._border: dict[int, dict[int, int]] = {}  # j: {k: Aⱼₖ ≠ 0}
+        self._reach: list[list[int]] = []  # unknown k: keys that got an Aⱼₖ
+        self.residual: dict[int, tuple[int, int]] = {}  # key j: (A, s)
 
-    def extend(self, key: int, row: Mapping[int, int | Fraction]) -> Fraction:
-        """Join equation ``key`` as unknown k = len(pivots).  ``row`` holds
+    def _fold(self, v: int, wa: dict[int, int], wb: dict[int, int]) -> int:
+        """Entry v of G, of rows a, b with borders wa, wb, at stage len(lower)."""
+        d, s = self.minors, 0
+        for k, ak in wa.items():
+            if k in wb:
+                v, s = (d[k + 1] * (v * d[k] // d[s]) - ak * wb[k]) // d[k], k + 1
+        return v * d[len(self.lower)] // d[s]
+
+    def extend(self, key: int, row: Mapping[int, int]) -> int:
+        """Join equation ``key`` as unknown m = len(lower).  ``row`` holds
         its nonzero Gram entries against any keys, its diagonal included;
         entries against joined keys are already in the border.  Returns
-        the new pivot."""
-        k = len(self.pivots)
+        Δₘ₊₁ times the sign of Δₘ, which is the sign of the new pivot."""
+        m, d = len(self.lower), self.minors
         w = self._border.pop(key, {})
-        y = self.residual.pop(key, self._rhs[key])
-        lk = {j: rat(wj / self.pivots[j]) for j, wj in w.items()}
-        pivot = Fraction(row.get(key, 0))
-        for j, wj in w.items():
-            pivot -= wj * lk[j]
-        z = rat(y / pivot) if pivot else y  # y if 0: nothing follows
+        y, s = self.residual.pop(key, (self._rhs[key], 0))
+        y = y * d[m] // d[s]
+        minor = self._fold(row.get(key, 0), w, w)
         self._joined.add(key)
-        self.lower.append(lk)
-        self.pivots.append(pivot)
-        self._z.append(z)
         touched = {j for j in row if j not in self._joined}
-        for i in lk:
+        for i in w:
             touched.update(j for j in self._reach[i] if j in self._border)
         reach = []
         for j in touched:
             wj = self._border.setdefault(j, {})
-            v = row.get(j, 0)
-            for i, l in lk.items():
-                if i in wj:
-                    v -= l * wj[i]
+            v = self._fold(row.get(j, 0), w, wj) if w else row.get(j, 0) * d[m]
             if v:
-                wj[k] = v
+                wj[m] = v
                 reach.append(j)
-                self.residual[j] = self.residual.get(j, self._rhs[j]) - v * z
+                r, s = self.residual.get(j, (self._rhs[j], 0))
+                r = (minor * (r * d[m] // d[s]) - v * y) // d[m]
+                self.residual[j] = r, m + 1
+        d.append(minor)
+        self.lower.append(w)
+        self._z.append(y)
         self._reach.append(reach)
-        return pivot
+        return minor if d[m] > 0 else -minor
 
-    def solve(self) -> list[int | Fraction]:
-        """x with G·x = b, in joining order, by one back-substitution
-        Lᵀ·x = z; each xₖ canonical."""
-        x = list(self._z)
-        for k in range(len(x) - 1, -1, -1):
-            xk = x[k] = rat(x[k])
+    def solve(self) -> tuple[list[int], int]:
+        """(X, q) with x = X/q solving G·x = b in joining order, q = |Δₙ|:
+        ints (Cramer), back-substituted by Δₖ₊₁·Xₖ = Δₙ·zₖ − Σ_{i>k} Aᵢₖ·Xᵢ."""
+        d, n = self.minors, len(self.lower)
+        x = [d[n] * z for z in self._z]
+        for k in range(n - 1, -1, -1):
+            xk = x[k] = x[k] // d[k + 1]
             if xk:
-                for j, l in self.lower[k].items():
-                    x[j] -= l * xk
-        return x
+                for j, a in self.lower[k].items():
+                    x[j] -= a * xk
+        return (x, d[n]) if d[n] > 0 else ([-v for v in x], -d[n])
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:

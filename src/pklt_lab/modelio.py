@@ -1,8 +1,8 @@
 """Strict JSON model schema ("pklt-lab/1") and its loader.
 
 Rational coefficients travel as "p/q" strings (plain integers accepted
-as shorthand); floats are rejected outright.  Unknown fields are schema
-errors, reported with a JSON pointer to the offending spot.
+as shorthand); floats and decimals are rejected outright.  Unknown fields
+are schema errors, reported with a JSON pointer to the offending spot.
 """
 
 from __future__ import annotations
@@ -251,12 +251,12 @@ def parse_model(doc) -> LoadedModel:
 def load_model(source: str) -> LoadedModel:
     """Parse a model from a path or raw JSON text."""
     text = source
-    if not source.lstrip().startswith("{"):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if not source.lstrip().startswith("{"):
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
-    except ValueError as exc:  # malformed, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, too deep
         raise SchemaError("", f"invalid JSON: {exc}")
     return parse_model(doc)
 

@@ -14,6 +14,7 @@ import functools
 import itertools
 import zlib
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lattice import (
@@ -186,15 +187,18 @@ class SurfaceModel(Record):
     coordinates up the tower.  ``curves`` maps each id, in catalog order,
     to the curve at its last change (birth, or the last center through it).
     ``blow_up`` stores each center with every incidence, ``near`` included,
-    in ``on_curves``.  A Record: a tuple cannot be weakly referenced.
+    in ``on_curves``.  ``scale``·C·C′ is an int for catalog curves C, C′
+    at any level (a blow-up adds products of multiplicities to C·C′).
+    A Record: a tuple cannot be weakly referenced.
     """
 
-    __slots__ = ("base", "tag", "lattice", "centers", "curves")
+    __slots__ = ("base", "tag", "lattice", "centers", "curves", "scale")
     base: BaseSpec
     tag: str  # level k's lattice id is f"{tag}/{k}"
     lattice: AbstractLattice
     centers: tuple[BlowUpCenter, ...]
     curves: dict[str, Curve]
+    scale: int
 
     @property
     def top(self) -> int:
@@ -400,14 +404,16 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         except ModelError as exc:
             exc.curve = i
             raise
-    for a, b in itertools.combinations(curves.values(), 2):
+    scale = 1
+    for a, b in itertools.combinations_with_replacement(curves.values(), 2):
         num = intersect(a.cls, b.cls, form)
-        if num < 0:
+        scale = lcm(scale, num.denominator)
+        if num < 0 and a is not b:
             raise ModelError(
                 f"catalog curves {a.id!r} and {b.id!r} meet negatively: "
                 f"intersection number is {num}"
             )
-    return SurfaceModel(spec, tag, lattice, (), curves)
+    return SurfaceModel(spec, tag, lattice, (), curves, scale)
 
 
 def blow_up(
@@ -489,7 +495,8 @@ def blow_up(
         c, k = curves[cid], last[cid]
         cls = DivisorClass(t, base_rank + k, f"{model.tag}/{k}")
         curves[cid] = Curve(cid, cls, c.genus, c.born, k)
-    return SurfaceModel(model.base, model.tag, model.lattice, tuple(placed), curves)
+    return SurfaceModel(model.base, model.tag, model.lattice, tuple(placed), curves,
+                        model.scale)
 
 
 # ---------------------------------------------------------------------------

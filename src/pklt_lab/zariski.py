@@ -11,7 +11,7 @@ wrong; the limitation is surfaced in every CLI report.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -19,6 +19,7 @@ from .lattice import (
     IntersectionForm,
     LDLFactor,
     intersect,
+    quotient,
     solve_exact,
     SingularMatrixError,
 )
@@ -57,9 +58,10 @@ class ZariskiDecomposition(NamedTuple):
     big: bool  # P² > 0
 
 
-def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
-    """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``curves``, as {j: Cᵢ·Cⱼ}
-    in catalog order.
+def intersection_rows(curves: Sequence[Curve], form: IntersectionForm, scale: int):
+    """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``curves``, as
+    {j: scale·Cᵢ·Cⱼ} in catalog order; ``scale`` makes each an int (a
+    model's ``scale`` does).
 
     An index from each coordinate to the curves with a nonzero term there,
     read off the sparse classes, names the curves that can meet Cᵢ: through
@@ -74,7 +76,7 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
     gram = form.gram
     meets = [[v for v, g in enumerate(gram_u) if g] for gram_u in gram]
 
-    def row(i: int) -> dict[int, int | Fraction]:
+    def row(i: int) -> dict[int, int]:
         ci = curves[i].cls
         reached: set[int] = set()
         for u in ci.terms:
@@ -84,20 +86,21 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm):
         for j in sorted(reached):
             v = intersect(ci, curves[j].cls, form)
             if v:
-                out[j] = v
+                out[j] = v.numerator * (scale // v.denominator)
         return out
 
     return row
 
 
-def _p_dot(dc, x, rows) -> dict[int, int | Fraction]:
-    """P·Cⱼ = D·Cⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the
-    rows' nonzeros only; an untouched curve has P·C = D·C."""
-    pc: dict[int, int | Fraction] = {}
+def _p_dot(b, x, rows, q=1) -> dict:
+    """q·bⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the rows'
+    nonzeros only; for x = q·x′ with b = Σ x′ₖ·rowₖ on S, and b = e·(D·C),
+    it is q·e·P·Cⱼ.  An untouched curve has P·C = D·C."""
+    pc = {}
     for xk, row in zip(x, rows):
         if xk:
             for j, v in row.items():
-                pc[j] = pc.get(j, dc[j]) - xk * v
+                pc[j] = (pc[j] if j in pc else q * b[j]) - xk * v
     return pc
 
 
@@ -108,34 +111,27 @@ def zariski_decompose(
 
     Start with the catalog curves meeting D negatively; at each round solve
     gram(S)·x = (D·C) exactly, set N = Σ x_C·C and P = D − N, and add every
-    catalog curve with P·C < 0.  The fixed point is unique, so violators are
-    added all at once for determinism.
+    catalog curve with P·C < 0, all at once: the fixed point is unique.
 
     S only grows, so D·C is computed once per curve and the row Cᵢ·C once
-    when Cᵢ joins, as its nonzeros: ``intersection_rows`` (built when S
-    first becomes nonempty) intersects Cᵢ only with the curves that share a
-    coordinate with it through the form.  gram(S) is one sparse LDLᵀ factor
-    extended by the rows of the curves that join, and bordered by every
-    curve off S that a row touches: the factor keeps P·C of each such curve
-    up to date as curves join, at one entry per curve a joining row or L
-    row reaches, so a round solves nothing and reads its violators off the
-    border.  A curve off S that no row touches keeps P·C = D·C ≥ 0.  While
-    every pivot is negative, gram(S) is negative definite (Sylvester) and x,
-    back-substituted once after the last round, is the unique solution.  A
-    pivot ≥ 0 means the final support cannot be negative definite, so D is
-    not pseudoeffective; from that round on each system is solved afresh by
-    ``solve_exact`` on the dense gram(S) read off the rows, and P·C is
-    recomputed over the rows' nonzeros, so the error names the same failure
-    (singular system, negative coefficient, indefinite support) as a solve
-    per round would.  The factor alone cannot name it: on P² blown up at
-    two points of L, D = K meets a zero pivot (pivots −1, 0 at level 2;
-    0 at level 1, where L̃² = 0), yet gram(S) is nonsingular (determinant
-    1 at level 2, −1 at level 1) and the solve finds a negative
-    coefficient in N, not a singular configuration.
-    P is nef against the catalog on return: one pass over the rows with the
-    back-substituted x checks P·C = 0 on S and P·C ≥ 0 on every touched
-    curve off it, and raises ``InvariantViolation`` naming the curves if
-    the factor and its border ever disagree with x.
+    when Cᵢ joins, over the curves ``intersection_rows`` finds can meet Cᵢ.
+    The system is solved in ints, rows scaled by the model's ``scale`` and
+    D·C by the lcm e of its denominators, so every sign is kept, by one
+    ``LDLFactor`` extended by the rows that join and bordered by the curves
+    off S they touch: a round reads its violators off the border by a sign
+    test, and x is back-substituted once, after the last round.  A curve
+    that no row touches keeps P·C = D·C ≥ 0.  While consecutive minors
+    alternate in sign, gram(S) is negative definite; a pivot ≥ 0 means D is
+    not pseudoeffective, and from then on each round is solved afresh by
+    ``solve_exact`` on the dense gram(S), so the error names the same
+    failure (singular system, negative coefficient, indefinite support) as
+    a solve per round would.  The factor alone cannot: on P² blown up at
+    two points of L, D = K meets a zero pivot (pivots −1, 0 at level 2; 0
+    at level 1), yet gram(S) is nonsingular and the solve finds a negative
+    coefficient in N.  One pass over the rows with the Cramer numerators
+    checks P·C = 0 on S and P·C ≥ 0 off it, in ints, and raises
+    ``InvariantViolation`` naming the curves if the factor ever disagrees
+    with x.  Then P² = D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S.
     """
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id:
@@ -143,10 +139,14 @@ def zariski_decompose(
     curves = lvl.curves
     dc = [intersect(D, c.cls, lvl.form) for c in curves]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
-    row_of = intersection_rows(curves, lvl.form) if S else None
-    rows: list[dict[int, int | Fraction]] = []  # rows[k] = {j: C_S[k]·C_j ≠ 0}
+    row_of = intersection_rows(curves, lvl.form, model.scale) if S else None
+    e, b = 1, dc  # b = e·(D·C), ints
+    if S and not all(type(v) is int for v in dc):
+        e = lcm(*[v.denominator for v in dc])
+        b = [v.numerator * (e // v.denominator) for v in dc]
+    rows: list[dict[int, int]] = []  # rows[k] = {j: scale·C_S[k]·C_j ≠ 0}
     joined: set[int] = set()  # catalog indices with a row
-    factor = LDLFactor(dc)
+    factor = LDLFactor(b)
     definite = True
     while len(rows) < len(S):
         for i in S[len(rows):]:
@@ -155,25 +155,27 @@ def zariski_decompose(
             rows.append(row)
             if definite:
                 definite = factor.extend(i, row) < 0
-        if definite:
-            off_s = factor.residual
+        if definite:  # P·Cⱼ has the sign of the residual A/Δₛ
+            new = [j for j, (r, s) in factor.residual.items()
+                   if r * factor.minors[s] < 0]
         else:
             try:
                 x = solve_exact([[r.get(j, 0) for j in S] for r in rows],
-                                [dc[i] for i in S])
+                                [b[i] for i in S])
             except SingularMatrixError:
                 raise NotPseudoeffectiveError("singular curve configuration")
-            off_s = {j: v for j, v in _p_dot(dc, x, rows).items()
-                     if j not in joined}
-        S.extend(sorted(j for j, v in off_s.items() if v < 0))
+            new = [j for j, v in _p_dot(b, x, rows).items()
+                   if j not in joined and v < 0]
+        S.extend(sorted(new))
     if definite:
-        x = factor.solve()
+        X, q = factor.solve()
+        x = [quotient(model.scale * v, e * q) for v in X]
     if any(xi < 0 for xi in x):
         raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
-    pc = _p_dot(dc, x, rows)
-    on_s = [curves[i].id for i in S if pc.get(i, dc[i]) != 0]
+    pc = _p_dot(b, X, rows, q)
+    on_s = [curves[i].id for i in S if (pc[i] if i in pc else b[i])]
     off_s = [curves[j].id for j, v in pc.items() if j not in joined and v < 0]
     if on_s or off_s:
         raise InvariantViolation(
@@ -183,7 +185,9 @@ def zariski_decompose(
         )
     P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
-    return ZariskiDecomposition(level, P, N, intersect(P, P, lvl.form) > 0)
+    big = (intersect(D, D, lvl.form) * e * e * q
+           > model.scale * sum(v * b[i] for i, v in zip(S, X)))
+    return ZariskiDecomposition(level, P, N, big)
 
 
 def is_big(model: SurfaceModel, level: int, D: DivisorClass) -> bool:

@@ -4,6 +4,7 @@ oracles, the catalog nef test and the model serializer."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -212,16 +213,32 @@ def make_lattice_base(spec):
     return None
 
 
+def factor_numbers(factor):
+    """Every number an LDLFactor stores: its minors, its entries of L, of
+    the border and of b, and each residual with its stage."""
+    stored = [*factor.minors, *factor._z]
+    stored += [v for row in factor.lower for v in row.values()]
+    stored += [v for row in factor._border.values() for v in row.values()]
+    stored += [v for pair in factor.residual.values() for v in pair]
+    return stored
+
+
 def catalog_model(spec):
     """The one-level model over ``spec``'s catalog as declared, negative
     pairs included.  No surface has such a catalog, so make_base rejects
-    it; this test-only model feeds it to the catalog-relative solver."""
+    it; this test-only model feeds it to the catalog-relative solver.  Its
+    scale is the lcm of the denominators of the catalog's numbers."""
     m = pl.make_base(spec._replace(curves=()))
-    lat = m.level(0).form.lattice_id
+    form = m.level(0).form
+    classes = [pl.DivisorClass.dense(cs.coeffs, form.lattice_id)
+               for cs in spec.curves]
+    scale = math.lcm(*(pl.intersect(a, b, form).denominator
+                       for a in classes for b in classes))
     return pl.SurfaceModel(
         spec, m.tag, m.lattice._replace(curves=spec.curves), m.centers,
-        {cs.id: Curve(cs.id, pl.DivisorClass.dense(cs.coeffs, lat), cs.genus, 0, 0)
-         for cs in spec.curves},
+        {cs.id: Curve(cs.id, c, cs.genus, 0, 0)
+         for cs, c in zip(spec.curves, classes)},
+        scale,
     )
 
 
@@ -258,6 +275,27 @@ def random_lattice_tower(rng):
         else:
             center = random_center(rng, m)
         m = pl.blow_up(m, (center,))
+    return m
+
+
+RATIONAL_POOL = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(0),
+                 Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+def random_rational_lattice_tower(rng):
+    """A rank-3 lattice base on the rational form diag(a, −1, −1), a one
+    of 1, 1/2 and 3/2, with 1 to 5 catalog curves of classes drawn from
+    RATIONAL_POOL, taken as declared (catalog_model), blown up at 0 to 3
+    random centers: intersection numbers with denominators up to 36."""
+    a = rng.choice((Fraction(1), Fraction(1, 2), Fraction(3, 2)))
+    gram = ((a, 0, 0), (0, Fraction(-1), 0), (0, 0, Fraction(-1)))
+    curves = tuple(
+        pl.CurveSpec(f"C{i}", tuple(rng.choice(RATIONAL_POOL) for _ in range(3)), 0)
+        for i in range(rng.randint(1, 5))
+    )
+    m = catalog_model(pl.AbstractLattice(("H", "A", "B"), gram, LATTICE_K, curves))
+    for _ in range(rng.randrange(0, 4)):
+        m = pl.blow_up(m, (random_center(rng, m),))
     return m
 
 

@@ -260,6 +260,11 @@ MALFORMED = {
         "/divisors/D",
     ),
 }
+# strings outside the '[-]p[/q]' grammar, p and q of at most 4300 digits:
+# each a schema error at its JSON pointer, exit 2 (the last would make
+# Fraction build a 10⁹-digit int, were it read as a number)
+NOT_RATIONAL = ["1e-5000", "0.5", "1e-2", "1_0/3", " 1/3 ", "+1", "1/-3",
+                "\u0663", "1/" + "9" * 4301, "1e999999999"]
 MODEL_COMMANDS = {
     "check": [], "zariski": ["--divisor", "D"], "potential": [],
     "pnklt": [], "classify": [], "fano": [], "rcc": [],
@@ -278,6 +283,43 @@ def test_malformed_model_is_a_validation_error_not_a_traceback(
     payload = json.loads(out)
     assert payload["error"] == "validation"
     assert payload["detail"].startswith(pointer + ":")
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("text", NOT_RATIONAL, ids=range(len(NOT_RATIONAL)))
+def test_coefficient_outside_the_grammar_is_a_schema_error(
+    tmp_path, capsys, text, command
+):
+    doc = dict(RULED_BLOWUP, divisors={"D": [{"curve": "C0", "coeff": text}]},
+               pair={"level": 1, "delta": "D"})
+    path = write_model(tmp_path, doc)
+    code, out = run_cli([command, path, *MODEL_COMMANDS[command]], capsys)
+    assert (code, json.loads(out)) == (2, {
+        "error": "schema",
+        "detail": f"/divisors/D/0/coeff: not a rational: {text!r}"})
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL, ids=range(len(NOT_RATIONAL)))
+def test_eps_outside_the_grammar_is_bad_eps(tmp_path, capsys, text):
+    path = write_model(tmp_path, RULED_BLOWUP)
+    code, out = run_cli(["pnklt", path, "--eps", text], capsys)
+    assert (code, json.loads(out)) == (2, {"error": "bad-eps", "detail": text})
+
+
+def test_exponent_strings_exit_2_plain_and_optimized(tmp_path):
+    """'1e-5000' once parsed to 1/10⁵⁰⁰⁰, which check accepted and
+    potential and pnklt could not print; now each is refused where it is
+    read, with or without python -O."""
+    doc = dict(RULED_BLOWUP, pair={"level": 1, "delta": "D"},
+               divisors={"D": [{"curve": "C0", "coeff": "1e-5000"}]})
+    path = write_model(tmp_path, doc)
+    for args, error in ((["check", path], "schema"),
+                        (["potential", path], "schema"),
+                        (["pnklt", write_model(tmp_path, RULED_BLOWUP, "r.json"),
+                          "--eps", "1e-5000"], "bad-eps")):
+        for proc in run_plain_and_optimized(args):
+            assert (proc.returncode, proc.stderr) == (2, b"")
+            assert json.loads(proc.stdout)["error"] == error
 
 
 def test_negative_catalog_pair_exit_3_plain_and_optimized(tmp_path):
@@ -607,6 +649,25 @@ def test_huge_json_integer_is_a_schema_error_plain_and_optimized(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(doc.replace('"e": 3', '"e": ' + "9" * 4400),
                     encoding="utf-8")
+    for proc in run_plain_and_optimized(["check", str(path)]):
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == "schema"
+        assert payload["detail"].startswith(": invalid JSON: ")
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(RULED_BLOWUP).encode().replace(b'"p1"', b'"p\xff"'),
+    ('{"version": ' + "[" * 100000 + "]" * 100000 + "}").encode(),
+], ids=["not-utf-8", "nested-100000-deep"])
+def test_unreadable_json_is_a_schema_error_plain_and_optimized(
+    tmp_path, content
+):
+    """A model file that is not UTF-8, or whose arrays nest deeper than the
+    decoder recurses, exits 2 with a schema error at the document root,
+    not a traceback, with or without python -O."""
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
     for proc in run_plain_and_optimized(["check", str(path)]):
         assert (proc.returncode, proc.stderr) == (2, b"")
         payload = json.loads(proc.stdout)

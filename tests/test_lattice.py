@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pklt_lab as pl
-from conftest import determinant
+from conftest import determinant, factor_numbers
 from pklt_lab.lattice import (
     DivisorClass,
     IntersectionForm,
     LDLFactor,
     basis_class,
+    rat,
     signature,
 )
 
@@ -22,6 +24,20 @@ RULED_23 = IntersectionForm(
 
 def cls(*coeffs, lat="r"):
     return DivisorClass.dense(tuple(Fraction(c) for c in coeffs), lat)
+
+
+def test_rat_reads_only_the_p_over_q_grammar():
+    """A string is '[-]p[/q]', p and q of at most 4300 digits, read
+    canonically: no decimal point, exponent, '+', space or underscore."""
+    assert [rat("-6/4"), rat("4/2"), rat("-0"), rat("9" * 4300)] == [
+        Fraction(-3, 2), 2, 0, int("9" * 4300)]
+    assert type(rat("4/2")) is int and type(pl.lattice.quotient(6, 3)) is int
+    for text in ("0.5", "1e-5000", "1E2", "+1", " 1", "1_0", "1/-3", "1/",
+                 "/3", "", "\u0663", "9" * 4301, "1/" + "9" * 4301):
+        with pytest.raises(ValueError, match="not a '\\[-\\]p\\[/q\\]' rational"):
+            rat(text)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
 
 
 def test_intersect_unit_class_on_p2():
@@ -173,20 +189,14 @@ def test_negative_definite_matches_minor_oracle():
         assert pl.is_negative_definite(m) == _all_principal_minors_oracle(m)
 
 
-def canonical(v):
-    """An int, or a Fraction whose value is not integral."""
-    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+def _only_ints(factor, *more):
+    """Every number the factor stores is an int, and so is each of
+    ``more``."""
+    return all(type(v) is int for v in [*factor_numbers(factor), *more])
 
 
-def _no_float(factor, *more):
-    """The factor's pivots are Fractions and its residuals ints and
-    Fractions; its quotients, L and z, and ``more`` are canonical."""
-    quotients = [*factor._z, *more]
-    quotients += [v for row in factor.lower for v in row.values()]
-    return (all(type(p) is Fraction for p in factor.pivots)
-            and all(type(v) in (int, Fraction)
-                    for v in factor.residual.values())
-            and all(map(canonical, quotients)))
+def _lcm_of_denominators(values):
+    return math.lcm(*(Fraction(v).denominator for v in values))
 
 
 def test_ldl_factor_matches_sylvester_and_solve_exact():
@@ -194,11 +204,16 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
     verdict and its solution is solve_exact's.  After every equation its
     border holds, for each equation still to join and for an extra column
     c that never joins, the residual c_rhs − cᵀ·solve_exact(G, b) over the
-    equations joined so far.  Every other system is all ints, as the
-    Zariski rows of an integral class are; no entry of the factor or of x
-    is ever a float, and L, z and x are canonical: an int when integral."""
+    equations joined so far, whose sign is that of the stored residual
+    times its stage's minor.  Every other system is all ints, as the
+    Zariski rows of an integral class are; the others are Fraction
+    systems, which the factor sees as ints scaled by c for G and e for b,
+    both positive, as zariski_decompose scales them: its pivots are then
+    c times G's, its residuals e times G's, and its x e/c times G's.  Each
+    is read out exactly from the factor's ints: pivot Δₖ₊₁/Δₖ, residual
+    A/Δₛ and x = X/q.  The factor stores nothing but ints."""
     rng = random.Random(1968)
-    definite = bordered = 0
+    definite = bordered = negative = scaled = 0
     for t in range(800):
         def entry(top, den=1):
             """An int on odd t, else a Fraction with denominator <= den."""
@@ -212,33 +227,54 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
                 m[i][j] = m[j][i] = entry(4, 3)
             if rng.random() < 0.5:  # diagonally dominant, often definite
                 m[i][i] = -4 * n
-        rhs = [entry(5) for _ in range(n)]
+        rhs = [entry(5, 2) for _ in range(n)]
         extra = [entry(3, 2) for _ in range(n)]
-        rhs.append(entry(5))  # the extra column's, key n
-        factor = LDLFactor(rhs)
+        rhs.append(entry(5, 2))  # the extra column's, key n
+        c = _lcm_of_denominators([v for r in m for v in r] + extra)
+        e = _lcm_of_denominators(rhs)
+        scaled += c > 1 and e > 1
+        factor = LDLFactor([int(e * v) for v in rhs])
         for k in range(n):
-            row = {j: v for j, v in enumerate(m[k] + [extra[k]]) if v}
-            if factor.extend(k, row) == 0:
+            row = {j: int(c * v) for j, v in enumerate(m[k] + [extra[k]]) if v}
+            sign = factor.extend(k, row)
+            pivot = Fraction(factor.minors[-1], factor.minors[-2])
+            assert (sign > 0) - (sign < 0) == (pivot > 0) - (pivot < 0)
+            if sign == 0:
                 break
-            assert _no_float(factor)
+            assert _only_ints(factor)
             x = pl.solve_exact([r[: k + 1] for r in m[: k + 1]], rhs[: k + 1])
             columns = [r[: k + 1] for r in m[k + 1:]] + [extra[: k + 1]]
-            for key, c in enumerate(columns, k + 1):
-                want = rhs[key] - sum(ci * xi for ci, xi in zip(c, x))
-                assert factor.residual.get(key, rhs[key]) == want
-                bordered += key in factor.residual
+            below = set()
+            for key, col in enumerate(columns, k + 1):
+                want = rhs[key] - sum(ci * xi for ci, xi in zip(col, x))
+                if key in factor.residual:
+                    r, stage = factor.residual[key]
+                    got = Fraction(r, factor.minors[stage])
+                    bordered += 1
+                else:
+                    got = e * rhs[key]
+                assert got == e * want
+                if key in factor.residual and want < 0:
+                    below.add(key)
+            assert below == {j for j, (r, stage) in factor.residual.items()
+                             if r * factor.minors[stage] < 0}
+            negative += len(below)
         else:
-            assert all(p < 0 for p in factor.pivots) == (
-                pl.is_negative_definite(m)
-            )
-            x = factor.solve()
-            assert x == pl.solve_exact(m, rhs[:n])
-            assert _no_float(factor, *x)
-            definite += all(p < 0 for p in factor.pivots)
+            d = factor.minors
+            pivots = [Fraction(a, b) / c for a, b in zip(d[1:], d)]
+            assert all(p < 0 for p in pivots) == pl.is_negative_definite(m)
+            X, q = factor.solve()
+            assert q > 0
+            assert [Fraction(c * v, e * q) for v in X] == pl.solve_exact(
+                m, rhs[:n])
+            assert _only_ints(factor, *X, q)
+            definite += all(p < 0 for p in pivots)
             continue
         assert not pl.is_negative_definite(m)
     assert definite > 200
     assert bordered > 2000
+    assert negative > 200
+    assert scaled > 200
 
 
 def test_signature_hodge_shape():

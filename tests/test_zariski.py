@@ -13,12 +13,15 @@ from conftest import (
     chain_model,
     cubic12_model,
     determinant,
+    factor_numbers,
     is_nef_against_catalog,
     make_lattice_base,
     p2,
     random_effective_divisor,
     random_lattice_spec,
     random_lattice_tower,
+    random_pair,
+    random_rational_lattice_tower,
     random_tower,
     reference_zariski,
     ruled,
@@ -283,6 +286,84 @@ def test_incremental_factor_matches_per_round_reference():
     assert kinds["accepted"] and kinds["rejected"]
 
 
+def _rational_lattice_cases(rng, count):
+    """random_rational_lattice_tower levels with −K or a class of signed
+    rational coefficients on the catalog."""
+    for _ in range(count):
+        m = random_rational_lattice_tower(rng)
+        level = rng.randrange(0, m.top + 1)
+        lvl = m.level(level)
+        if rng.random() < 0.3:
+            cls = -lvl.canonical
+        else:
+            cls = pl.RDivisor.make(
+                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+            ).class_at(m)
+        yield m, level, cls
+
+
+def test_rational_lattices_match_the_per_round_reference():
+    """On catalogs of rational classes on a rational form the factor solves
+    scale·gram(S)·x′ = e·(D·C) in ints, with the model's scale and the
+    lcm e of the D·C denominators, and reads x off x′: the same
+    decomposition, or the same error, as the reference's Fraction solve."""
+    rng = random.Random(36)
+    cases = list(_rational_lattice_cases(rng, 800))
+    assert sum(m.scale > 1 for m, _, _ in cases) > 400
+    details = _assert_matches_reference(cases)
+    assert set(details) == NOT_PSEF_DETAILS, details
+    supports = 0
+    for m, level, cls in cases:
+        try:
+            supports += bool(pl.zariski_decompose(m, level, cls).N.terms)
+        except pl.NotPseudoeffectiveError:
+            pass
+    assert supports > 200
+
+
+def test_make_base_scale_clears_self_intersections():
+    """A model's scale clears the denominators of every Cᵢ·Cⱼ of its
+    catalog, squares included: a lone curve A with A² = −1/2 needs 2, and
+    a blow-up keeps it.  The solve on that scale finds N = A for H + A."""
+    spec = pl.AbstractLattice(("H", "A"), ((2, 0), (0, Fraction(-1, 2))),
+                              (-3, -1), (pl.CurveSpec("A", (0, 1), 0),))
+    m = pl.make_base(spec)
+    assert m.scale == 2
+    assert pl.blow_up(m, [pl.BlowUpCenter((("A", 1),))]).scale == 2
+    assert ruled(2, 3).scale == p2().scale == 1
+    D = pl.DivisorClass.dense((1, 1), m.level(0).form.lattice_id)
+    zd = pl.zariski_decompose(m, 0, D)
+    assert (zd.N.terms, zd.P.coeffs, zd.big) == ((("A", 1),), (1, 0), True)
+    assert _decomposition_or_error(reference_zariski, m, 0, D) == (
+        zd.P, zd.N, zd.big)
+
+
+def test_big_is_p_squared_positive():
+    """``big`` is read as D² − Σ xₖ·(D·Cₖ) in ints, without P²; it equals
+    P² > 0 on random towers (signed rational classes, so rational Δ), on
+    random pairs' −(K+Δ) at the top, and on the rational lattices."""
+    rng = random.Random(2009)
+    cases = [*_tower_cases(rng, 600), *_rational_lattice_cases(rng, 600)]
+    seen = collections.Counter()
+    for m, level, cls in cases:
+        try:
+            zd = pl.zariski_decompose(m, level, cls)
+        except pl.NotPseudoeffectiveError:
+            continue
+        p2 = pl.intersect(zd.P, zd.P, m.level(level).form)
+        assert zd.big == (p2 > 0)
+        seen[zd.big, bool(zd.N.terms), m.scale > 1] += 1
+    for _ in range(200):
+        pair = random_pair(rng)
+        zd = pair.decomposition
+        p2 = pl.intersect(zd.P, zd.P, pair.model.level(zd.level).form)
+        assert zd.big == pair.big == (p2 > 0)
+        seen[zd.big, bool(zd.N.terms), "pair"] += 1
+    kinds = (False, True, "pair")  # scale 1, scale > 1, a pair's −(K+Δ)
+    assert set(seen) == set(itertools.product((True, False), (True, False),
+                                              kinds)), seen
+
+
 @pytest.mark.parametrize("level, pivots, det", [(2, [-1, 0], 1), (1, [0], -1)])
 def test_dense_branch_names_what_the_factor_cannot(level, pivots, det):
     """P² blown up at two points of L, D = K: the factor meets a zero pivot
@@ -298,7 +379,8 @@ def test_dense_branch_names_what_the_factor_cannot(level, pivots, det):
     for k, row in enumerate(gram):
         if factor.extend(k, {j: v for j, v in enumerate(row) if v}) >= 0:
             break
-    assert factor.pivots == pivots
+    d = factor.minors  # the pivots are the ratios of consecutive minors
+    assert [Fraction(a, b) for a, b in zip(d[1:], d)] == pivots
     assert determinant(gram) == det
     with pytest.raises(pl.NotPseudoeffectiveError,
                        match=r"\(negative coefficient in N\)$"):
@@ -347,6 +429,29 @@ def test_chain_decomposition_does_linear_work(n, monkeypatch):
     assert sum(len(keys) for keys in factors[0]._reach) <= 3 * n
 
 
+@pytest.mark.parametrize("n", [48, 96, 192, 384])
+def test_chain_factor_holds_small_ints(n, monkeypatch):
+    """A fraction-free factor stores minors of gram(S), which may grow with
+    the support.  On the chain every stored number, and X and q of the
+    solve, is an int of at most bit_length(n) + 3 bits (9 to 12 bits, 3 or
+    4 digits, for n = 48 to 384): |Δₖ| grows linearly in k here."""
+    m = chain_model(n)
+    factors = []
+    solve = pl.lattice.LDLFactor.solve
+
+    def keeping(self):
+        factors.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(pl.lattice.LDLFactor, "solve", keeping)
+    zd = pl.zariski_decompose(m, m.top, -m.level(m.top).canonical)
+    assert len(zd.N.support) == n and len(factors) == 1
+    X, q = solve(factors[0])
+    numbers = [*factor_numbers(factors[0]), *X, q]
+    assert all(type(v) is int for v in numbers)
+    assert max(abs(v) for v in numbers).bit_length() <= n.bit_length() + 3
+
+
 def test_fixed_point_check_names_the_curves(monkeypatch):
     """A back-substituted x that does not solve gram(S)·x = D·C, as a
     bookkeeping slip in the factor would give, is caught by the one pass
@@ -354,9 +459,9 @@ def test_fixed_point_check_names_the_curves(monkeypatch):
     m = blown_ruled(2, 3)
     solve = pl.lattice.LDLFactor.solve
 
-    def off_by_one(self):
-        x = solve(self)
-        return x[:-1] + [x[-1] + 1]
+    def off_by_one(self):  # x = X/q, so the last xₖ gains 1
+        X, q = solve(self)
+        return X[:-1] + [X[-1] + q], q
 
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", off_by_one)
     with pytest.raises(pl.InvariantViolation) as exc:
@@ -380,12 +485,13 @@ def test_index_rows_equal_the_dense_rows():
     for m in towers:
         for lvl in m.levels:
             curves, form = lvl.curves, lvl.form
-            row = zariski.intersection_rows(curves, form)
+            row = zariski.intersection_rows(curves, form, m.scale)
             for i, ci in enumerate(curves):
                 dense = {
-                    j: v for j, c in enumerate(curves)
+                    j: m.scale * v for j, c in enumerate(curves)
                     if (v := pl.intersect(ci.cls, c.cls, form))
                 }
                 assert row(i) == dense
+                assert all(type(v) is int for v in row(i).values())
                 nonzero += len(dense)
     assert nonzero > 1000
