@@ -1,6 +1,7 @@
 """Exact-arithmetic surface birational geometry on blow-up towers."""
 
 from .lattice import (
+    DigitLimitError,
     DivisorClass,
     IntersectionForm,
     LatticeMismatchError,

@@ -5,9 +5,9 @@
              [--format json|text]
 
 Exit codes: 0 success, 1 computation failure (e.g. not pseudoeffective
-against the catalog, or a theory invariant failing on an incomplete
-catalog), 2 parse/schema error, 3 model validation error,
-4 golden-corpus mismatch.
+against the catalog, a theory invariant failing on an incomplete
+catalog, or a number too long to print), 2 parse/schema error, 3 model
+validation error, 4 golden-corpus mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus
-from .lattice import rat
+from .lattice import DigitLimitError, rat
 from .modelio import SchemaError, ValidationError, load_model
 from .potential import (
     InvariantViolation,
@@ -55,6 +55,7 @@ FAILURES = {
     ValidationError: (EXIT_VALIDATION, "validation"),
     PairError: (EXIT_VALIDATION, "pair"),
     NotPseudoeffectiveError: (EXIT_COMPUTE, "not-pseudoeffective"),
+    DigitLimitError: (EXIT_COMPUTE, "too-many-digits"),
 }
 
 
@@ -145,8 +146,8 @@ def _cmd_zariski(args) -> dict:
 
 def _cmd_report_slice(args, report, keys) -> dict:
     loaded = load_model(args.model)
-    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
     eps = _parse_eps(getattr(args, "eps", None))
+    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
     rep = report(pair, eps)
     out = {"schema": REPORT_SCHEMA, "command": args.command}
     for key in keys:

@@ -1,6 +1,6 @@
 """Exact rational intersection theory.
 
-Divisor classes live in a fixed finite-rank lattice with a symmetric
+Divisor classes live in one lattice per blow-up tower, with a symmetric
 bilinear form.  An exact number is canonical: an ``int`` when its value
 is integral, a ``fractions.Fraction`` only when it is not.  ``rat`` makes
 a number canonical, and every input and every quotient goes through it,
@@ -17,6 +17,7 @@ a rational Δ or form, such as an intersection number.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -27,6 +28,10 @@ class LatticeMismatchError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Raised by solve_exact on a singular system."""
+
+
+class DigitLimitError(ValueError):
+    """Raised by ``numeral`` on a number it cannot print."""
 
 
 # p and q of at most 4300 digits: the default limit of int/str conversion
@@ -56,6 +61,17 @@ def rat(x) -> int | Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def numeral(x) -> str:
+    """str(x), or DigitLimitError where a part of the number has more
+    digits than the interpreter's int/str conversion limit."""
+    try:
+        return str(x)
+    except ValueError:  # only that limit makes str fail on a number
+        raise DigitLimitError(
+            f"a number to print has more than {sys.get_int_max_str_digits()} "
+            f"digits") from None
+
+
 def quotient(p, q) -> int | Fraction:
     """p / q as a canonical exact rational, for ints and Fractions p, q."""
     if type(p) is int and type(q) is int and not p % q:
@@ -67,9 +83,10 @@ Matrix = Sequence[Sequence[Fraction]]
 
 
 class DivisorClass(NamedTuple):
-    """A divisor class in a fixed lattice basis: ``terms`` maps basis index
-    to coefficient, nonzero ones only (f*C − Σ mⱼEⱼ has one per center on
-    C).  Classes are never changed once built, so they may share ``terms``.
+    """A divisor class in a tower's lattice: ``terms`` maps basis index to
+    coefficient, nonzero ones only (f*C − Σ mⱼEⱼ has one per center on C).
+    Classes are never changed once built, so they may share ``terms``.  A
+    class has no rank, so a class of a level is its own pullback above it.
 
     A coefficient is an int or a Fraction, never a float: sums and products
     of ints stay ints, and nothing here divides.  ``plus`` makes the
@@ -77,19 +94,13 @@ class DivisorClass(NamedTuple):
     """
 
     terms: dict[int, int | Fraction]
-    rank: int
     lattice_id: str
 
     @classmethod
     def dense(
         cls, coeffs: Sequence[int | Fraction], lattice_id: str
     ) -> "DivisorClass":
-        return cls({i: c for i, c in enumerate(coeffs) if c}, len(coeffs),
-                   lattice_id)
-
-    @property
-    def coeffs(self) -> tuple[int | Fraction, ...]:
-        return tuple(self.terms.get(i, 0) for i in range(self.rank))
+        return cls({i: c for i, c in enumerate(coeffs) if c}, lattice_id)
 
     def plus(
         self, scaled: Iterable[tuple[int | Fraction, "DivisorClass"]]
@@ -106,7 +117,7 @@ class DivisorClass(NamedTuple):
             for i, c in other.terms.items():
                 terms[i] = terms.get(i, 0) + r * c
         terms = {i: rat(c) for i, c in terms.items() if c}
-        return DivisorClass(terms, self.rank, self.lattice_id)
+        return DivisorClass(terms, self.lattice_id)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return self.plus(((1, other),))
@@ -120,36 +131,31 @@ class DivisorClass(NamedTuple):
     def scale(self, r) -> "DivisorClass":
         r = rat(r)
         terms = {i: r * c for i, c in self.terms.items()} if r else {}
-        return DivisorClass(terms, self.rank, self.lattice_id)
+        return DivisorClass(terms, self.lattice_id)
 
 
-def basis_class(index: int, rank: int, lattice_id: str) -> DivisorClass:
-    return DivisorClass({index: 1}, rank, lattice_id)
+def basis_class(index: int, lattice_id: str) -> DivisorClass:
+    return DivisorClass({index: 1}, lattice_id)
 
 
 class IntersectionForm(NamedTuple):
-    """Symmetric bilinear form: a base Gram block ⊕ ⟨−1⟩^exceptional.
+    """A tower's form: a base Gram block, then ⟨−1⟩ on every later coordinate.
 
     A blow-up adds one basis vector E with E² = −1, orthogonal to the
-    pullback of the old lattice (Hartshorne V.3.2), so every level of a
-    tower shares the base block and only ``exceptional`` grows.  The block
-    is taken as given: ``make_base`` checks a user-supplied one.
+    pullback of the old lattice (Hartshorne V.3.2), so one form serves
+    every level of a tower.  The block is taken as given: ``make_base``
+    checks a user-supplied one.
     """
 
     lattice_id: str
     gram: tuple[tuple[int | Fraction, ...], ...]
-    exceptional: int = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram) + self.exceptional
 
 
 def intersect(
     a: DivisorClass, b: DivisorClass, form: IntersectionForm
 ) -> int | Fraction:
     """Exact intersection product: aᵀ · gram · b on the base coordinates,
-    minus Σ aₑbₑ over the exceptional ones.  Runs over the nonzero
+    minus Σ aₑbₑ over the coordinates past them.  Runs over the nonzero
     coordinates of the sparser class; an int when both classes and the
     form are integral."""
     if a.lattice_id != form.lattice_id or b.lattice_id != form.lattice_id:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DivisorClass
+from .lattice import DivisorClass, numeral
 from .modelio import LoadedModel
 from .potential import (
     FanoVerdict,
@@ -35,13 +35,13 @@ def _display(model: SurfaceModel, level: int, cid: str) -> str:
 
 def divisor_json(model: SurfaceModel, d: RDivisor) -> dict:
     return {
-        _display(model, d.level, cid): str(v) for cid, v in d.terms
+        _display(model, d.level, cid): numeral(v) for cid, v in d.terms
     }
 
 
 def class_json(model: SurfaceModel, level: int, cls: DivisorClass) -> dict:
     labels = model.level(level).basis_labels
-    return {lab: str(cls.terms.get(i, 0)) for i, lab in enumerate(labels)}
+    return {lab: numeral(cls.terms.get(i, 0)) for i, lab in enumerate(labels)}
 
 
 def component_json(model: SurfaceModel, level: int, comp) -> dict:
@@ -79,8 +79,8 @@ def loci_json(pair: PairSpec, pr: PotentialReport, eps: Fraction | None) -> dict
     out = {
         "nklt": [component_json(model, pair.level, c) for c in pr.nklt],
         "pnklt": [component_json(model, pair.level, c) for c in pr.pnklt],
-        "eps0": str(pr.eps0) if pr.eps0 is not None else None,
-        "eps": str(eps) if eps is not None else None,
+        "eps0": numeral(pr.eps0) if pr.eps0 is not None else None,
+        "eps": numeral(eps) if eps is not None else None,
         "eps_spnklt": None,
     }
     if eps is not None:
@@ -118,9 +118,9 @@ def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
     model = pair.model
     ledger = {
         e.display: {
-            "a": str(e.a),
-            "sigma_num": str(e.sigma_num),
-            "pa": str(e.pa),
+            "a": numeral(e.a),
+            "sigma_num": numeral(e.sigma_num),
+            "pa": numeral(e.pa),
         }
         for e in pair.ledger.entries
     }
@@ -132,7 +132,7 @@ def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
         },
         "ledger": ledger,
         "zariski": zariski_json(model, pair.decomposition, "-(K+Delta)"),
-        "frakA": str(pr.frakA),
+        "frakA": numeral(pr.frakA),
         "loci": loci_json(pair, pr, eps),
         "flags": {
             "klt": pr.klt,

@@ -22,6 +22,7 @@ from .lattice import (
     IntersectionForm,
     basis_class,
     intersect,
+    numeral,
     quotient,
     rat,
     signature,
@@ -181,7 +182,7 @@ class BlowUpCenter(NamedTuple):
 
 
 class SurfaceModel(Record):
-    """A base (as a lattice), the centers blown up over it, one curve table.
+    """A base (as a lattice), its form, the centers over it, one curve table.
 
     Level k's basis is the base basis then E1..Ek, so a class keeps its
     coordinates up the tower.  ``curves`` maps each id, in catalog order,
@@ -192,9 +193,9 @@ class SurfaceModel(Record):
     A Record: a tuple cannot be weakly referenced.
     """
 
-    __slots__ = ("base", "tag", "lattice", "centers", "curves", "scale")
+    __slots__ = ("base", "form", "lattice", "centers", "curves", "scale")
     base: BaseSpec
-    tag: str  # level k's lattice id is f"{tag}/{k}"
+    form: IntersectionForm
     lattice: AbstractLattice
     centers: tuple[BlowUpCenter, ...]
     curves: dict[str, Curve]
@@ -216,12 +217,13 @@ class SurfaceModel(Record):
 
 class Level:
     """Level k of a tower: the curves born at or below k, each with its
-    class cut to level k's lattice, the first rank(k) coordinates."""
+    class on the first ``rank`` coordinates of the tower's one ``form``."""
 
     def __init__(self, model: SurfaceModel, k: int):
         self.model = model
         self.k = k
-        self.form = IntersectionForm(f"{model.tag}/{k}", model.lattice.gram, k)
+        self.form = model.form
+        self.rank = len(model.lattice.gram) + k
         self.center = model.centers[k - 1] if k else None
 
     @property
@@ -238,10 +240,9 @@ class Level:
     def _at(self, c: Curve) -> Curve:
         if c.level == self.k:
             return c
-        rank, terms = self.form.rank, c.cls.terms
-        if c.level > self.k:
-            terms = {i: v for i, v in terms.items() if i < rank}
-        cls = DivisorClass(terms, rank, self.form.lattice_id)
+        cls, rank = c.cls, self.rank
+        if c.level > self.k:  # cut the centers above k
+            cls = cls._replace(terms={i: v for i, v in cls.terms.items() if i < rank})
         return Curve(c.id, cls, c.genus, c.born, self.k)
 
     @functools.cached_property
@@ -252,6 +253,10 @@ class Level:
 
     def has_curve(self, cid: str) -> bool:
         return cid in self.model.curves and self.model.curves[cid].born <= self.k
+
+    def has_class(self, cls: DivisorClass) -> bool:
+        return (cls.lattice_id == self.form.lattice_id
+                and all(i < self.rank for i in cls.terms))
 
     def curve(self, cid: str) -> Curve:
         if not self.has_curve(cid):
@@ -302,7 +307,7 @@ class RDivisor(NamedTuple):
 
     def class_at(self, model: SurfaceModel) -> DivisorClass:
         lvl = model.level(self.level)
-        return DivisorClass({}, lvl.form.rank, lvl.form.lattice_id).plus(
+        return DivisorClass({}, lvl.form.lattice_id).plus(
             (c, lvl.curve(cid).cls) for cid, c in self.terms
         )
 
@@ -328,18 +333,18 @@ def _check_genus(
         intersect(canonical, c.cls, form) + intersect(c.cls, c.cls, form), 2)
     if type(pa) is not int:
         raise ModelError(
-            f"curve {c.id!r} has arithmetic genus 1 + (K.C + C.C)/2 = {pa}, "
-            f"not an integer")
+            f"curve {c.id!r} has arithmetic genus 1 + (K.C + C.C)/2 = "
+            f"{numeral(pa)}, not an integer")
     if pa < c.genus:
         raise ModelError(
             f"curve {c.id!r} has genus {c.genus} above its arithmetic genus "
-            f"1 + (K.C + C.C)/2 = {pa}")
+            f"1 + (K.C + C.C)/2 = {numeral(pa)}")
 
 
 def make_base(spec: BaseSpec) -> SurfaceModel:
     """The one-level tower over ``spec``.  Its lattice holds the forms, K
     and the catalog classes with every integral entry as an int, so that
-    intersection numbers are ints; the lattice id is the spec's tag.
+    intersection numbers are ints; the tower's one form has the spec's tag.
 
     Each catalog curve needs an id that does not end in '~' and an
     integral arithmetic genus at least its declared genus; a failure sets
@@ -389,13 +394,12 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
                   for cs in spec.curves))
     else:
         raise ModelError(f"unknown base spec {spec!r}")
-    tag = spec.lattice_tag()
-    lat_id = f"{tag}/0"
+    form = IntersectionForm(spec.lattice_tag(), lattice.gram)
+    lat_id = form.lattice_id
     curves = {
         cs.id: Curve(cs.id, DivisorClass.dense(cs.coeffs, lat_id), cs.genus, 0, 0)
         for cs in lattice.curves
     }
-    form = IntersectionForm(lat_id, lattice.gram)
     canonical = DivisorClass.dense(lattice.canonical, lat_id)
     for i, c in enumerate(curves.values()):
         try:
@@ -411,9 +415,9 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         if num < 0 and a is not b:
             raise ModelError(
                 f"catalog curves {a.id!r} and {b.id!r} meet negatively: "
-                f"intersection number is {num}"
+                f"intersection number is {numeral(num)}"
             )
-    return SurfaceModel(spec, tag, lattice, (), curves, scale)
+    return SurfaceModel(spec, form, lattice, (), curves, scale)
 
 
 def blow_up(
@@ -423,20 +427,16 @@ def blow_up(
     E_k, and f*C − m·E_k for each curve C through the k-th center with
     multiplicity m; every other entry is kept, the same object.
 
-    One pass: each curve a center touches collects its new coordinates in
-    one terms dict, and its class is built once, at the end, at the level
-    of its last center.  The input model is not changed.  A center that
-    fails a check raises ModelError with ``center`` set to its index in
-    ``centers``."""
+    One pass: each curve a center touches grows one class of its own, and
+    is rebuilt once, at the level of its last center.  The input model is
+    not changed.  A center that fails a check raises ModelError with
+    ``center`` set to its index in ``centers``."""
     curves = dict(model.curves)
     placed = list(model.centers)
     labels = {c.point_label for c in placed}
-    gram, base_rank = model.lattice.gram, len(model.lattice.gram)
-    grown: dict[str, dict[int, int | Fraction]] = {}
+    form, base_rank = model.form, len(model.lattice.gram)
+    grown: dict[str, DivisorClass] = {}  # the touched curves' new classes
     last: dict[str, int] = {}  # level of the last center on each grown curve
-
-    def terms(cid: str) -> dict[int, int | Fraction]:
-        return grown[cid] if cid in grown else curves[cid].cls.terms
 
     for j, center in enumerate(centers):
         k = len(placed) + 1
@@ -454,18 +454,16 @@ def blow_up(
                 )
             # intersection-point budget: a center on both C and C' (mults
             # m, m') consumes m·m' of their intersection number at level k−1
-            if len(incidences) > 1:
-                lat_id = f"{model.tag}/{k - 1}"
-                form = IntersectionForm(lat_id, gram, k - 1)
-                for (c1, m1), (c2, m2) in itertools.combinations(incidences, 2):
-                    num = intersect(DivisorClass(terms(c1), e, lat_id),
-                                    DivisorClass(terms(c2), e, lat_id), form)
-                    if num < m1 * m2:
-                        raise ModelError(
-                            f"intersection budget exceeded for pair "
-                            f"({c1!r}, {c2!r}): center consumes {m1 * m2}, "
-                            f"intersection number is {num}"
-                        )
+            for (c1, m1), (c2, m2) in itertools.combinations(incidences, 2):
+                num = intersect(grown.get(c1) or curves[c1].cls,
+                                grown.get(c2) or curves[c2].cls, form)
+                if num < m1 * m2:
+                    raise ModelError(
+                        f"intersection budget exceeded for pair "
+                        f"({c1!r}, {c2!r}): center consumes "
+                        f"{numeral(m1 * m2)}, intersection number is "
+                        f"{numeral(num)}"
+                    )
             exc_id = center.exceptional_id or f"E{k}"
             _check_id(exc_id, "exceptional id")
             if exc_id in curves:
@@ -484,18 +482,16 @@ def blow_up(
         labels.add(label)
         placed.append(BlowUpCenter(incidences, center.near, label, exc_id))
         for cid, m in incidences:
-            if cid not in grown:
-                grown[cid] = dict(curves[cid].cls.terms)
-            grown[cid][e] = -m
+            if cid not in grown:  # a class of its own, grown in place
+                grown[cid] = DivisorClass(dict(curves[cid].cls.terms), form.lattice_id)
+            grown[cid].terms[e] = -m
             last[cid] = k
-        curves[exc_id] = Curve(
-            exc_id, basis_class(e, e + 1, f"{model.tag}/{k}"), 0, k, k)
+        curves[exc_id] = Curve(exc_id, basis_class(e, form.lattice_id), 0, k, k)
 
-    for cid, t in grown.items():
-        c, k = curves[cid], last[cid]
-        cls = DivisorClass(t, base_rank + k, f"{model.tag}/{k}")
-        curves[cid] = Curve(cid, cls, c.genus, c.born, k)
-    return SurfaceModel(model.base, model.tag, model.lattice, tuple(placed), curves,
+    for cid, cls in grown.items():
+        c = curves[cid]
+        curves[cid] = Curve(cid, cls, c.genus, c.born, last[cid])
+    return SurfaceModel(model.base, form, model.lattice, tuple(placed), curves,
                         model.scale)
 
 
@@ -506,12 +502,13 @@ def blow_up(
 def pull_back(
     model: SurfaceModel, from_level: int, to_level: int, cls: DivisorClass
 ) -> DivisorClass:
-    src, dst = model.level(from_level), model.level(to_level)
-    if from_level > to_level:
+    """f*cls: the class itself, as a blow-up only appends a coordinate."""
+    src = model.level(from_level)
+    if from_level > model.level(to_level).k:
         raise ModelError("pull_back goes up the tower")
-    if cls.lattice_id != src.form.lattice_id:
+    if not src.has_class(cls):
         raise ModelError("class does not live at the source level")
-    return DivisorClass(cls.terms, dst.form.rank, dst.form.lattice_id)
+    return cls
 
 
 def push_forward(
@@ -530,24 +527,20 @@ def push_forward(
         (cid, c) for cid, c in d.terms if model.curves[cid].born <= to_level])
 
 
-def total_transform(
-    model: SurfaceModel, d: RDivisor, to_level: int | None = None
-) -> RDivisor:
-    """Coefficients of the pullback f*D as an effective combination.
+def total_transform(model: SurfaceModel, d: RDivisor) -> RDivisor:
+    """Coefficients of the pullback f*D to the top, an effective combination.
 
     Strict transforms keep their coefficient; each new exceptional picks
     up the multiplicity of the pulled-back divisor at its center.
     """
-    to_level = model.top if to_level is None else to_level
-    if to_level < d.level:
+    if model.top < d.level:
         raise ModelError("total_transform goes up the tower")
-    model.level(to_level)
     coeffs = dict(d.terms)
-    for center in model.centers[d.level:to_level]:
+    for center in model.centers[d.level:]:
         coeffs[center.exceptional_id] = sum(
             m * coeffs.get(cid, 0) for cid, m in center.on_curves
         )
-    return RDivisor.make(to_level, coeffs)
+    return RDivisor.make(model.top, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def zariski_decompose(
     with x.  Then P² = D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S.
     """
     lvl = model.level(level)
-    if D.lattice_id != lvl.form.lattice_id:
+    if not lvl.has_class(D):  # a class of a lower level is its own pullback
         raise ValueError("divisor class does not live at the requested level")
     curves = lvl.curves
     dc = [intersect(D, c.cls, lvl.form) for c in curves]

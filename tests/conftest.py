@@ -157,6 +157,11 @@ def random_center(rng: random.Random, model) -> pl.BlowUpCenter:
     return pl.BlowUpCenter(((rng.choice(curves).id, 1),))
 
 
+def coords(cls, rank):
+    """The first ``rank`` coordinates of ``cls``, zeros included."""
+    return tuple(cls.terms.get(i, 0) for i in range(rank))
+
+
 def _dense_product(x, y, gram):
     return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
 
@@ -229,13 +234,13 @@ def catalog_model(spec):
     it; this test-only model feeds it to the catalog-relative solver.  Its
     scale is the lcm of the denominators of the catalog's numbers."""
     m = pl.make_base(spec._replace(curves=()))
-    form = m.level(0).form
+    form = m.form
     classes = [pl.DivisorClass.dense(cs.coeffs, form.lattice_id)
                for cs in spec.curves]
     scale = math.lcm(*(pl.intersect(a, b, form).denominator
                        for a in classes for b in classes))
     return pl.SurfaceModel(
-        spec, m.tag, m.lattice._replace(curves=spec.curves), m.centers,
+        spec, form, m.lattice._replace(curves=spec.curves), m.centers,
         {cs.id: Curve(cs.id, c, cs.genus, 0, 0)
          for cs, c in zip(spec.curves, classes)},
         scale,
@@ -443,7 +448,7 @@ def reference_zariski(model, level, D):
     incremental factor, which must return the same decomposition or raise
     the same error."""
     lvl = model.level(level)
-    if D.lattice_id != lvl.form.lattice_id:
+    if D.lattice_id != lvl.form.lattice_id or any(i >= lvl.rank for i in D.terms):
         raise ValueError("divisor class does not live at the requested level")
     in_s = set()
     S = []

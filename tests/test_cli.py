@@ -336,6 +336,41 @@ def test_negative_catalog_pair_exit_3_plain_and_optimized(tmp_path):
         }
 
 
+# a(E1) = 1 − 1/q₁ − 1/q₂ has a 5001-digit denominator
+HUGE_DENOMINATOR = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "ruled", "genus": 0, "e": 1},
+    "blowups": [{"id": "E1", "on": [{"curve": "C0"}, {"curve": "f"}]}],
+    "divisors": {"D": [
+        {"curve": "C0", "coeff": f"1/{10 ** 2500 + 1}"},
+        {"curve": "f", "coeff": f"1/{10 ** 2500 + 3}"}]},
+    "pair": {"level": 0, "delta": "D"},
+}
+# A·B = −q² has 8600 digits, so make_base cannot name it
+NINES = "9" * 4300
+HUGE_NEGATIVE_PAIR = dict(NEGATIVE_PAIR, base=dict(
+    NEGATIVE_PAIR["base"],
+    curves=[{"id": "A", "class": [NINES], "genus": 0},
+            {"id": "B", "class": ["-" + NINES], "genus": 0}]))
+
+
+def test_a_number_past_the_digit_limit_exit_1_plain_and_optimized(tmp_path):
+    """A number with a part of more than 4300 digits, the interpreter's
+    int/str conversion limit, cannot be printed: in a report or in an error
+    message it is a too-many-digits error, exit 1, not a traceback, with
+    or without python -O."""
+    huge = write_model(tmp_path, HUGE_DENOMINATOR)
+    runs = [[command, huge] for command in ("potential", "pnklt", "classify")]
+    runs.append(["check", write_model(tmp_path, HUGE_NEGATIVE_PAIR, "n.json")])
+    for args in runs:
+        for proc in run_plain_and_optimized(args):
+            assert (proc.returncode, proc.stderr) == (1, b""), args
+            assert json.loads(proc.stdout) == {
+                "error": "too-many-digits",
+                "detail": "a number to print has more than 4300 digits",
+            }
+
+
 def test_repeated_point_label_exit_3_plain_and_optimized(tmp_path):
     path = write_model(tmp_path, DUPLICATE_LABEL)
     for proc in run_plain_and_optimized(["pnklt", path]):
@@ -499,6 +534,26 @@ def test_bad_eps_exit_2(tmp_path, capsys):
     for bad in ("--eps=-1/2", "--eps=x"):
         code, _ = run_cli(["pnklt", path, bad], capsys)
         assert code == 2
+
+
+# -(K+Δ) = −L is not pseudoeffective
+P2_FOUR_L = {
+    "version": "pklt-lab/1",
+    "base": {"kind": "P2"},
+    "divisors": {"D": [{"curve": "L", "coeff": "4"}]},
+    "pair": {"level": 0, "delta": "D"},
+}
+
+
+@pytest.mark.parametrize("command", ["potential", "pnklt", "classify"])
+def test_bad_eps_is_read_before_the_pair(tmp_path, capsys, command):
+    """--eps is read after the model and before the pair's analysis, so a
+    malformed value is bad-eps even where the pair fails."""
+    path = write_model(tmp_path, P2_FOUR_L)
+    code, out = run_cli([command, path], capsys)
+    assert (code, json.loads(out)["error"]) == (1, "not-pseudoeffective")
+    code, out = run_cli([command, path, "--eps", "-1"], capsys)
+    assert (code, json.loads(out)) == (2, {"error": "bad-eps", "detail": "-1"})
 
 
 def test_level_outside_tower_exit_2(tmp_path, capsys):

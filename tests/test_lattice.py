@@ -12,6 +12,7 @@ from pklt_lab.lattice import (
     IntersectionForm,
     LDLFactor,
     basis_class,
+    numeral,
     rat,
     signature,
 )
@@ -40,9 +41,20 @@ def test_rat_reads_only_the_p_over_q_grammar():
         rat("1/0")
 
 
+def test_numeral_prints_up_to_the_digit_limit():
+    """str of an exact number; a part of more than 4300 digits, the
+    interpreter's int/str limit, raises DigitLimitError, a ValueError."""
+    assert issubclass(pl.DigitLimitError, ValueError)
+    assert numeral(Fraction(-1, 10 ** 4299)) == "-1/1" + "0" * 4299
+    for x in (10 ** 4300, Fraction(1, 10 ** 4300)):
+        with pytest.raises(pl.DigitLimitError,
+                           match="more than 4300 digits"):
+            numeral(x)
+
+
 def test_intersect_unit_class_on_p2():
     form = IntersectionForm("p2", ((Fraction(1),),))
-    L = basis_class(0, 1, "p2")
+    L = basis_class(0, "p2")
     assert pl.intersect(L, L, form) == 1
 
 
@@ -60,7 +72,7 @@ def test_intersect_anticanonical_against_section():
 def test_intersect_lattice_mismatch_names_both():
     form = IntersectionForm("p2", ((Fraction(1),),))
     with pytest.raises(pl.LatticeMismatchError) as exc:
-        pl.intersect(basis_class(0, 1, "p2"), cls(1, 0), form)
+        pl.intersect(basis_class(0, "p2"), cls(1, 0), form)
     assert "p2" in str(exc.value) and "r" in str(exc.value)
 
 

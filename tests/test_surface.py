@@ -9,6 +9,7 @@ import pklt_lab as pl
 from conftest import (
     blown_ruled,
     chain_model,
+    coords,
     cubic12_model,
     p2,
     random_center,
@@ -23,14 +24,14 @@ from pklt_lab.lattice import basis_class, signature
 def test_make_base_p2():
     m = p2()
     lvl = m.level(0)
-    assert lvl.canonical.coeffs == (Fraction(-3),)
+    assert coords(lvl.canonical, lvl.rank) == (Fraction(-3),)
     assert lvl.curve("L").genus == 0
 
 
 def test_make_base_ruled_2_3():
     m = ruled(2, 3)
     lvl = m.level(0)
-    assert lvl.canonical.coeffs == (Fraction(-2), Fraction(-1))
+    assert coords(lvl.canonical, lvl.rank) == (Fraction(-2), Fraction(-1))
     assert lvl.form.gram == ((Fraction(-3), Fraction(1)),
                              (Fraction(1), Fraction(0)))
     assert lvl.curve("C0").genus == 2
@@ -39,7 +40,7 @@ def test_make_base_ruled_2_3():
 
 def test_make_base_ruled_0_1():
     m = ruled(0, 1)
-    assert m.level(0).canonical.coeffs == (Fraction(-2), Fraction(-3))
+    assert coords(m.level(0).canonical, 2) == (Fraction(-2), Fraction(-3))
 
 
 def test_make_base_rejects_bad_ruled():
@@ -62,7 +63,7 @@ def test_blow_up_free_point_on_p2_degree_8():
     m = pl.blow_up(p2(), (pl.BlowUpCenter(()),))
     lvl = m.level(1)
     antik = -lvl.canonical
-    assert antik.coeffs == (Fraction(3), Fraction(-1))
+    assert coords(antik, lvl.rank) == (Fraction(3), Fraction(-1))
     assert pl.intersect(antik, antik, lvl.form) == 8
 
 
@@ -94,9 +95,16 @@ def test_pull_back_preserves_intersections():
     lvl0, lvl1 = m.level(0), m.level(1)
     antik = -lvl0.canonical
     up = pl.pull_back(m, 0, 1, antik)
-    assert up.coeffs == (Fraction(2), Fraction(1), Fraction(0))
+    assert coords(up, lvl1.rank) == (Fraction(2), Fraction(1), Fraction(0))
     assert pl.intersect(up, up, lvl1.form) == pl.intersect(antik, antik, lvl0.form)
     assert pl.intersect(antik, antik, lvl0.form) == -8
+
+
+def test_pull_back_rejects_a_class_from_above_its_source():
+    """-K₁ has a term at E1, the coordinate past level 0's rank."""
+    m = blown_ruled(2, 3)
+    with pytest.raises(pl.ModelError, match="does not live at the source level"):
+        pl.pull_back(m, 0, 1, -m.level(1).canonical)
 
 
 def test_pull_back_identity_levels():
@@ -204,8 +212,8 @@ def dense_intersect(a, b, base_gram, blowups):
         gram[-1][n + i] = Fraction(-1)
     return sum(
         ai * gram[i][j] * bj
-        for i, ai in enumerate(a.coeffs)
-        for j, bj in enumerate(b.coeffs)
+        for i, ai in enumerate(coords(a, n + blowups))
+        for j, bj in enumerate(coords(b, n + blowups))
     )
 
 
@@ -216,19 +224,17 @@ def test_structural_invariants_fuzzed():
     for m in towers:
         base = m.level(0).form
         for k, lvl in enumerate(m.levels):
-            form = lvl.form
-            assert form.gram is m.lattice.gram
-            basis = [
-                basis_class(i, form.rank, form.lattice_id)
-                for i in range(form.rank)
-            ]
+            form, rank = lvl.form, lvl.rank
+            assert form is m.form and form.gram is m.lattice.gram
+            assert rank == len(form.gram) + k
+            basis = [basis_class(i, form.lattice_id) for i in range(rank)]
             assert signature(pl.gram_submatrix(basis, form)) == (
-                1, form.rank - 1, 0
+                1, rank - 1, 0
             )
             for _ in range(5):
                 a, b = (
                     pl.DivisorClass.dense(
-                        tuple(rng.choice(pool) for _ in range(form.rank)),
+                        tuple(rng.choice(pool) for _ in range(rank)),
                         form.lattice_id,
                     )
                     for _ in range(2)
@@ -361,9 +367,9 @@ def test_blow_up_keeps_the_curves_off_the_center():
 
 def tower_table(m):
     """What blow_up builds: the centers, and per curve in dict order its
-    id, class terms in order, rank, lattice id, genus, born and level."""
+    id, class terms in order, lattice id, genus, born and level."""
     return m.centers, [
-        (cid, c.id, list(c.cls.terms.items()), c.cls.rank, c.cls.lattice_id,
+        (cid, c.id, list(c.cls.terms.items()), c.cls.lattice_id,
          c.genus, c.born, c.level)
         for cid, c in m.curves.items()
     ]

@@ -11,6 +11,7 @@ from conftest import (
     brute_force_zariski,
     catalog_model,
     chain_model,
+    coords,
     cubic12_model,
     determinant,
     factor_numbers,
@@ -35,7 +36,7 @@ def test_anticanonical_on_ruled_2_3():
     lvl = m.level(0)
     zd = pl.zariski_decompose(m, 0, -lvl.canonical)
     assert zd.N.terms == (("C0", Fraction(5, 3)),)
-    assert zd.P.coeffs == (Fraction(1, 3), Fraction(1))
+    assert coords(zd.P, lvl.rank) == (Fraction(1, 3), Fraction(1))
     assert pl.intersect(zd.P, zd.P, lvl.form) == Fraction(1, 3)
 
 
@@ -112,10 +113,40 @@ def test_nef_certificate_contents():
 
 
 def test_wrong_level_class_rejected():
+    """-K₁ has a term at E1, the coordinate past level 0's rank."""
     m = blown_ruled(2, 3)
-    k0 = m.level(0).canonical
-    with pytest.raises(ValueError):
-        pl.zariski_decompose(m, 1, k0)
+    with pytest.raises(ValueError, match="does not live at the requested level"):
+        pl.zariski_decompose(m, 0, -m.level(1).canonical)
+
+
+def test_a_lower_level_class_is_its_own_pullback():
+    """A class D of level j is accepted at any level k ≥ j as its own
+    pullback: decomposed there it gives the same P and N, or the same
+    error, as pull_back(D), which is D itself, and as the per-round
+    reference, and D is the class of the total transform f*D, built curve
+    by curve at the top.  A curve whose last change lies at or below k
+    keeps its class object at level k."""
+    rng = random.Random(18)
+    raised = supports = 0
+    for _ in range(400):
+        m = random_tower(rng)
+        j = rng.randrange(0, m.top + 1)
+        k = rng.randrange(j, m.top + 1)
+        d = pl.RDivisor.make(
+            j, {c.id: rng.choice(SIGNED_POOL) for c in m.level(j).curves})
+        D = d.class_at(m)
+        assert pl.pull_back(m, j, k, D) is D
+        assert pl.total_transform(m, d).class_at(m) == D
+        for c in m.level(k).curves:
+            stored = m.curves[c.id]
+            assert (c.cls is stored.cls) == (stored.level <= k)
+        got = _decomposition_or_error(pl.zariski_decompose, m, k, D)
+        assert got == _decomposition_or_error(
+            pl.zariski_decompose, m, k, pl.pull_back(m, j, k, D))
+        assert got == _decomposition_or_error(reference_zariski, m, k, D)
+        raised += len(got) == 2
+        supports += len(got) == 3 and j < k and bool(got[1].terms)
+    assert raised > 10 and supports > 10, (raised, supports)
 
 
 def test_pullback_invariance_of_decomposition():
@@ -333,7 +364,7 @@ def test_make_base_scale_clears_self_intersections():
     assert ruled(2, 3).scale == p2().scale == 1
     D = pl.DivisorClass.dense((1, 1), m.level(0).form.lattice_id)
     zd = pl.zariski_decompose(m, 0, D)
-    assert (zd.N.terms, zd.P.coeffs, zd.big) == ((("A", 1),), (1, 0), True)
+    assert (zd.N.terms, coords(zd.P, 2), zd.big) == ((("A", 1),), (1, 0), True)
     assert _decomposition_or_error(reference_zariski, m, 0, D) == (
         zd.P, zd.N, zd.big)
 
