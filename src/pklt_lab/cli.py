@@ -6,8 +6,9 @@
 
 Exit codes: 0 success, 1 computation failure (e.g. not pseudoeffective
 against the catalog, a theory invariant failing on an incomplete
-catalog, or a number too long to print), 2 parse/schema error, 3 model
-validation error, 4 golden-corpus mismatch.
+catalog, or a number too long to print), 2 parse/schema error or a
+model file or stdout that cannot be used, 3 model validation error,
+4 golden-corpus mismatch.
 """
 
 from __future__ import annotations
@@ -15,27 +16,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import corpus
 from .lattice import DigitLimitError, rat
 from .modelio import SchemaError, ValidationError, load_model
-from .potential import (
-    InvariantViolation,
-    PairError,
-    classify_pair,
-    fano_type_test,
-    make_pair,
-)
+from .potential import InvariantViolation, PairError, fano_type_test, make_pair
 from .report import (
     DISCLAIMER,
     REPORT_SCHEMA,
     decompose_named,
     fano_json,
-    full_report,
-    pair_report,
-    rcc_json,
+    pair_sections,
     zariski_json,
 )
 from .surface import validate
@@ -144,16 +138,16 @@ def _cmd_zariski(args) -> dict:
     return out
 
 
-def _cmd_report_slice(args, report, keys) -> dict:
+def _cmd_pair(args, names) -> dict:
     loaded = load_model(args.model)
     eps = _parse_eps(getattr(args, "eps", None))
     pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
-    rep = report(pair, eps)
-    out = {"schema": REPORT_SCHEMA, "command": args.command}
-    for key in keys:
-        out[key] = rep[key]
-    out["disclaimer"] = DISCLAIMER
-    return out
+    return {
+        "schema": REPORT_SCHEMA,
+        "command": args.command,
+        **pair_sections(pair, names, eps),
+        "disclaimer": DISCLAIMER,
+    }
 
 
 def _cmd_fano(args) -> dict:
@@ -171,20 +165,11 @@ def _cmd_fano(args) -> dict:
 
 
 def _cmd_rcc(args) -> dict:
-    loaded = load_model(args.model)
-    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
-    out = rcc_json(classify_pair(pair))
-    if not out["applicable"]:
-        raise CliFailure(
-            EXIT_COMPUTE,
-            {"error": "rcc-inapplicable", "detail": out["reason"]},
-        )
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "rcc",
-        "rcc": out,
-        "disclaimer": DISCLAIMER,
-    }
+    out = _cmd_pair(args, ("rcc",))
+    if not out["rcc"]["applicable"]:
+        raise CliFailure(EXIT_COMPUTE, {"error": "rcc-inapplicable",
+                                        "detail": out["rcc"]["reason"]})
+    return out
 
 
 def _cmd_examples(args) -> dict:
@@ -237,17 +222,18 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         _render_text(payload, sys.stdout)
+    sys.stdout.flush()
 
 
 _HANDLERS = {
     "check": _cmd_check,
     "zariski": _cmd_zariski,
-    "potential": lambda a: _cmd_report_slice(
-        a, pair_report, ("pair", "ledger", "zariski", "frakA", "loci", "flags")
+    "potential": lambda a: _cmd_pair(
+        a, ("pair", "ledger", "zariski", "frakA", "loci", "flags")
     ),
-    "pnklt": lambda a: _cmd_report_slice(a, pair_report, ("loci",)),
-    "classify": lambda a: _cmd_report_slice(
-        a, full_report, ("pair", "frakA", "loci", "flags", "fano_type", "rcc")
+    "pnklt": lambda a: _cmd_pair(a, ("loci",)),
+    "classify": lambda a: _cmd_pair(
+        a, ("pair", "frakA", "loci", "flags", "fano_type", "rcc")
     ),
     "fano": _cmd_fano,
     "rcc": _cmd_rcc,
@@ -255,25 +241,37 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _outcome(args) -> tuple[int, dict]:
+    """The command's exit code and the payload to print."""
     try:
-        payload = _HANDLERS[args.command](args)
+        return EXIT_OK, _HANDLERS[args.command](args)
     except InvariantViolation as exc:
-        _emit({"error": "catalog-incomplete", "invariant": exc.invariant,
-               "detail": exc.detail}, args.format)
-        return EXIT_COMPUTE
+        return EXIT_COMPUTE, {"error": "catalog-incomplete",
+                              "invariant": exc.invariant, "detail": exc.detail}
     except tuple(FAILURES) as exc:
         code, error = next(
             v for t, v in FAILURES.items() if isinstance(exc, t)
         )
-        _emit({"error": error, "detail": str(exc)}, args.format)
-        return code
+        return code, {"error": error, "detail": str(exc)}
     except CliFailure as failure:
-        _emit(failure.payload, args.format)
-        return failure.code
-    _emit(payload, args.format)
-    return EXIT_OK
+        return failure.code, failure.payload
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    code, payload = _outcome(args)
+    try:
+        _emit(payload, args.format)
+    except OSError as exc:  # a closed pipe, a full disk
+        # fd 1 goes to devnull, so the interpreter's flush at exit of what
+        # is still buffered cannot fail again and print a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code, error = FAILURES[OSError]
+        sys.stderr.write(json.dumps({"error": error, "detail": str(exc)})
+                         + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -74,7 +74,8 @@ def zariski_json(
     }
 
 
-def loci_json(pair: PairSpec, pr: PotentialReport, eps: Fraction | None) -> dict:
+def loci_json(pr: PotentialReport, eps: Fraction | None) -> dict:
+    pair = pr.pair
     model = pair.model
     out = {
         "nklt": [component_json(model, pair.level, c) for c in pr.nklt],
@@ -92,7 +93,7 @@ def loci_json(pair: PairSpec, pr: PotentialReport, eps: Fraction | None) -> dict
 
 
 def fano_json(model: SurfaceModel, verdict: FanoVerdict) -> dict:
-    out = {
+    return {
         "value": verdict.fano_type,
         "reason": verdict.reason,
         "big": verdict.big,
@@ -101,7 +102,6 @@ def fano_json(model: SurfaceModel, verdict: FanoVerdict) -> dict:
         if verdict.negative_part is not None
         else None,
     }
-    return out
 
 
 def rcc_json(pr: PotentialReport) -> dict:
@@ -112,57 +112,61 @@ def rcc_json(pr: PotentialReport) -> dict:
     return {"applicable": True, "value": value, "reason": reason}
 
 
-def _pair_sections(pr: PotentialReport, eps: Fraction | None) -> dict:
-    """pair_report from the pair's classification."""
-    pair = pr.pair
-    model = pair.model
-    ledger = {
+def _ledger_json(pr: PotentialReport, eps: Fraction | None) -> dict:
+    return {
         e.display: {
             "a": numeral(e.a),
             "sigma_num": numeral(e.sigma_num),
             "pa": numeral(e.pa),
         }
-        for e in pair.ledger.entries
-    }
-    return {
-        "schema": REPORT_SCHEMA,
-        "pair": {
-            "level": pair.level,
-            "delta": divisor_json(model, pair.delta),
-        },
-        "ledger": ledger,
-        "zariski": zariski_json(model, pair.decomposition, "-(K+Delta)"),
-        "frakA": numeral(pr.frakA),
-        "loci": loci_json(pair, pr, eps),
-        "flags": {
-            "klt": pr.klt,
-            "lc": pr.lc,
-            "potentially_klt": pr.potentially_klt,
-            "potentially_lc": pr.potentially_lc,
-        },
+        for e in pr.pair.ledger.entries
     }
 
 
-def pair_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
-    """The sections about the pair itself: ledger, Zariski data, loci, flags."""
-    return _pair_sections(classify_pair(pair), eps)
+def _fano_type_json(pr: PotentialReport, eps: Fraction | None) -> dict:
+    """With Δ = 0 the pair's own classification gives the verdict."""
+    pair = pr.pair
+    verdict = (fano_verdict(pr) if pair.delta.is_zero()
+               else fano_type_test(pair.model, pair.level))
+    return fano_json(pair.model, verdict)
+
+
+# A pair's report, in print order: each section is built from the pair's
+# classification and the --eps value.
+SECTIONS = {
+    "pair": lambda pr, eps: {
+        "level": pr.pair.level,
+        "delta": divisor_json(pr.pair.model, pr.pair.delta),
+    },
+    "ledger": _ledger_json,
+    "zariski": lambda pr, eps: zariski_json(
+        pr.pair.model, pr.pair.decomposition, "-(K+Delta)"),
+    "frakA": lambda pr, eps: numeral(pr.frakA),
+    "loci": loci_json,
+    "flags": lambda pr, eps: {
+        flag: getattr(pr, flag)
+        for flag in ("klt", "lc", "potentially_klt", "potentially_lc")
+    },
+    "fano_type": _fano_type_json,
+    "rcc": lambda pr, eps: rcc_json(pr),
+}
+
+
+def pair_sections(pair: PairSpec, names, eps: Fraction | None = None) -> dict:
+    """The named sections of the pair's report, in the order given.  The
+    pair is classified once, so every theory check runs; a section that
+    is not named is not built."""
+    pr = classify_pair(pair)
+    return {name: SECTIONS[name](pr, eps) for name in names}
 
 
 def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
-    """The composite report: the pair sections, then the Fano-type and
-    RCC verdicts on the pair's surface.  With Δ = 0 the pair's own
-    classification gives the Fano-type verdict; the RCC verdict always
-    reads it."""
-    pr = classify_pair(pair)
-    out = _pair_sections(pr, eps)
-    if pair.delta.is_zero():
-        verdict = fano_verdict(pr)
-    else:
-        verdict = fano_type_test(pair.model, pair.level)
-    out["fano_type"] = fano_json(pair.model, verdict)
-    out["rcc"] = rcc_json(pr)
-    out["disclaimer"] = DISCLAIMER
-    return out
+    """The composite report: every section, in ``SECTIONS`` order."""
+    return {
+        "schema": REPORT_SCHEMA,
+        **pair_sections(pair, SECTIONS, eps),
+        "disclaimer": DISCLAIMER,
+    }
 
 
 def decompose_named(

@@ -567,8 +567,10 @@ def validate(model: SurfaceModel, supports: Iterable[str] = ()) -> bool:
     unknown = support_set.difference(model.curves)
     if unknown:
         raise ModelError(f"support references unknown curve {min(unknown)!r}")
-    # a declared multiplicity >= 2 encodes tangency; the combinatorial model
-    # cannot certify that the remaining contact is simple, so be conservative
+    # a declared multiplicity m >= 2 makes the center a singular point of
+    # the curve (its strict transform is f*C - m*E); the combinatorial
+    # model cannot certify that the strict transform is then smooth and
+    # meets E transversally, so be conservative
     return not any(
         m >= 2 and cid in support_set
         for center in model.centers

@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import pklt_lab as pl
-from conftest import serialize_model
-from pklt_lab import cli
+from conftest import random_pair, serialize_model
+from pklt_lab import cli, corpus, report
 from pklt_lab.modelio import (
     SchemaError,
     ValidationError,
@@ -336,16 +338,26 @@ def test_negative_catalog_pair_exit_3_plain_and_optimized(tmp_path):
         }
 
 
-# a(E1) = 1 − 1/q₁ − 1/q₂ has a 5001-digit denominator
-HUGE_DENOMINATOR = {
-    "version": "pklt-lab/1",
-    "base": {"kind": "ruled", "genus": 0, "e": 1},
-    "blowups": [{"id": "E1", "on": [{"curve": "C0"}, {"curve": "f"}]}],
-    "divisors": {"D": [
-        {"curve": "C0", "coeff": f"1/{10 ** 2500 + 1}"},
-        {"curve": "f", "coeff": f"1/{10 ** 2500 + 3}"}]},
-    "pair": {"level": 0, "delta": "D"},
-}
+Q1, Q2 = 10 ** 2500 + 1, 10 ** 2500 + 3
+
+
+def huge_denominator(f_coeff):
+    """F1 blown up at C0 ∩ f, with Δ = C0/q₁ + f_coeff·f at level 0."""
+    return {
+        "version": "pklt-lab/1",
+        "base": {"kind": "ruled", "genus": 0, "e": 1},
+        "blowups": [{"id": "E1", "on": [{"curve": "C0"}, {"curve": "f"}]}],
+        "divisors": {"D": [{"curve": "C0", "coeff": f"1/{Q1}"},
+                           {"curve": "f", "coeff": f_coeff}]},
+        "pair": {"level": 0, "delta": "D"},
+    }
+
+
+# a(E1) = 1 − 1/q₁ − 1/q₂ has a 5001-digit denominator; the loci's
+# ε₀ = 1 − 1/q₁ has 2501-digit parts
+HUGE_DENOMINATOR = huge_denominator(f"1/{Q2}")
+# f has pa = −1 − 1/q₂, so ε₀ = pa(E1) + 1 = 1 − 1/q₁ − 1/q₂ itself
+HUGE_EPS0 = huge_denominator(f"{Q2 + 1}/{Q2}")
 # A·B = −q² has 8600 digits, so make_base cannot name it
 NINES = "9" * 4300
 HUGE_NEGATIVE_PAIR = dict(NEGATIVE_PAIR, base=dict(
@@ -358,9 +370,12 @@ def test_a_number_past_the_digit_limit_exit_1_plain_and_optimized(tmp_path):
     """A number with a part of more than 4300 digits, the interpreter's
     int/str conversion limit, cannot be printed: in a report or in an error
     message it is a too-many-digits error, exit 1, not a traceback, with
-    or without python -O."""
+    or without python -O.  A command fails only on a number it prints:
+    pnklt and classify print no ledger, so a(E1) does not stop them."""
     huge = write_model(tmp_path, HUGE_DENOMINATOR)
-    runs = [[command, huge] for command in ("potential", "pnklt", "classify")]
+    eps0 = write_model(tmp_path, HUGE_EPS0, "e.json")
+    runs = [["potential", huge]]
+    runs += [[command, eps0] for command in ("potential", "pnklt", "classify")]
     runs.append(["check", write_model(tmp_path, HUGE_NEGATIVE_PAIR, "n.json")])
     for args in runs:
         for proc in run_plain_and_optimized(args):
@@ -369,6 +384,11 @@ def test_a_number_past_the_digit_limit_exit_1_plain_and_optimized(tmp_path):
                 "error": "too-many-digits",
                 "detail": "a number to print has more than 4300 digits",
             }
+    for command in ("pnklt", "classify"):
+        for proc in run_plain_and_optimized([command, huge]):
+            assert (proc.returncode, proc.stderr) == (0, b""), command
+            loci = json.loads(proc.stdout)["loci"]
+            assert loci["eps0"] == f"{Q1 - 1}/{Q1}"
 
 
 def test_repeated_point_label_exit_3_plain_and_optimized(tmp_path):
@@ -639,18 +659,67 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
 
 
-def run_plain_and_optimized(args):
+def run_plain_and_optimized(args, stdout=subprocess.PIPE):
     """The CLI as a fresh process, with and without python -O."""
     src = str(Path(pl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return [
         subprocess.run(
             [sys.executable, *flags, "-m", "pklt_lab.cli", *args],
-            capture_output=True, cwd=Path(__file__).resolve().parents[1],
-            env=env,
+            stdout=stdout, stderr=subprocess.PIPE,
+            cwd=Path(__file__).resolve().parents[1], env=env,
         )
         for flags in ([], ["-O"])
     ]
+
+
+def assert_io_error(procs, code):
+    """Exit 2 with one JSON line on stderr naming the write's errno."""
+    for proc in procs:
+        assert proc.returncode == 2
+        assert proc.stderr.count(b"\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "io",
+            "detail": f"[Errno {code}] {os.strerror(code)}",
+        }
+
+
+# a payload larger than stdout's buffer, and one that fits in it
+UNWRITTEN = (["examples"], ["check", "models/ruled_blowup.json"])
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def stdout_buffering(request, monkeypatch):
+    if request.param == "buffered":
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+
+
+@pytest.mark.parametrize("args", UNWRITTEN)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_pipe_is_an_io_error_plain_and_optimized(
+    args, fmt, stdout_buffering
+):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        procs = run_plain_and_optimized([*args, "--format", fmt],
+                                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_io_error(procs, errno.EPIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", UNWRITTEN)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_full_stdout_device_is_an_io_error_plain_and_optimized(
+    args, fmt, stdout_buffering
+):
+    with open("/dev/full", "wb") as full:
+        procs = run_plain_and_optimized([*args, "--format", fmt], stdout=full)
+    assert_io_error(procs, errno.ENOSPC)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
@@ -922,3 +991,61 @@ def test_examples_mismatch_exit_4_names_every_altered_path(monkeypatch, capsys):
         "/loci/pnklt: length 1, expected 2",
         "/rcc/value: False, expected True",
     ]
+
+
+# the report sections each pair command prints, in order
+PRINTED_SECTIONS = {
+    "potential": ("pair", "ledger", "zariski", "frakA", "loci", "flags"),
+    "pnklt": ("loci",),
+    "classify": ("pair", "frakA", "loci", "flags", "fano_type", "rcc"),
+    "rcc": ("rcc",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_SECTIONS))
+def test_a_pair_command_builds_only_the_sections_it_prints(
+    tmp_path, capsys, monkeypatch, command
+):
+    printed = PRINTED_SECTIONS[command]
+    for name in set(report.SECTIONS) - set(printed):
+        monkeypatch.setitem(
+            report.SECTIONS, name,
+            lambda pr, eps, name=name: pytest.fail(f"{command} built {name}"),
+        )
+    code, out = run_cli([command, write_model(tmp_path, RULED_BLOWUP)], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == ["schema", "command", *printed,
+                                     "disclaimer"]
+
+
+def test_pair_sections_are_the_full_report_sections_fuzzed():
+    """For each pair command's sections, pair_sections(pair, names, eps) is
+    those sections of full_report(pair, eps), in the command's order, on
+    seeded random pairs and the golden corpus; a pair that fails its
+    classification fails every command with the same invariant."""
+    rng = random.Random(1919)
+    pairs = [random_pair(rng) for _ in range(150)]
+    for doc in corpus.ENTRIES.values():
+        loaded = parse_model(doc)
+        pairs.append(
+            pl.make_pair(loaded.model, loaded.pair_level, loaded.delta()))
+    assert list(report.SECTIONS) == ["pair", "ledger", "zariski", "frakA",
+                                     "loci", "flags", "fano_type", "rcc"]
+    compared = failed = 0
+    for pair in pairs:
+        eps = rng.choice([None, 0, Fraction(1, 3), Fraction(1, 2), 2])
+        try:
+            full = report.full_report(pair, eps)
+        except pl.InvariantViolation as exc:
+            for names in PRINTED_SECTIONS.values():
+                with pytest.raises(pl.InvariantViolation) as again:
+                    report.pair_sections(pair, names, eps)
+                assert again.value.invariant == exc.invariant
+            failed += 1
+            continue
+        assert list(full) == ["schema", *report.SECTIONS, "disclaimer"]
+        for names in PRINTED_SECTIONS.values():
+            sections = report.pair_sections(pair, names, eps)
+            assert list(sections.items()) == [(k, full[k]) for k in names]
+        compared += 1
+    assert compared > 100
