@@ -14,6 +14,7 @@ model file or stdout that cannot be used, 3 model validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -257,8 +258,20 @@ def _outcome(args) -> tuple[int, dict]:
         return failure.code, failure.payload
 
 
+def _io_failure(exc: OSError) -> int:
+    """The exit code of a stdout that cannot be used; its one JSON line
+    goes to stderr, unless stderr is closed too."""
+    code, error = FAILURES[OSError]
+    if sys.stderr is not None:
+        sys.stderr.write(json.dumps({"error": error, "detail": str(exc)})
+                         + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        return _io_failure(OSError(errno.EBADF, os.strerror(errno.EBADF)))
     code, payload = _outcome(args)
     try:
         _emit(payload, args.format)
@@ -268,9 +281,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        code, error = FAILURES[OSError]
-        sys.stderr.write(json.dumps({"error": error, "detail": str(exc)})
-                         + "\n")
+        return _io_failure(exc)
     return code
 
 

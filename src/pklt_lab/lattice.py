@@ -8,10 +8,11 @@ so this module is the only one that builds a Fraction; there is
 deliberately no floating-point anywhere in this package.  Since
 ``int / int`` is a float in Python, every division has a Fraction
 operand or is an exact ``//``: the LDLᵀ factor of the Zariski solve
-holds only ints, scaled by leading minors.  Sums are not normalized,
-except a class's coefficients in ``DivisorClass.plus``, so a
-``Fraction(n, 1)`` can still come out of a sum of genuine fractions from
-a rational Δ or form, such as an intersection number.
+holds only ints, scaled by leading minors, and the solve reads N and P
+off it as one ``quotient`` of ints per printed coefficient.  Sums are
+not normalized, except a class's coefficients in ``DivisorClass.plus``,
+so a ``Fraction(n, 1)`` can still come out of a sum of genuine fractions
+from a rational Δ or form, such as an intersection number.
 """
 
 from __future__ import annotations

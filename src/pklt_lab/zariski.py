@@ -94,8 +94,8 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm, scale: in
 
 def _p_dot(b, x, rows, q=1) -> dict:
     """q·bⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the rows'
-    nonzeros only; for x = q·x′ with b = Σ x′ₖ·rowₖ on S, and b = e·(D·C),
-    it is q·e·P·Cⱼ.  An untouched curve has P·C = D·C."""
+    nonzeros only; for x = q·x′ with b = Σ x′ₖ·rowₖ on S, and b = e·(Dn·C),
+    it is q·e·d·P·Cⱼ.  An untouched curve has P·C = D·C."""
     pc = {}
     for xk, row in zip(x, rows):
         if xk:
@@ -113,10 +113,13 @@ def zariski_decompose(
     gram(S)·x = (D·C) exactly, set N = Σ x_C·C and P = D − N, and add every
     catalog curve with P·C < 0, all at once: the fixed point is unique.
 
-    S only grows, so D·C is computed once per curve and the row Cᵢ·C once
-    when Cᵢ joins, over the curves ``intersection_rows`` finds can meet Cᵢ.
-    The system is solved in ints, rows scaled by the model's ``scale`` and
-    D·C by the lcm e of its denominators, so every sign is kept, by one
+    D is read through Dn = d·D, d the lcm of its denominators, so D·C and
+    D² are products of integral classes, ints on an integral form and
+    catalog.  S only grows, so Dn·C is computed once per curve and the row
+    Cᵢ·C once when Cᵢ joins, over the curves ``intersection_rows`` finds
+    can meet Cᵢ.  The system is solved in ints, rows scaled by the model's
+    ``scale`` c and Dn·C by the lcm e of the denominators a rational form
+    leaves in it; every scale is positive, so every sign is kept, by one
     ``LDLFactor`` extended by the rows that join and bordered by the curves
     off S they touch: a round reads its violators off the border by a sign
     test, and x is back-substituted once, after the last round.  A curve
@@ -131,16 +134,24 @@ def zariski_decompose(
     coefficient in N.  One pass over the rows with the Cramer numerators
     checks P·C = 0 on S and P·C ≥ 0 off it, in ints, and raises
     ``InvariantViolation`` naming the curves if the factor ever disagrees
-    with x.  Then P² = D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S.
+    with x.  x and P are read off the numerators X and q = |Δₙ| in ints:
+    xₖ = c·Xₖ/(d·e·q) and P = (e·q·Dn − c·Σ Xₖ·Cₖ)/(d·e·q), one
+    ``quotient`` per coefficient of N and per nonzero coordinate of P, so
+    a Fraction is built only for a coefficient that is printed.  P² is
+    D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S, so P² > 0 is read as
+    Dn²·e²·q > c·Σ Xₖ·bₖ.
     """
     lvl = model.level(level)
     if not lvl.has_class(D):  # a class of a lower level is its own pullback
         raise ValueError("divisor class does not live at the requested level")
-    curves = lvl.curves
-    dc = [intersect(D, c.cls, lvl.form) for c in curves]
+    curves, c = lvl.curves, model.scale
+    d = lcm(*[v.denominator for v in D.terms.values()])
+    Dn = DivisorClass({i: v.numerator * (d // v.denominator)
+                       for i, v in D.terms.items()}, D.lattice_id)  # d·D
+    dc = [intersect(Dn, cu.cls, lvl.form) for cu in curves]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
-    row_of = intersection_rows(curves, lvl.form, model.scale) if S else None
-    e, b = 1, dc  # b = e·(D·C), ints
+    row_of = intersection_rows(curves, lvl.form, c) if S else None
+    e, b = 1, dc  # b = e·(Dn·C), ints
     if S and not all(type(v) is int for v in dc):
         e = lcm(*[v.denominator for v in dc])
         b = [v.numerator * (e // v.denominator) for v in dc]
@@ -169,7 +180,8 @@ def zariski_decompose(
         S.extend(sorted(new))
     if definite:
         X, q = factor.solve()
-        x = [quotient(model.scale * v, e * q) for v in X]
+        den = d * e * q
+        x = [quotient(c * v, den) if v else 0 for v in X]
     if any(xi < 0 for xi in x):
         raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
@@ -183,10 +195,12 @@ def zariski_decompose(
             f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
             f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
         )
-    P = D.plus((-xi, curves[i].cls) for i, xi in zip(S, x))
+    Pn = Dn.scale(e * q).plus((-c * v, curves[i].cls) for i, v in zip(S, X))
+    P = DivisorClass({j: quotient(v, den) for j, v in Pn.terms.items()},
+                     D.lattice_id)
     N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
-    big = (intersect(D, D, lvl.form) * e * e * q
-           > model.scale * sum(v * b[i] for i, v in zip(S, X)))
+    big = (intersect(Dn, Dn, lvl.form) * e * e * q
+           > c * sum(v * b[i] for i, v in zip(S, X)))
     return ZariskiDecomposition(level, P, N, big)
 
 

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -659,13 +660,15 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
 
 
-def run_plain_and_optimized(args, stdout=subprocess.PIPE):
-    """The CLI as a fresh process, with and without python -O."""
+def run_plain_and_optimized(args, stdout=subprocess.PIPE, closing=""):
+    """The CLI as a fresh process, with and without python -O; a
+    ``closing`` redirection such as ``>&-`` is applied to it by sh."""
     src = str(Path(pl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    shell = ["sh", "-c", f'"$@" {closing}', "sh"] if closing else []
     return [
         subprocess.run(
-            [sys.executable, *flags, "-m", "pklt_lab.cli", *args],
+            [*shell, sys.executable, *flags, "-m", "pklt_lab.cli", *args],
             stdout=stdout, stderr=subprocess.PIPE,
             cwd=Path(__file__).resolve().parents[1], env=env,
         )
@@ -720,6 +723,31 @@ def test_full_stdout_device_is_an_io_error_plain_and_optimized(
     with open("/dev/full", "wb") as full:
         procs = run_plain_and_optimized([*args, "--format", fmt], stdout=full)
     assert_io_error(procs, errno.ENOSPC)
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+@pytest.mark.parametrize("args", UNWRITTEN)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdout_closed_at_start_up_is_an_io_error_plain_and_optimized(
+    args, fmt
+):
+    """With fd 1 closed the interpreter has no sys.stdout: exit 2 and the
+    one io line on stderr, not a traceback."""
+    procs = run_plain_and_optimized([*args, "--format", fmt], closing=">&-")
+    assert_io_error(procs, errno.EBADF)
+    assert all(proc.stdout == b"" for proc in procs)
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+@pytest.mark.parametrize("args", UNWRITTEN)
+def test_stdout_and_stderr_closed_at_start_up_exit_2_plain_and_optimized(
+    args
+):
+    """With fds 1 and 2 closed nothing can be printed: exit 2 all the
+    same, where a traceback would end in exit 1."""
+    procs = run_plain_and_optimized(args, closing=">&- 2>&-")
+    assert [(p.returncode, p.stdout, p.stderr) for p in procs] == [
+        (2, b"", b"")] * 2
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():

@@ -29,6 +29,7 @@ from conftest import (
 )
 from pklt_lab import zariski
 from pklt_lab.lattice import LDLFactor
+from pklt_lab.potential import anti_log_canonical
 
 
 def test_anticanonical_on_ruled_2_3():
@@ -463,22 +464,29 @@ def test_chain_decomposition_does_linear_work(n, monkeypatch):
 @pytest.mark.parametrize("n", [48, 96, 192, 384])
 def test_chain_factor_holds_small_ints(n, monkeypatch):
     """A fraction-free factor stores minors of gram(S), which may grow with
-    the support.  On the chain every stored number, and X and q of the
-    solve, is an int of at most bit_length(n) + 3 bits (9 to 12 bits, 3 or
-    4 digits, for n = 48 to 384): |Δₖ| grows linearly in k here."""
+    the support.  On the chain every stored number, X and q of the solve,
+    and each numerator and denominator the read-out of x and P divides, is
+    an int of at most bit_length(n) + 3 bits (9 to 12 bits, 3 or 4
+    digits, for n = 48 to 384): |Δₖ| grows linearly in k here."""
     m = chain_model(n)
-    factors = []
+    factors, divided = [], []
     solve = pl.lattice.LDLFactor.solve
 
     def keeping(self):
         factors.append(self)
         return solve(self)
 
+    def dividing(p, q):
+        divided.extend((p, q))
+        return pl.lattice.quotient(p, q)
+
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", keeping)
+    monkeypatch.setattr(zariski, "quotient", dividing)
     zd = pl.zariski_decompose(m, m.top, -m.level(m.top).canonical)
     assert len(zd.N.support) == n and len(factors) == 1
     X, q = solve(factors[0])
-    numbers = [*factor_numbers(factors[0]), *X, q]
+    assert len(divided) == 2 * (n + len(zd.P.terms))
+    numbers = [*factor_numbers(factors[0]), *X, q, *divided]
     assert all(type(v) is int for v in numbers)
     assert max(abs(v) for v in numbers).bit_length() <= n.bit_length() + 3
 
@@ -526,3 +534,106 @@ def test_index_rows_equal_the_dense_rows():
                 assert all(type(v) is int for v in row(i).values())
                 nonzero += len(dense)
     assert nonzero > 1000
+
+
+def _integral_catalog_cases(rng, count):
+    """Levels of random P², ruled and integral lattice towers, each with −K
+    or a class of signed rational coefficients on the catalog."""
+    for _ in range(count):
+        m = random_tower(rng) if rng.random() < 0.5 else None
+        while m is None:  # a draw that make_base rejects
+            m = random_lattice_tower(rng)
+        level = rng.randrange(0, m.top + 1)
+        lvl = m.level(level)
+        if rng.random() < 0.3:
+            yield m, level, -lvl.canonical
+        else:
+            yield m, level, pl.RDivisor.make(
+                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+            ).class_at(m)
+
+
+def _rational_pair_cases(rng, count):
+    """Random pairs with a rational Δ, as (model, pair level, −(K+Δ))."""
+    for _ in range(count):
+        pair = random_pair(rng)
+        if any(type(v) is not int for _, v in pair.delta.terms):
+            yield pair.model, pair.level, anti_log_canonical(pair)
+
+
+def test_solve_intersects_only_integral_classes(monkeypatch):
+    """The solve scales D by the lcm d of its denominators before any
+    product, so on an integral catalog every intersect it makes (D·C, the
+    rows, D²) takes two classes of int coefficients, for a rational D or
+    Δ too: on P², ruled and integral lattice towers, on random pairs'
+    −(K+Δ), and on the chain."""
+    seen = []
+
+    def spying(a, b, form):
+        seen.append((a, b))
+        return pl.intersect(a, b, form)
+
+    rng = random.Random(20)
+    cases = [*_integral_catalog_cases(rng, 600),
+             *_rational_pair_cases(rng, 200)]
+    m = chain_model(48)
+    cases.append((m, m.top, -m.level(m.top).canonical))
+    rational = sum(any(type(v) is not int for v in cls.terms.values())
+                   for _, _, cls in cases)
+    lattices = sum(isinstance(m.base, pl.AbstractLattice) for m, _, _ in cases)
+    assert rational > 200 and lattices > 200, (rational, lattices)
+    monkeypatch.setattr(zariski, "intersect", spying)
+    supports = 0
+    for m, level, cls in cases:
+        got = _decomposition_or_error(pl.zariski_decompose, m, level, cls)
+        supports += len(got) == 3 and bool(got[1].terms)
+    assert supports > 200
+    assert all(type(v) is int for pair in seen for c in pair
+               for v in c.terms.values())
+
+
+@pytest.mark.parametrize("n", [24, 48, 96, 192, 384])
+def test_read_out_divides_once_per_printed_coefficient(n, monkeypatch):
+    """x and P are read off the Cramer numerators in ints: one quotient
+    per coefficient of N and per nonzero coordinate of P, on the chain and
+    on random pairs' −(K+Δ) with a rational Δ."""
+    calls = 0
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return pl.lattice.quotient(p, q)
+
+    m = chain_model(n)
+    cases = [(m, m.top, -m.level(m.top).canonical)]
+    cases += _rational_pair_cases(random.Random(n), 60)
+    assert len(cases) > 20
+    monkeypatch.setattr(zariski, "quotient", counting)
+    for m, level, cls in cases:
+        calls = 0
+        zd = pl.zariski_decompose(m, level, cls)
+        assert calls == len(zd.N.terms) + len(zd.P.terms)
+
+
+def test_p_and_n_are_canonical():
+    """Every coefficient of P and N is an int, or a Fraction that is not
+    integral, on the rational lattices and on random pairs (at the pair
+    level and pulled back to the top)."""
+    rng = random.Random(37)
+    decompositions = []
+    for m, level, cls in _rational_lattice_cases(rng, 400):
+        got = _decomposition_or_error(pl.zariski_decompose, m, level, cls)
+        if len(got) == 3:
+            decompositions.append(got)
+    for _ in range(200):
+        pair = random_pair(rng)
+        zd = pair.decomposition
+        decompositions.append((zd.P, zd.N))
+        low = pl.zariski_decompose(pair.model, pair.level,
+                                   anti_log_canonical(pair))
+        decompositions.append((low.P, low.N))
+    numbers = [v for P, N, *_ in decompositions
+               for v in (*P.terms.values(), *(c for _, c in N.terms))]
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in numbers)
+    assert sum(type(v) is Fraction for v in numbers) > 200
