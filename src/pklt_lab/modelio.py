@@ -248,6 +248,17 @@ def parse_model(doc) -> LoadedModel:
     return loaded
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is a schema error, where
+    json would keep the last value silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError("", f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_model(source: str) -> LoadedModel:
     """Parse a model from a path or raw JSON text."""
     text = source
@@ -255,7 +266,9 @@ def load_model(source: str) -> LoadedModel:
         if not source.lstrip().startswith("{"):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, too deep
         raise SchemaError("", f"invalid JSON: {exc}")
     return parse_model(doc)

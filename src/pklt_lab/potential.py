@@ -26,7 +26,6 @@ from .surface import (
     RDivisor,
     Record,
     SurfaceModel,
-    display_name,
     pull_back,
     push_forward,
     total_transform,
@@ -123,10 +122,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     a = _a_values(model, level, delta)
     sigma = dict(n.terms)
     entries = []
-    for cid, c in model.curves.items():
+    for cid in model.curves:
         sig = sigma.get(cid, 0)
-        display = display_name(cid, c.born, model.top)
-        entries.append(LedgerEntry(cid, display, a[cid], sig, a[cid] - sig))
+        entries.append(LedgerEntry(cid, a[cid], sig, a[cid] - sig))
     ledger = DiscrepancyLedger(tuple(entries))
     return PairSpec(model, level, delta, zd, ledger, zd.big)
 
@@ -157,8 +155,9 @@ def _a_values(
 
 
 class LedgerEntry(NamedTuple):
+    """One top-level curve's row, by id; the report names it."""
+
     curve_id: str
-    display: str
     a: int | Fraction
     sigma_num: int | Fraction
     pa: int | Fraction  # a − σ_num
@@ -203,42 +202,40 @@ class LocusComponent(NamedTuple):
         return (self.kind, self.ref)
 
 
-def _point_descriptor(pair: PairSpec, cid: str) -> tuple[str, frozenset[str]]:
-    """Image point on X of a contracted tower curve, plus the X-curves through it."""
-    curves = pair.model.curves
-    k = curves[cid].born
-    through: set[str] = set()
-    while True:
-        center = pair.model.centers[k - 1]
-        parents = []
-        for oid, _ in center.on_curves:
-            born = curves[oid].born
-            if born <= pair.level:
-                through.add(oid)
-            else:
-                parents.append(born)
-        if not parents:
-            return center.point_label, frozenset(through)
-        k = min(parents)
-
-
-def _component_for(pair: PairSpec, cid: str) -> LocusComponent:
-    c = pair.model.curves[cid]
-    if c.born <= pair.level:
-        return LocusComponent("curve", cid, c.genus)
-    label, through = _point_descriptor(pair, cid)
-    return LocusComponent("point", label, 0, through)
+def _points_over(model: SurfaceModel, level: int) -> dict[str, LocusComponent]:
+    """The point of X (level) under each exceptional over X, with the curves
+    of X through it, in one pass up the centers above X: a center on no
+    exceptional over X is its own point; one on some lies over the point of
+    the earliest of them, and adds its own curves of X."""
+    points: dict[str, LocusComponent] = {}
+    for center in model.centers[level:]:
+        over = [cid for cid, _ in center.on_curves if cid in points]
+        through = frozenset(cid for cid, _ in center.on_curves if cid not in points)
+        if over:
+            first = points[min(over, key=lambda cid: model.curves[cid].born)]
+            comp = first._replace(on_curves=first.on_curves | through)
+        else:
+            comp = LocusComponent("point", center.point_label, 0, through)
+        points[center.exceptional_id] = comp
+    return points
 
 
 def _components(pair: PairSpec, curve_ids: Sequence[str]) -> list[LocusComponent]:
-    seen = set()
-    out = []
+    """The components on X of the top-level curves ``curve_ids``, each once:
+    a curve of X is its own, an exceptional over X its point.  The pass up
+    the centers runs once, at the first exceptional, if any."""
+    curves, level = pair.model.curves, pair.level
+    points: dict[str, LocusComponent] = {}
+    out: dict[tuple[str, str], LocusComponent] = {}
     for cid in curve_ids:
-        comp = _component_for(pair, cid)
-        if comp.key not in seen:
-            seen.add(comp.key)
-            out.append(comp)
-    return out
+        c = curves[cid]
+        if c.born <= level:
+            comp = LocusComponent("curve", cid, c.genus)
+        else:
+            points = points or _points_over(pair.model, level)
+            comp = points[cid]
+        out.setdefault(comp.key, comp)
+    return list(out.values())
 
 
 class IncidenceGraph(NamedTuple):
@@ -251,15 +248,13 @@ def incidence_graph(pair: PairSpec, comps: Sequence[LocusComponent]) -> Incidenc
     level, and points to the curves they were declared to lie on."""
     lvl = pair.model.level(pair.level)
     nodes = tuple(comps)
+    classes = {c.ref: lvl.curve(c.ref).cls for c in nodes if c.kind == "curve"}
     edges = []
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             b = nodes[j]
             if a.kind == "curve" and b.kind == "curve":
-                num = intersect(
-                    lvl.curve(a.ref).cls, lvl.curve(b.ref).cls, lvl.form
-                )
-                if num > 0:
+                if intersect(classes[a.ref], classes[b.ref], lvl.form) > 0:
                     edges.append((i, j))
             elif a.kind == "curve" and b.kind == "point":
                 if a.ref in b.on_curves:

@@ -113,8 +113,9 @@ def rcc_json(pr: PotentialReport) -> dict:
 
 
 def _ledger_json(pr: PotentialReport, eps: Fraction | None) -> dict:
+    model = pr.pair.model
     return {
-        e.display: {
+        _display(model, model.top, e.curve_id): {
             "a": numeral(e.a),
             "sigma_num": numeral(e.sigma_num),
             "pa": numeral(e.pa),

@@ -10,7 +10,6 @@ enforced from their intersection number.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import zlib
 from fractions import Fraction
@@ -131,18 +130,14 @@ BaseSpec = ProjectivePlane | Ruled | AbstractLattice
 
 
 class Curve(NamedTuple):
-    """A catalog curve at tower level ``level``, with its class there."""
+    """A catalog curve at tower level ``level``, with its class there: the
+    curve table's entry at its last change, or a ``Level.curve`` view."""
 
     id: str
     cls: DivisorClass
     genus: int
     born: int  # tower level at which this curve first appears
     level: int
-
-    @property
-    def origin(self) -> str | None:
-        """The curve this one is the strict transform of."""
-        return self.id if self.level > self.born else None
 
     @property
     def display(self) -> str:
@@ -217,14 +212,14 @@ class SurfaceModel(Record):
 
 class Level:
     """Level k of a tower: the curves born at or below k, each with its
-    class on the first ``rank`` coordinates of the tower's one ``form``."""
+    class on the first ``rank`` coordinates of the tower's one ``form``,
+    read off the tower's curve table."""
 
     def __init__(self, model: SurfaceModel, k: int):
         self.model = model
         self.k = k
         self.form = model.form
         self.rank = len(model.lattice.gram) + k
-        self.center = model.centers[k - 1] if k else None
 
     @property
     def canonical(self) -> DivisorClass:
@@ -237,19 +232,18 @@ class Level:
         centers = self.model.centers[: self.k]
         return self.model.lattice.basis + tuple(c.exceptional_id for c in centers)
 
-    def _at(self, c: Curve) -> Curve:
-        if c.level == self.k:
-            return c
-        cls, rank = c.cls, self.rank
-        if c.level > self.k:  # cut the centers above k
-            cls = cls._replace(terms={i: v for i, v in cls.terms.items() if i < rank})
-        return Curve(c.id, cls, c.genus, c.born, self.k)
+    def _cut(self, c: Curve) -> DivisorClass:
+        """c's class at k: the stored object, cut to ``rank`` if changed above k."""
+        if c.level <= self.k:
+            return c.cls
+        rank = self.rank
+        return c.cls._replace(terms={i: v for i, v in c.cls.terms.items() if i < rank})
 
-    @functools.cached_property
-    def curves(self) -> tuple[Curve, ...]:
-        return tuple(
-            self._at(c) for c in self.model.curves.values() if c.born <= self.k
-        )
+    @property
+    def classes(self) -> dict[str, DivisorClass]:
+        """Each curve born at or below k, in catalog order, to its class at k."""
+        return {cid: self._cut(c)
+                for cid, c in self.model.curves.items() if c.born <= self.k}
 
     def has_curve(self, cid: str) -> bool:
         return cid in self.model.curves and self.model.curves[cid].born <= self.k
@@ -261,7 +255,8 @@ class Level:
     def curve(self, cid: str) -> Curve:
         if not self.has_curve(cid):
             raise ModelError(f"unknown curve {cid!r}")
-        return self._at(self.model.curves[cid])
+        c = self.model.curves[cid]
+        return Curve(cid, self._cut(c), c.genus, c.born, self.k)
 
 
 class RDivisor(NamedTuple):

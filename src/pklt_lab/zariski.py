@@ -23,7 +23,7 @@ from .lattice import (
     solve_exact,
     SingularMatrixError,
 )
-from .surface import Curve, RDivisor, SurfaceModel
+from .surface import RDivisor, SurfaceModel
 
 NOT_PSEF_MESSAGE = "not pseudoeffective against catalog, or catalog incomplete"
 
@@ -58,8 +58,9 @@ class ZariskiDecomposition(NamedTuple):
     big: bool  # P² > 0
 
 
-def intersection_rows(curves: Sequence[Curve], form: IntersectionForm, scale: int):
-    """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``curves``, as
+def intersection_rows(classes: Sequence[DivisorClass], form: IntersectionForm,
+                      scale: int):
+    """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``classes``, as
     {j: scale·Cᵢ·Cⱼ} in catalog order; ``scale`` makes each an int (a
     model's ``scale`` does).
 
@@ -70,21 +71,21 @@ def intersection_rows(curves: Sequence[Curve], form: IntersectionForm, scale: in
     v with gram[u][v] ≠ 0.  Only these are intersected with Cᵢ.
     """
     by_coordinate: dict[int, list[int]] = {}
-    for j, c in enumerate(curves):
-        for u in c.cls.terms:
+    for j, c in enumerate(classes):
+        for u in c.terms:
             by_coordinate.setdefault(u, []).append(j)
     gram = form.gram
     meets = [[v for v, g in enumerate(gram_u) if g] for gram_u in gram]
 
     def row(i: int) -> dict[int, int]:
-        ci = curves[i].cls
+        ci = classes[i]
         reached: set[int] = set()
         for u in ci.terms:
             for v in meets[u] if u < len(gram) else (u,):
                 reached.update(by_coordinate.get(v, ()))
         out = {}
         for j in sorted(reached):
-            v = intersect(ci, curves[j].cls, form)
+            v = intersect(ci, classes[j], form)
             if v:
                 out[j] = v.numerator * (scale // v.denominator)
         return out
@@ -144,13 +145,14 @@ def zariski_decompose(
     lvl = model.level(level)
     if not lvl.has_class(D):  # a class of a lower level is its own pullback
         raise ValueError("divisor class does not live at the requested level")
-    curves, c = lvl.curves, model.scale
+    at_level, c = lvl.classes, model.scale
+    ids, classes = list(at_level), list(at_level.values())
     d = lcm(*[v.denominator for v in D.terms.values()])
     Dn = DivisorClass({i: v.numerator * (d // v.denominator)
                        for i, v in D.terms.items()}, D.lattice_id)  # d·D
-    dc = [intersect(Dn, cu.cls, lvl.form) for cu in curves]
-    S = [j for j, v in enumerate(dc) if v < 0]  # indices into curves
-    row_of = intersection_rows(curves, lvl.form, c) if S else None
+    dc = [intersect(Dn, cls, lvl.form) for cls in classes]
+    S = [j for j, v in enumerate(dc) if v < 0]  # indices into the catalog
+    row_of = intersection_rows(classes, lvl.form, c) if S else None
     e, b = 1, dc  # b = e·(Dn·C), ints
     if S and not all(type(v) is int for v in dc):
         e = lcm(*[v.denominator for v in dc])
@@ -187,18 +189,18 @@ def zariski_decompose(
     if not definite:
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
     pc = _p_dot(b, X, rows, q)
-    on_s = [curves[i].id for i in S if (pc[i] if i in pc else b[i])]
-    off_s = [curves[j].id for j, v in pc.items() if j not in joined and v < 0]
+    on_s = [ids[i] for i in S if (pc[i] if i in pc else b[i])]
+    off_s = [ids[j] for j, v in pc.items() if j not in joined and v < 0]
     if on_s or off_s:
         raise InvariantViolation(
             "zariski-fixed-point",
             f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
             f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
         )
-    Pn = Dn.scale(e * q).plus((-c * v, curves[i].cls) for i, v in zip(S, X))
+    Pn = Dn.scale(e * q).plus((-c * v, classes[i]) for i, v in zip(S, X))
     P = DivisorClass({j: quotient(v, den) for j, v in Pn.terms.items()},
                      D.lattice_id)
-    N = RDivisor.make(level, [(curves[i].id, xi) for i, xi in zip(S, x)])
+    N = RDivisor.make(level, [(ids[i], xi) for i, xi in zip(S, x)])
     big = (intersect(Dn, Dn, lvl.form) * e * e * q
            > c * sum(v * b[i] for i, v in zip(S, X)))
     return ZariskiDecomposition(level, P, N, big)

@@ -85,25 +85,26 @@ def random_tower(rng: random.Random, max_blowups=5) -> pl.SurfaceModel:
         m = ruled(rng.choice([0, 0, 1, 2]), rng.choice([1, 2, 3]))
     for _ in range(rng.randrange(0, max_blowups + 1)):
         lvl = m.level(m.top)
-        curves = list(lvl.curves)
+        classes = lvl.classes
+        curves = list(classes)
         roll = rng.random()
         incidences = ()
         if roll < 0.25:
             pass  # free point
         elif roll < 0.70:
-            incidences = ((rng.choice(curves).id, 1),)
+            incidences = ((rng.choice(curves), 1),)
         else:
             pairs = [
                 (a, b)
                 for i, a in enumerate(curves)
                 for b in curves[i + 1 :]
-                if pl.intersect(a.cls, b.cls, lvl.form) >= 1
+                if pl.intersect(classes[a], classes[b], lvl.form) >= 1
             ]
             if pairs:
                 a, b = rng.choice(pairs)
-                incidences = ((a.id, 1), (b.id, 1))
+                incidences = ((a, 1), (b, 1))
             else:
-                incidences = ((rng.choice(curves).id, 1),)
+                incidences = ((rng.choice(curves), 1),)
         m = pl.blow_up(m, (pl.BlowUpCenter(incidences),))
     return m
 
@@ -113,7 +114,7 @@ def random_effective_divisor(rng: random.Random, model, level) -> pl.RDivisor:
     pool = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
             Fraction(3, 2), Fraction(1, 3)]
     return pl.RDivisor.make(
-        level, {c.id: rng.choice(pool) for c in lvl.curves}
+        level, {cid: rng.choice(pool) for cid in lvl.classes}
     )
 
 
@@ -124,7 +125,7 @@ def random_pair(rng: random.Random, max_blowups=5, pool=COEFF_POOL):
         level = rng.randrange(0, model.top + 1)
         delta = pl.RDivisor.make(
             level,
-            {c.id: rng.choice(pool) for c in model.level(level).curves},
+            {cid: rng.choice(pool) for cid in model.level(level).classes},
         )
         try:
             return pl.make_pair(model, level, delta)
@@ -139,22 +140,23 @@ def random_klt_pair(rng: random.Random, max_blowups=5):
 
 def random_center(rng: random.Random, model) -> pl.BlowUpCenter:
     lvl = model.level(model.top)
-    curves = list(lvl.curves)
+    classes = lvl.classes
+    curves = list(classes)
     roll = rng.random()
     if roll < 0.3:
         return pl.BlowUpCenter(())
     if roll < 0.7:
-        return pl.BlowUpCenter(((rng.choice(curves).id, 1),))
+        return pl.BlowUpCenter(((rng.choice(curves), 1),))
     pairs = [
         (a, b)
         for i, a in enumerate(curves)
         for b in curves[i + 1 :]
-        if pl.intersect(a.cls, b.cls, lvl.form) >= 1
+        if pl.intersect(classes[a], classes[b], lvl.form) >= 1
     ]
     if pairs:
         a, b = rng.choice(pairs)
-        return pl.BlowUpCenter(((a.id, 1), (b.id, 1)))
-    return pl.BlowUpCenter(((rng.choice(curves).id, 1),))
+        return pl.BlowUpCenter(((a, 1), (b, 1)))
+    return pl.BlowUpCenter(((rng.choice(curves), 1),))
 
 
 def coords(cls, rank):
@@ -360,7 +362,7 @@ def brute_force_zariski(model, level, D):
     (P·C = 0 on S holds by construction of x).
     """
     lvl = model.level(level)
-    curves = list(lvl.curves)
+    curves = [lvl.curve(cid) for cid in lvl.classes]
     survivors = []
     for r in range(len(curves) + 1):
         for subset in itertools.combinations(curves, r):
@@ -428,12 +430,13 @@ class NefCertificate(NamedTuple):
 def is_nef_against_catalog(model, level, D) -> NefCertificate:
     """D·C for every catalog curve C of the level, and the negative ones."""
     lvl = model.level(level)
-    tested = tuple(c.id for c in lvl.curves)
+    classes = lvl.classes
+    tested = tuple(classes)
     violations = []
-    for c in lvl.curves:
-        v = pl.intersect(D, c.cls, lvl.form)
+    for cid, cls in classes.items():
+        v = pl.intersect(D, cls, lvl.form)
         if v < 0:
-            violations.append((c.id, v))
+            violations.append((cid, v))
     return NefCertificate(tested, tuple(violations))
 
 
@@ -450,9 +453,10 @@ def reference_zariski(model, level, D):
     lvl = model.level(level)
     if D.lattice_id != lvl.form.lattice_id or any(i >= lvl.rank for i in D.terms):
         raise ValueError("divisor class does not live at the requested level")
+    curves = [lvl.curve(cid) for cid in lvl.classes]
     in_s = set()
     S = []
-    for c in lvl.curves:
+    for c in curves:
         if pl.intersect(D, c.cls, lvl.form) < 0:
             S.append(c)
             in_s.add(c.id)
@@ -474,7 +478,7 @@ def reference_zariski(model, level, D):
         P = D - n_cls
         new = [
             c
-            for c in lvl.curves
+            for c in curves
             if c.id not in in_s and pl.intersect(P, c.cls, lvl.form) < 0
         ]
         if not new:
@@ -543,6 +547,33 @@ def top_level_decomposition(model, level, delta=None):
 
 
 # ---------------------------------------------------------------------------
+# point of X under an exceptional
+
+
+def reference_point_descriptor(model, level, cid):
+    """The point of X (``level``) under the exceptional ``cid`` born above
+    it, and the curves of X through that point, by a walk down the
+    centers: from the center of ``cid`` to the one of the earliest
+    exceptional over X on it, until a center lies on none.  The oracle
+    for potential._points_over, which makes one pass up the centers."""
+    curves = model.curves
+    k = curves[cid].born
+    through: set[str] = set()
+    while True:
+        center = model.centers[k - 1]
+        parents = []
+        for oid, _ in center.on_curves:
+            born = curves[oid].born
+            if born <= level:
+                through.add(oid)
+            else:
+                parents.append(born)
+        if not parents:
+            return center.point_label, frozenset(through)
+        k = min(parents)
+
+
+# ---------------------------------------------------------------------------
 # RCC from the bare pair
 
 
@@ -586,6 +617,7 @@ __all__ = [
     "random_klt_pair",
     "random_center",
     "reference_tower",
+    "reference_point_descriptor",
     "brute_force_zariski",
     "reference_zariski",
     "reference_fano_type_test",

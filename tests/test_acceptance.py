@@ -106,7 +106,7 @@ def test_criterion_4_monotonicity():
         pair = random_pair(rng, max_blowups=4)
         lvl = pair.model.level(pair.level)
         extra = pl.RDivisor.make(
-            pair.level, {c.id: rng.choice(pool) for c in lvl.curves}
+            pair.level, {cid: rng.choice(pool) for cid in lvl.classes}
         )
         try:
             violations = pl.check_monotonicity(pair, extra)
@@ -134,7 +134,7 @@ def test_criterion_5_birational_stability():
             continue
         after = pl.potential_ledger(pair2)
         ok &= all(after.get(cid).pa == pa for cid, pa in before.items())
-        born_center = bigger.levels[-1].center
+        born_center = bigger.centers[-1]
         expected = Fraction(1)
         for cid, mult in born_center.effective_incidences():
             expected += mult * before[cid]
@@ -223,7 +223,7 @@ def _base_ample(model, level):
     base = model.base
     if isinstance(base, pl.Ruled):
         return pl.RDivisor.make(0, {"C0": 1, "f": base.e + 1})
-    return pl.RDivisor.make(0, {model.level(0).curves[0].id: 1})
+    return pl.RDivisor.make(0, {next(iter(model.level(0).classes)): 1})
 
 
 def test_criterion_8_limit_property():

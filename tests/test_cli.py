@@ -86,6 +86,34 @@ def test_schema_error_exit_2_with_pointer(tmp_path, capsys):
     assert "/surprise" in json.loads(out)["detail"]
 
 
+# a model text that repeats a key, and the key it repeats
+REPEATED_KEYS = [
+    ('{"version": "pklt-lab/1", "base": {"kind": "P2"}, '
+     '"base": {"kind": "ruled", "genus": 2, "e": 3}, "pair": {"level": 0}}',
+     "base"),
+    ('{"version": "pklt-lab/1", "base": {"kind": "P2"}, "divisors": '
+     '{"D": [{"curve": "L", "coeff": "1/2"}], "D": [{"curve": "L", "coeff": 1}]},'
+     ' "pair": {"level": 0, "delta": "D"}}',
+     "D"),
+    ('{"version": "pklt-lab/1", "base": {"kind": "ruled", "genus": 2, "e": 3, '
+     '"e": 1}}',
+     "e"),
+]
+
+
+@pytest.mark.parametrize("text, key", REPEATED_KEYS)
+def test_repeated_key_is_a_schema_error_plain_and_optimized(tmp_path, text, key):
+    """JSON keeps the last of two values under one key; the strict schema
+    refuses the file, from a path or as raw text."""
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    expected = {"error": "schema", "detail": f": repeated key {key!r}"}
+    for source in (str(path), text):
+        for proc in run_plain_and_optimized(["check", source]):
+            assert proc.returncode == 2
+            assert json.loads(proc.stdout) == expected
+
+
 def test_float_coefficient_rejected(tmp_path, capsys):
     doc = {
         "version": "pklt-lab/1",

@@ -30,12 +30,12 @@ def fuzz_commands(seed: int, count: int):
         level = rng.randrange(0, model.top + 1)
         free = {c.exceptional_id for c in model.centers if not c.on_curves}
         delta = {}
-        for c in model.level(level).curves:
+        for cid in model.level(level).classes:
             coeff = rng.choice(COEFF_POOL)
-            if c.id in free and rng.random() < 0.5:
+            if cid in free and rng.random() < 0.5:
                 coeff = Fraction(1)
             if coeff:
-                delta[c.id] = coeff
+                delta[cid] = coeff
         divisors = {
             "Delta": tuple(delta.items()),
             "D": tuple((cid, rng.choice(COEFF_POOL)) for cid in model.curves),

@@ -22,11 +22,12 @@ from conftest import (
     random_pair,
     random_tower,
     reference_fano_type_test,
+    reference_point_descriptor,
     ruled,
     top_level_decomposition,
 )
-from pklt_lab.potential import anti_log_canonical
-from pklt_lab.report import _display, full_report
+from pklt_lab.potential import _points_over, anti_log_canonical
+from pklt_lab.report import _display, full_report, pair_sections
 from pklt_lab.surface import display_name
 from pklt_lab.zariski import NOT_PSEF_MESSAGE
 
@@ -58,7 +59,8 @@ def test_potential_ledger_ruled_blowup(ruled_blowup_pair):
     c0, e1 = ledger.get("C0"), ledger.get("E1")
     assert (c0.a, c0.sigma_num, c0.pa) == (0, Fraction(5, 3), Fraction(-5, 3))
     assert (e1.a, e1.sigma_num, e1.pa) == (0, Fraction(2, 3), Fraction(-2, 3))
-    assert c0.display == "C0~" and e1.display == "E1"
+    top = ruled_blowup_pair.model.levels[-1]
+    assert top.curve("C0").display == "C0~" and top.curve("E1").display == "E1"
 
 
 def test_potential_ledger_f3():
@@ -97,12 +99,12 @@ def test_divergence_oracle_ruled_blowup():
     expected = [Fraction(-2, 3)]
     for _ in range(5):
         m = pl.blow_up(m, (pl.BlowUpCenter((("C0", 1), (prev_exc, 1))),))
-        prev_exc = m.levels[-1].center.exceptional_id
+        prev_exc = m.centers[-1].exceptional_id
         expected.append(expected[-1] + Fraction(-5, 3) + 1)
     pair = pl.make_pair(m, 1)
     ledger = pl.potential_ledger(pair)
     assert ledger.get("C0").pa == Fraction(-5, 3)
-    chain = ["E1"] + [lvl.center.exceptional_id for lvl in m.levels[2:]]
+    chain = ["E1"] + [center.exceptional_id for center in m.centers[1:]]
     assert [ledger.get(cid).pa for cid in chain] == expected
     assert expected[-1] == Fraction(-4)  # strictly unbounded below
     assert pl.total_potential_discrepancy(pair) is pl.NEG_INFINITY
@@ -146,6 +148,31 @@ def test_pnklt_locus_examples(ruled_blowup_pair):
     cubic = pl.make_pair(cubic12_model(), 12)
     comps = pl.pnklt_locus(cubic)
     assert [(c.kind, c.ref, c.genus) for c in comps] == [("curve", "C", 1)]
+
+
+def test_points_over_equal_the_walk_down_the_centers():
+    """The one pass up the centers maps each exceptional over X, and only
+    those, to the point that reference_point_descriptor finds by walking
+    down them, with the same curves of X through it, at every pair level
+    of the fuzz towers, chain(24) and cubic12."""
+    rng = random.Random(2161)
+    towers = [random_tower(rng) for _ in range(300)]
+    lattices = [random_lattice_tower(rng) for _ in range(100)]
+    towers += [m for m in lattices if m is not None]
+    towers += [chain_model(24), cubic12_model()]
+    mapped = below = through = 0
+    for m in towers:
+        for level in range(m.top + 1):
+            points = _points_over(m, level)
+            assert list(points) == [
+                cid for cid, c in m.curves.items() if c.born > level]
+            for cid, comp in points.items():
+                label, on = reference_point_descriptor(m, level, cid)
+                assert comp == pl.LocusComponent("point", label, 0, on)
+                mapped += 1
+                below += label != m.centers[m.curves[cid].born - 1].point_label
+                through += bool(on)
+    assert mapped > 1000 and below > 500 and through > 500
 
 
 def test_eps_spnklt_ruled_blowup(ruled_blowup_pair):
@@ -313,9 +340,9 @@ def test_make_pair_equals_the_top_level_decomposition_fuzzed():
     outcomes = collections.Counter()
     for model in towers:
         for level in range(model.top + 1):
-            curves = model.level(level).curves
+            curves = model.level(level).classes
             for delta in (None, pl.RDivisor.make(
-                    level, {c.id: rng.choice(COEFF_POOL) for c in curves})):
+                    level, {cid: rng.choice(COEFF_POOL) for cid in curves})):
                 want = _pair_decomposition_or_error(
                     top_level_decomposition, model, level, delta)
                 got = _pair_decomposition_or_error(
@@ -336,10 +363,11 @@ def test_make_pair_equals_the_top_level_decomposition_fuzzed():
 
 def test_display_reads_the_curve_table():
     """The naming rule surface.display_name, read off the curve table as
-    report._display reads it, gives Curve.display of the level view for
-    every curve and level of the fuzz towers."""
+    report._display reads it, gives Level.curve(cid).display for every
+    curve and level of the fuzz towers; the ledger section of a top-level
+    pair names its rows so, in catalog order."""
     rng = random.Random(6150)
-    strict = rejected = 0
+    strict = rejected = ledgers = 0
     for t in range(300):
         if t % 2:
             while (model := random_lattice_tower(rng)) is None:
@@ -347,11 +375,20 @@ def test_display_reads_the_curve_table():
         else:
             model = random_tower(rng)
         for lvl in model.levels:
-            for c in lvl.curves:
-                name = display_name(c.id, model.curves[c.id].born, lvl.k)
-                assert name == _display(model, lvl.k, c.id) == c.display
+            for cid in lvl.classes:
+                c = lvl.curve(cid)
+                name = display_name(cid, model.curves[cid].born, lvl.k)
+                assert name == _display(model, lvl.k, cid) == c.display
                 strict += c.display.endswith("~")
-    assert strict > 1000 and rejected > 0
+        try:  # the report classifies the pair, which checks the theory
+            pair = pl.make_pair(model, model.top)
+            ledger = pair_sections(pair, ["ledger"])["ledger"]
+        except (pl.NotPseudoeffectiveError, pl.PairError, pl.InvariantViolation):
+            continue
+        top = model.levels[-1]
+        assert list(ledger) == [top.curve(cid).display for cid in top.classes]
+        ledgers += 1
+    assert strict > 1000 and rejected > 0 and ledgers > 100
 
 
 def test_make_pair_rejects_bad_input():
@@ -493,9 +530,9 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
             else:
                 n = verdict.negative_part
                 assert not _uncanonical(v for _, v in (n.terms if n else ()))
-            curves = model.level(level).curves
-            for delta in ({}, {c.id: rng.choice((0, 1)) for c in curves},
-                          {c.id: rng.choice(pool) for c in curves}):
+            curves = model.level(level).classes
+            for delta in ({}, {cid: rng.choice((0, 1)) for cid in curves},
+                          {cid: rng.choice(pool) for cid in curves}):
                 delta = pl.RDivisor.make(level, delta)
                 try:
                     pair = pl.make_pair(model, level, delta)
@@ -539,7 +576,7 @@ def test_monotonicity_fuzzed():
         pair = random_pair(rng, max_blowups=3)
         lvl = pair.model.level(pair.level)
         extra = pl.RDivisor.make(
-            pair.level, {c.id: rng.choice(pool) for c in lvl.curves}
+            pair.level, {cid: rng.choice(pool) for cid in lvl.classes}
         )
         try:
             assert pl.check_monotonicity(pair, extra) == []

@@ -244,25 +244,26 @@ def test_structural_invariants_fuzzed():
                 )
         for k in range(1, m.top + 1):
             lvl, prev = m.level(k), m.level(k - 1)
-            e = lvl.curve(lvl.center.exceptional_id)
+            e = lvl.curve(m.centers[k - 1].exceptional_id)
             assert e.genus == 0
             assert pl.intersect(e.cls, e.cls, lvl.form) == -1
             pulled_k = pl.pull_back(m, k - 1, k, prev.canonical)
             assert lvl.canonical == pulled_k + e.cls
-            for a in prev.curves:
-                for b in prev.curves:
+            for a in prev.classes.values():
+                for b in prev.classes.values():
                     assert pl.intersect(
-                        pl.pull_back(m, k - 1, k, a.cls),
-                        pl.pull_back(m, k - 1, k, b.cls),
+                        pl.pull_back(m, k - 1, k, a),
+                        pl.pull_back(m, k - 1, k, b),
                         lvl.form,
-                    ) == pl.intersect(a.cls, b.cls, prev.form)
+                    ) == pl.intersect(a, b, prev.form)
                 assert pl.intersect(
-                    pl.pull_back(m, k - 1, k, a.cls), e.cls, lvl.form
+                    pl.pull_back(m, k - 1, k, a), e.cls, lvl.form
                 ) == 0
             # genus is preserved by strict transforms
-            for c in lvl.curves:
-                if c.origin is not None:
-                    assert c.genus == prev.curve(c.origin).genus
+            for cid in lvl.classes:
+                c = lvl.curve(cid)
+                if c.born < c.level:
+                    assert c.genus == prev.curve(cid).genus
         if m.top > 0:
             prefix = pl.blow_up(pl.make_base(m.base), m.centers[:-1])
             assert [level_data(lvl) for lvl in prefix.levels] == [
@@ -272,7 +273,9 @@ def test_structural_invariants_fuzzed():
 
 
 def level_data(lvl):
-    return (lvl.form, lvl.canonical, lvl.basis_labels, lvl.curves, lvl.center)
+    curves = [lvl.curve(cid) for cid in lvl.classes]
+    center = lvl.model.centers[lvl.k - 1] if lvl.k else None
+    return (lvl.form, lvl.canonical, lvl.basis_labels, curves, center)
 
 
 def test_every_level_matches_the_dense_reference():
@@ -285,10 +288,37 @@ def test_every_level_matches_the_dense_reference():
             lat = lvl.form.lattice_id
             assert lvl.basis_labels == labels
             assert lvl.canonical == pl.DivisorClass.dense(canonical, lat)
-            assert [(c.id, c.genus, c.display, c.cls) for c in lvl.curves] == [
+            assert [(c.id, c.genus, c.display, c.cls)
+                    for c in map(lvl.curve, lvl.classes)] == [
                 (cid, g, display, pl.DivisorClass.dense(cls, lat))
                 for cid, g, display, cls in curves
             ]
+
+
+def test_level_classes_are_the_reference_classes():
+    """Level.classes maps each curve born at or below k, in catalog order,
+    to reference_tower's class at k.  It hands out the curve table's class
+    object exactly when the curve's last change is at or below k; a curve
+    changed above k gets a class of its own, cut to rank(k)."""
+    rng = random.Random(21)
+    towers = [random_tower(rng) for _ in range(60)]
+    lattices = [random_lattice_tower(rng) for _ in range(60)]
+    towers += [m for m in lattices if m is not None]
+    towers += [cubic12_model(), chain_model(24)]
+    shared = cut = 0
+    for m in towers:
+        for lvl, (_, _, curves) in zip(m.levels, reference_tower(m), strict=True):
+            lat = lvl.form.lattice_id
+            classes = lvl.classes
+            assert list(classes.items()) == [
+                (cid, pl.DivisorClass.dense(cls, lat)) for cid, _, _, cls in curves]
+            for cid, cls in classes.items():
+                stored = m.curves[cid]
+                assert (cls is stored.cls) == (stored.level <= lvl.k)
+                assert all(i < lvl.rank for i in cls.terms)
+                shared += stored.level <= lvl.k
+                cut += stored.level > lvl.k
+    assert shared > 500 and cut > 200
 
 
 def reference_gram(base):
@@ -341,9 +371,9 @@ def test_catalog_products_are_ints_on_an_integral_form():
         ):
             lat = lvl.form.lattice_id
             dense = [pl.DivisorClass.dense(cls, lat) for _, _, _, cls in curves]
-            for a, ra in zip(lvl.curves, dense):
-                for b, rb in zip(lvl.curves, dense):
-                    got = pl.intersect(a.cls, b.cls, lvl.form)
+            for a, ra in zip(lvl.classes.values(), dense):
+                for b, rb in zip(lvl.classes.values(), dense):
+                    got = pl.intersect(a, b, lvl.form)
                     want = dense_intersect(ra, rb, gram, k)
                     assert type(want) is Fraction and got == want
                     assert type(got) in ((int,) if integral else (int, Fraction))
@@ -436,8 +466,8 @@ def all_pairs_validate(model, supports=()):
                                     f"negative intersection number")
     return not any(
         m >= 2 and cid in support_set
-        for lvl in model.levels[1:]
-        for cid, m in lvl.center.effective_incidences()
+        for center in model.centers
+        for cid, m in center.effective_incidences()
     )
 
 
@@ -485,8 +515,9 @@ def test_distinct_curves_meet_non_negatively_at_every_level():
     pairs = collections.Counter()
     for m in towers:
         for lvl in m.levels:
-            for a, b in itertools.combinations(lvl.curves, 2):
-                num = pl.intersect(a.cls, b.cls, lvl.form)
-                assert num >= 0, (m, lvl.k, a.id, b.id, num)
+            classes = lvl.classes
+            for a, b in itertools.combinations(classes, 2):
+                num = pl.intersect(classes[a], classes[b], lvl.form)
+                assert num >= 0, (m, lvl.k, a, b, num)
                 pairs[num > 0] += 1
     assert pairs[True] > 1000 and pairs[False] > 1000

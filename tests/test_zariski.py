@@ -27,7 +27,7 @@ from conftest import (
     reference_zariski,
     ruled,
 )
-from pklt_lab import zariski
+from pklt_lab import surface, zariski
 from pklt_lab.lattice import LDLFactor
 from pklt_lab.potential import anti_log_canonical
 
@@ -125,8 +125,7 @@ def test_a_lower_level_class_is_its_own_pullback():
     pullback: decomposed there it gives the same P and N, or the same
     error, as pull_back(D), which is D itself, and as the per-round
     reference, and D is the class of the total transform f*D, built curve
-    by curve at the top.  A curve whose last change lies at or below k
-    keeps its class object at level k."""
+    by curve at the top."""
     rng = random.Random(18)
     raised = supports = 0
     for _ in range(400):
@@ -134,13 +133,10 @@ def test_a_lower_level_class_is_its_own_pullback():
         j = rng.randrange(0, m.top + 1)
         k = rng.randrange(j, m.top + 1)
         d = pl.RDivisor.make(
-            j, {c.id: rng.choice(SIGNED_POOL) for c in m.level(j).curves})
+            j, {cid: rng.choice(SIGNED_POOL) for cid in m.level(j).classes})
         D = d.class_at(m)
         assert pl.pull_back(m, j, k, D) is D
         assert pl.total_transform(m, d).class_at(m) == D
-        for c in m.level(k).curves:
-            stored = m.curves[c.id]
-            assert (c.cls is stored.cls) == (stored.level <= k)
         got = _decomposition_or_error(pl.zariski_decompose, m, k, D)
         assert got == _decomposition_or_error(
             pl.zariski_decompose, m, k, pl.pull_back(m, j, k, D))
@@ -287,7 +283,7 @@ def _tower_cases(rng, count):
             cls = -lvl.canonical
         else:
             cls = pl.RDivisor.make(
-                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
             ).class_at(m)
         yield m, level, cls
 
@@ -329,7 +325,7 @@ def _rational_lattice_cases(rng, count):
             cls = -lvl.canonical
         else:
             cls = pl.RDivisor.make(
-                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
             ).class_at(m)
         yield m, level, cls
 
@@ -405,9 +401,9 @@ def test_dense_branch_names_what_the_factor_cannot(level, pivots, det):
     m = pl.blow_up(p2(), [pl.BlowUpCenter((("L", 1),))] * 2)
     lvl = m.level(level)
     K = lvl.canonical
-    S = [c for c in lvl.curves if pl.intersect(K, c.cls, lvl.form) < 0]
-    gram = pl.gram_submatrix([c.cls for c in S], lvl.form)
-    factor = LDLFactor([pl.intersect(K, c.cls, lvl.form) for c in S])
+    S = [c for c in lvl.classes.values() if pl.intersect(K, c, lvl.form) < 0]
+    gram = pl.gram_submatrix(S, lvl.form)
+    factor = LDLFactor([pl.intersect(K, c, lvl.form) for c in S])
     for k, row in enumerate(gram):
         if factor.extend(k, {j: v for j, v in enumerate(row) if v}) >= 0:
             break
@@ -523,12 +519,12 @@ def test_index_rows_equal_the_dense_rows():
     nonzero = 0
     for m in towers:
         for lvl in m.levels:
-            curves, form = lvl.curves, lvl.form
-            row = zariski.intersection_rows(curves, form, m.scale)
-            for i, ci in enumerate(curves):
+            classes, form = list(lvl.classes.values()), lvl.form
+            row = zariski.intersection_rows(classes, form, m.scale)
+            for i, ci in enumerate(classes):
                 dense = {
-                    j: m.scale * v for j, c in enumerate(curves)
-                    if (v := pl.intersect(ci.cls, c.cls, form))
+                    j: m.scale * v for j, c in enumerate(classes)
+                    if (v := pl.intersect(ci, c, form))
                 }
                 assert row(i) == dense
                 assert all(type(v) is int for v in row(i).values())
@@ -549,7 +545,7 @@ def _integral_catalog_cases(rng, count):
             yield m, level, -lvl.canonical
         else:
             yield m, level, pl.RDivisor.make(
-                level, {c.id: rng.choice(SIGNED_POOL) for c in lvl.curves}
+                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
             ).class_at(m)
 
 
@@ -637,3 +633,36 @@ def test_p_and_n_are_canonical():
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
                for v in numbers)
     assert sum(type(v) is Fraction for v in numbers) > 200
+
+
+def test_zariski_decompose_builds_no_curve(monkeypatch):
+    """The solve reads ids and classes off Level.classes, so it builds no
+    Curve view, at any level of the infinitely-near chain or of random
+    pairs."""
+    built = []
+    new = surface.Curve.__new__
+
+    def spy(cls, *args):
+        built.append(args[0])
+        return new(cls, *args)
+
+    rng = random.Random(2121)
+    pairs = [random_pair(rng) for _ in range(100)]
+    cases = [(m, k, -m.level(k).canonical)
+             for m in (chain_model(24), chain_model(48))
+             for k in range(m.top + 1)]
+    cases += [(p.model, p.level, anti_log_canonical(p)) for p in pairs]
+    m = blown_ruled(2, 3)
+    monkeypatch.setattr(surface.Curve, "__new__", spy)
+    assert m.level(0).curve("C0").level == 0
+    assert built == ["C0"]  # the spy sees a view being built
+    cut = 0
+    for m, k, D in cases:
+        built.clear()
+        try:
+            pl.zariski_decompose(m, k, D)
+        except pl.NotPseudoeffectiveError:
+            pass
+        assert built == [], (m, k)
+        cut += any(c.level > k for c in m.curves.values())
+    assert cut > 50
