@@ -36,7 +36,6 @@ from .zariski import (
 )
 from .potential import (
     NEG_INFINITY,
-    DiscrepancyLedger,
     FanoVerdict,
     IncidenceGraph,
     InvariantViolation,

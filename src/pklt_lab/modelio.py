@@ -42,6 +42,8 @@ class ValidationError(ValueError):
 def _require_object(doc, pointer, allowed, required=()):
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
+    if getattr(doc, "repeated", None) is not None:
+        raise SchemaError(pointer, f"repeated key {doc.repeated!r}")
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"{pointer}/{key}", "unknown field")
@@ -225,8 +227,8 @@ def parse_model(doc) -> LoadedModel:
 
     divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
     if "divisors" in doc:
-        if not isinstance(doc["divisors"], dict):
-            raise SchemaError("/divisors", "expected an object")
+        # any name is allowed
+        _require_object(doc["divisors"], "/divisors", doc["divisors"])
         for name, terms in doc["divisors"].items():
             divisors[name] = _parse_divisor_terms(terms, f"/divisors/{name}")
 
@@ -248,14 +250,18 @@ def parse_model(doc) -> LoadedModel:
     return loaded
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key it repeats is a schema error, where
-    json would keep the last value silently."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise SchemaError("", f"repeated key {key!r}")
-        doc[key] = value
+class _Object(dict):
+    """A JSON object read from text, with ``repeated``, the first key it
+    gives twice (json keeps the last value); the schema refuses it."""
+
+    repeated = None
+
+
+def _read_object(pairs: list) -> _Object:
+    doc = _Object(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        doc.repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
     return doc
 
 
@@ -266,9 +272,7 @@ def load_model(source: str) -> LoadedModel:
         if not source.lstrip().startswith("{"):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except SchemaError:
-        raise
+        doc = json.loads(text, object_pairs_hook=_read_object)
     except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, too deep
         raise SchemaError("", f"invalid JSON: {exc}")
     return parse_model(doc)

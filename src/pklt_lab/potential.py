@@ -26,7 +26,6 @@ from .surface import (
     RDivisor,
     Record,
     SurfaceModel,
-    pull_back,
     push_forward,
     total_transform,
     validate,
@@ -71,19 +70,21 @@ class PairSpec(Record):
 
     ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
     top level of the tower, pulled back from the pair level: P = f*P_X
-    and N = f*N_X.  ``ledger`` holds a, σ_num and pa per top-level curve.
-    Pairs compare and hash by identity.
+    and N = f*N_X, and big when -(K+Δ) is.  ``ledger`` maps each
+    top-level curve id, in catalog order, to its row; ``points`` maps each
+    exceptional over X to its point of X.  Pairs compare and hash by
+    identity.
     """
 
-    __slots__ = ("model", "level", "delta", "decomposition", "ledger", "big")
+    __slots__ = ("model", "level", "delta", "decomposition", "ledger", "points")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     model: SurfaceModel
     level: int
     delta: RDivisor
     decomposition: ZariskiDecomposition
-    ledger: DiscrepancyLedger
-    big: bool  # -(K+Δ) is big: P² > 0, which the pullback to the top keeps
+    ledger: dict[str, LedgerEntry]
+    points: dict[str, LocusComponent]
 
 
 def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) -> PairSpec:
@@ -112,21 +113,17 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     low = zariski_decompose(  # raises NotPseudoeffectiveError
         model, level, -(lvl.canonical + delta.class_at(model)))
     n = total_transform(model, low.N)
-    zd = ZariskiDecomposition(model.top,
-                              pull_back(model, level, model.top, low.P),
-                              n, low.big)
-    supports = set(delta.support) | set(n.support)
-    supports |= {c.id for c in model.curves.values() if c.born > level}
-    if not validate(model, supports):
+    points = _points_over(model, level)
+    if not validate(model, {*delta.support, *n.support, *points}):
         raise PairError("top level is not log-resolution-ready for this pair")
     a = _a_values(model, level, delta)
     sigma = dict(n.terms)
-    entries = []
+    ledger = {}
     for cid in model.curves:
         sig = sigma.get(cid, 0)
-        entries.append(LedgerEntry(cid, a[cid], sig, a[cid] - sig))
-    ledger = DiscrepancyLedger(tuple(entries))
-    return PairSpec(model, level, delta, zd, ledger, zd.big)
+        ledger[cid] = LedgerEntry(a[cid], sig, a[cid] - sig)
+    return PairSpec(model, level, delta, low._replace(level=model.top, N=n),
+                    ledger, points)
 
 
 def anti_log_canonical(pair: PairSpec):
@@ -155,35 +152,21 @@ def _a_values(
 
 
 class LedgerEntry(NamedTuple):
-    """One top-level curve's row, by id; the report names it."""
+    """One top-level curve's row; the ledger keys it by curve id."""
 
-    curve_id: str
     a: int | Fraction
     sigma_num: int | Fraction
     pa: int | Fraction  # a − σ_num
 
 
-class DiscrepancyLedger(NamedTuple):
-    entries: tuple[LedgerEntry, ...]
-
-    def get(self, cid: str) -> LedgerEntry:
-        for e in self.entries:
-            if e.curve_id == cid:
-                return e
-        raise KeyError(cid)
-
-    def min_pa(self) -> int | Fraction:
-        return min([0] + [e.pa for e in self.entries])
-
-
-def potential_ledger(pair: PairSpec) -> DiscrepancyLedger:
-    """a, σ_num and pa per top-level curve, as computed by make_pair."""
+def potential_ledger(pair: PairSpec) -> dict[str, LedgerEntry]:
+    """a, σ_num and pa per top-level curve id, as computed by make_pair."""
     return pair.ledger
 
 
 def total_potential_discrepancy(pair: PairSpec):
     """min(0, per-curve pa) when that is >= -1, else NEG_INFINITY."""
-    m = pair.ledger.min_pa()
+    m = min([0] + [e.pa for e in pair.ledger.values()])
     return m if m >= -1 else NEG_INFINITY
 
 
@@ -222,18 +205,11 @@ def _points_over(model: SurfaceModel, level: int) -> dict[str, LocusComponent]:
 
 def _components(pair: PairSpec, curve_ids: Sequence[str]) -> list[LocusComponent]:
     """The components on X of the top-level curves ``curve_ids``, each once:
-    a curve of X is its own, an exceptional over X its point.  The pass up
-    the centers runs once, at the first exceptional, if any."""
-    curves, level = pair.model.curves, pair.level
-    points: dict[str, LocusComponent] = {}
+    a curve of X is its own, an exceptional over X its point."""
+    curves, points = pair.model.curves, pair.points
     out: dict[tuple[str, str], LocusComponent] = {}
     for cid in curve_ids:
-        c = curves[cid]
-        if c.born <= level:
-            comp = LocusComponent("curve", cid, c.genus)
-        else:
-            points = points or _points_over(pair.model, level)
-            comp = points[cid]
+        comp = points.get(cid) or LocusComponent("curve", cid, curves[cid].genus)
         out.setdefault(comp.key, comp)
     return list(out.values())
 
@@ -284,9 +260,7 @@ def is_connected(graph: IncidenceGraph) -> bool:
 
 
 def nklt_locus(pair: PairSpec) -> list[LocusComponent]:
-    return _components(
-        pair, [e.curve_id for e in pair.ledger.entries if e.a <= -1]
-    )
+    return _components(pair, [cid for cid, e in pair.ledger.items() if e.a <= -1])
 
 
 def eps_spnklt(pair: PairSpec, eps: int | Fraction) -> list[LocusComponent]:
@@ -303,9 +277,7 @@ def eps_spnklt(pair: PairSpec, eps: int | Fraction) -> list[LocusComponent]:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     limit = -1 + eps
-    return _components(
-        pair, [e.curve_id for e in pair.ledger.entries if e.pa <= limit]
-    )
+    return _components(pair, [cid for cid, e in pair.ledger.items() if e.pa <= limit])
 
 
 def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
@@ -314,7 +286,7 @@ def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
 
 def eps_threshold(pair: PairSpec) -> int | Fraction | None:
     """Largest ε below which ε-spNklt equals pNklt: min(pa+1) over pa > -1."""
-    vals = [e.pa + 1 for e in pair.ledger.entries if e.pa > -1]
+    vals = [e.pa + 1 for e in pair.ledger.values() if e.pa > -1]
     return min(vals) if vals else None
 
 
@@ -335,12 +307,12 @@ class PotentialReport(NamedTuple):
 
 
 def classify_pair(pair: PairSpec) -> PotentialReport:
-    ledger = pair.ledger
+    ledger = pair.ledger.values()
     frak = total_potential_discrepancy(pair)
     nklt = tuple(nklt_locus(pair))
     pnklt = tuple(pnklt_locus(pair))
-    klt = all(e.a > -1 for e in ledger.entries)
-    lc = all(e.a >= -1 for e in ledger.entries)
+    klt = all(e.a > -1 for e in ledger)
+    lc = all(e.a >= -1 for e in ledger)
     p_klt = frak is not NEG_INFINITY and frak > -1
     p_lc = frak is not NEG_INFINITY and frak >= -1
 
@@ -361,7 +333,7 @@ def classify_pair(pair: PairSpec) -> PotentialReport:
     _require(not stray, "nklt-in-pnklt-in-nklt-or-nnef",
              "pNklt is not between Nklt and Nklt ∪ Nnef at "
              + ", ".join(f"{kind} {ref}" for kind, ref in sorted(stray)))
-    if pair.big:
+    if pair.decomposition.big:
         # Connectedness of pNklt under big -(K+Δ) is a theorem on the actual
         # surface; a failure here means the declared curve catalog is missing
         # a curve that joins the components (e.g. the fiber through a center
@@ -420,7 +392,7 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
     pair = report.pair
     if not pair.delta.is_zero():
         raise PairError("the Fano-type test of a pair needs Δ = 0")
-    model, level, big = pair.model, pair.level, pair.big
+    model, level, big = pair.model, pair.level, pair.decomposition.big
     n = push_forward(model, model.top, level, pair.decomposition.N)
     xn_klt = all(a > -1 for a in _a_values(model, level, n).values())
     _require(xn_klt == report.potentially_klt, "dim-2-klt-equivalence",
@@ -446,11 +418,8 @@ def check_monotonicity(
     if not extra.is_effective():
         raise PairError("extra boundary must be effective")
     bigger = make_pair(pair.model, pair.level, pair.delta + extra)
-    out = []
-    for e1, e2 in zip(pair.ledger.entries, bigger.ledger.entries):
-        if e1.pa < e2.pa:
-            out.append((e1.curve_id, e1.pa, e2.pa))
-    return out
+    return [(cid, e.pa, bigger.ledger[cid].pa) for cid, e in pair.ledger.items()
+            if e.pa < bigger.ledger[cid].pa]
 
 
 def check_intersection_limit(pair: PairSpec, deltas: Sequence[RDivisor]) -> dict:

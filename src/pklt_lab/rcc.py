@@ -34,7 +34,7 @@ def surface_rcc_via_pnklt(report: PotentialReport) -> tuple[bool, str]:
     pair = report.pair
     if not pair.delta.is_zero():
         raise ValueError("proposition requires Δ = 0")
-    if not pair.big:
+    if not pair.decomposition.big:
         raise ValueError("proposition requires -K big")
     if not report.pnklt:
         return True, "pNklt(X, 0) is empty; the surface is rationally connected"

@@ -115,12 +115,12 @@ def rcc_json(pr: PotentialReport) -> dict:
 def _ledger_json(pr: PotentialReport, eps: Fraction | None) -> dict:
     model = pr.pair.model
     return {
-        _display(model, model.top, e.curve_id): {
+        _display(model, model.top, cid): {
             "a": numeral(e.a),
             "sigma_num": numeral(e.sigma_num),
             "pa": numeral(e.pa),
         }
-        for e in pr.pair.ledger.entries
+        for cid, e in pr.pair.ledger.items()
     }
 
 

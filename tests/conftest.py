@@ -584,7 +584,7 @@ def reference_rcc_json(pair):
     passes."""
     if not pair.delta.is_zero():
         return {"applicable": False, "reason": "proposition requires Δ = 0"}
-    if not pair.big:
+    if not pair.decomposition.big:
         return {"applicable": False, "reason": "proposition requires -K big"}
     comps = pl.pnklt_locus(pair)
     if not comps:

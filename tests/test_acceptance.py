@@ -123,9 +123,7 @@ def test_criterion_5_birational_stability():
     ok = True
     while checked < 200:
         pair = random_pair(rng, max_blowups=4)
-        before = {
-            e.curve_id: e.pa for e in pl.potential_ledger(pair).entries
-        }
+        before = {cid: e.pa for cid, e in pl.potential_ledger(pair).items()}
         center = random_center(rng, pair.model)
         try:
             bigger = pl.blow_up(pair.model, (center,))
@@ -160,7 +158,7 @@ def test_criterion_6_connectedness():
         except pl.NotPseudoeffectiveError:
             continue
         # bigness at the pair level is P² > 0 of the top-level decomposition
-        ok &= big == pair.big
+        ok &= big == pair.decomposition.big
         if not big:
             continue
         big_seen += 1

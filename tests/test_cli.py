@@ -86,28 +86,30 @@ def test_schema_error_exit_2_with_pointer(tmp_path, capsys):
     assert "/surprise" in json.loads(out)["detail"]
 
 
-# a model text that repeats a key, and the key it repeats
+# a model text that repeats a key, the object that repeats it and the key
 REPEATED_KEYS = [
     ('{"version": "pklt-lab/1", "base": {"kind": "P2"}, '
      '"base": {"kind": "ruled", "genus": 2, "e": 3}, "pair": {"level": 0}}',
-     "base"),
+     "", "base"),
     ('{"version": "pklt-lab/1", "base": {"kind": "P2"}, "divisors": '
      '{"D": [{"curve": "L", "coeff": "1/2"}], "D": [{"curve": "L", "coeff": 1}]},'
      ' "pair": {"level": 0, "delta": "D"}}',
-     "D"),
+     "/divisors", "D"),
     ('{"version": "pklt-lab/1", "base": {"kind": "ruled", "genus": 2, "e": 3, '
      '"e": 1}}',
-     "e"),
+     "/base", "e"),
 ]
 
 
-@pytest.mark.parametrize("text, key", REPEATED_KEYS)
-def test_repeated_key_is_a_schema_error_plain_and_optimized(tmp_path, text, key):
+@pytest.mark.parametrize("text, pointer, key", REPEATED_KEYS)
+def test_repeated_key_is_a_schema_error_plain_and_optimized(
+        tmp_path, text, pointer, key):
     """JSON keeps the last of two values under one key; the strict schema
-    refuses the file, from a path or as raw text."""
+    refuses the file, from a path or as raw text, at the object that
+    repeats the key."""
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")
-    expected = {"error": "schema", "detail": f": repeated key {key!r}"}
+    expected = {"error": "schema", "detail": f"{pointer}: repeated key {key!r}"}
     for source in (str(path), text):
         for proc in run_plain_and_optimized(["check", source]):
             assert proc.returncode == 2
@@ -429,6 +431,91 @@ def test_repeated_point_label_exit_3_plain_and_optimized(tmp_path):
             "detail": "/blowups/1: point label 'p2' already names an "
                       "earlier center",
         }
+
+
+def with_divisor(terms):
+    """RULED_BLOWUP with the named divisor D, given as its JSON terms."""
+    return dict(RULED_BLOWUP, divisors={"D": terms})
+
+
+def with_base(**fields):
+    """RULED_BLOWUP on a lattice base: P² with its cubic, fields changed."""
+    return dict(RULED_BLOWUP, base=dict(CUBIC_BASE, **fields), blowups=[],
+                pair={"level": 0})
+
+
+# each rejection of a model document by the loader, with its exit code and
+# the detail that points at the offending spot
+LOADER_REJECTIONS = {
+    "base-not-an-object": (
+        dict(RULED_BLOWUP, base=[]), 2, "/base: expected an object"),
+    "required-field-missing": (
+        dict(RULED_BLOWUP, base={"genus": 2, "e": 3}), 2,
+        "/base: missing required field 'kind'"),
+    "rational-is-a-boolean": (
+        with_divisor([{"curve": "C0", "coeff": True}]), 2,
+        "/divisors/D/0/coeff: expected a rational, got a boolean"),
+    "rational-is-null": (
+        with_divisor([{"curve": "C0", "coeff": None}]), 2,
+        "/divisors/D/0/coeff: not a rational: None"),
+    "integer-is-a-string": (
+        dict(RULED_BLOWUP, base={"kind": "ruled", "genus": "2", "e": 3}), 2,
+        "/base/genus: expected an integer"),
+    "integer-below-its-minimum": (
+        dict(RULED_BLOWUP, base={"kind": "ruled", "genus": 2, "e": 0}), 2,
+        "/base/e: must be >= 1"),
+    "string-is-empty": (
+        dict(RULED_BLOWUP, base={"kind": ""}), 2,
+        "/base/kind: expected a non-empty string"),
+    "unknown-base-kind": (
+        dict(RULED_BLOWUP, base={"kind": "cone"}), 2,
+        "/base/kind: unknown base kind 'cone'"),
+    "vector-not-an-array": (
+        with_base(K="-3"), 2, "/base/K: expected an array of rationals"),
+    "basis-not-an-array": (
+        with_base(basis="H"), 2, "/base/basis: expected a non-empty array"),
+    "gram-not-an-array": (
+        with_base(gram="1"), 2, "/base/gram: expected an array of rows"),
+    "curves-not-an-array": (
+        with_base(curves={}), 2, "/base/curves: expected an array"),
+    "on-not-an-array": (
+        dict(RULED_BLOWUP, blowups=[{"on": {"curve": "C0"}}]), 2,
+        "/blowups/0/on: expected an array"),
+    "terms-not-an-array": (
+        with_divisor({"curve": "C0", "coeff": "1"}), 2,
+        "/divisors/D: expected an array of terms"),
+    "blowups-not-an-array": (
+        dict(RULED_BLOWUP, blowups={}), 2, "/blowups: expected an array"),
+    "divisors-not-an-object": (
+        dict(RULED_BLOWUP, divisors=[]), 2, "/divisors: expected an object"),
+    "pair-level-above-the-top": (
+        dict(RULED_BLOWUP, pair={"level": 2}), 3,
+        "/pair/level: level 2 out of range"),
+    "unknown-pair-delta": (
+        dict(RULED_BLOWUP, pair={"level": 1, "delta": "D"}), 3,
+        "/pair/delta: unknown divisor 'D'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REJECTIONS))
+def test_each_loader_rejection_points_at_its_spot(tmp_path, capsys, case):
+    doc, code, detail = LOADER_REJECTIONS[case]
+    got, out = run_cli(["check", write_model(tmp_path, doc)], capsys)
+    error = {2: "schema", 3: "validation"}[code]
+    assert (got, json.loads(out)) == (code, {"error": error, "detail": detail})
+
+
+def test_an_integer_coefficient_is_shorthand_for_its_string(tmp_path, capsys):
+    """The README's shorthand: a JSON integer coefficient reads as the
+    string of its digits, so the report is the same."""
+    outs = []
+    for coeff in (1, "1"):
+        doc = {"version": "pklt-lab/1", "base": {"kind": "P2"},
+               "divisors": {"D": [{"curve": "L", "coeff": coeff}]},
+               "pair": {"level": 0, "delta": "D"}}
+        outs.append(run_cli(["potential", write_model(tmp_path, doc)], capsys))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["pair"]["delta"] == {"L": "1"}
 
 
 @pytest.mark.parametrize("check", sorted(CENTER_CHECKS))

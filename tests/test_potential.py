@@ -72,7 +72,7 @@ def test_potential_ledger_f3():
 
 def test_potential_ledger_p2():
     pair = pl.make_pair(p2(), 0)
-    assert all(e.pa >= 0 for e in pl.potential_ledger(pair).entries)
+    assert all(e.pa >= 0 for e in pl.potential_ledger(pair).values())
 
 
 def test_total_potential_discrepancy_values(ruled_blowup_pair):
@@ -287,22 +287,25 @@ def test_fano_type_test_equals_the_classical_recipe_fuzzed():
 
 @pytest.mark.parametrize("level, delta, analyses", [
     (24, {}, 1),
+    (1, {}, 1),
     (1, {"C0": Fraction(1, 2)}, 2),
-], ids=["delta-zero", "delta-nonzero"])
+], ids=["delta-zero", "delta-zero-below-top", "delta-nonzero"])
 def test_report_decomposes_once_per_pair_at_the_pair_level(
     monkeypatch, level, delta, analyses
 ):
-    """make_pair then full_report on chain(24) never solves a Gram system
-    afresh.  A Δ = 0 pair is built, decomposed and classified once: the
-    Fano-type verdict is read off the pair's own classification.  A Δ ≠ 0
-    pair adds the Fano-type test's (X, 0), again with one decomposition at
-    the pair level, so two in all."""
+    """make_pair then full_report with ε set, on chain(24), never solves a
+    Gram system afresh.  A Δ = 0 pair is built, decomposed and classified
+    once: the Fano-type verdict is read off the pair's own classification.
+    A Δ ≠ 0 pair adds the Fano-type test's (X, 0), again with one
+    decomposition at the pair level, so two in all.  Each make_pair maps
+    the points over X once, however many loci read them, and pulls nothing
+    back: the pair-level P is its own pullback."""
     model = chain_model(24)
     calls = collections.Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "pklt_lab" or name.startswith("pklt_lab.")]
     for original in (pl.make_pair, pl.zariski_decompose, pl.classify_pair,
-                     pl.solve_exact):
+                     pl.solve_exact, _points_over, pl.pull_back):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
             return _original(*args, **kwargs)
@@ -311,9 +314,10 @@ def test_report_decomposes_once_per_pair_at_the_pair_level(
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    full_report(pl.make_pair(model, level, pl.RDivisor.make(level, delta)))
+    pair = pl.make_pair(model, level, pl.RDivisor.make(level, delta))
+    full_report(pair, Fraction(1, 3))
     assert calls == {"make_pair": analyses, "zariski_decompose": analyses,
-                     "classify_pair": analyses}
+                     "classify_pair": analyses, "_points_over": analyses}
 
 
 def _pair_decomposition_or_error(decompose, *args):
@@ -486,7 +490,7 @@ def test_the_cubic_pair_is_solved_in_ints():
     zd = pair.decomposition
     assert zd.N.terms == (("C", 1),) and type(zd.N.coeff("C")) is int
     assert zd.P.terms == {} and not zd.big
-    values = [v for e in pair.ledger.entries for v in (e.a, e.sigma_num, e.pa)]
+    values = [v for e in pair.ledger.values() for v in (e.a, e.sigma_num, e.pa)]
     assert len(values) == 3 * 50 and all(type(v) is int for v in values)
 
 
@@ -541,7 +545,7 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                         pl.InvariantViolation):
                     continue
                 zd = pair.decomposition
-                numbers = [v for e in pr.pair.ledger.entries
+                numbers = [v for e in pr.pair.ledger.values()
                            for v in (e.a, e.sigma_num, e.pa)]
                 numbers += [c.genus for c in pr.nklt + pr.pnklt]
                 numbers += [v for _, v in zd.N.terms + delta.terms]
@@ -561,7 +565,7 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                     assert not _uncanonical(numbers), (model, level, delta)
                     integral += 1
                 if delta.is_zero():
-                    assert all(type(e.a) is int for e in pr.pair.ledger.entries)
+                    assert all(type(e.a) is int for e in pr.pair.ledger.values())
                 reports += 1
     assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
                           "rejected"}
@@ -593,9 +597,7 @@ def test_birational_stability_fuzzed():
     checked = 0
     while checked < 30:
         pair = random_pair(rng, max_blowups=3)
-        before = {
-            e.curve_id: e.pa for e in pl.potential_ledger(pair).entries
-        }
+        before = {cid: e.pa for cid, e in pl.potential_ledger(pair).items()}
         try:
             bigger = pl.blow_up(pair.model, (random_center(rng, pair.model),))
             pair2 = pl.make_pair(bigger, pair.level, pair.delta)
@@ -608,7 +610,7 @@ def test_birational_stability_fuzzed():
 
 
 def test_reading_big_intersects_nothing(monkeypatch):
-    """make_pair computes P² once; reading pair.big calls no intersect,
+    """make_pair computes P² once; reading its bigness calls no intersect,
     through whichever module binding."""
     calls = []
     original = pl.intersect
@@ -625,5 +627,5 @@ def test_reading_big_intersects_nothing(monkeypatch):
     pair = pl.make_pair(pl.blow_up(p2(), (pl.BlowUpCenter(()),)), 1)
     assert calls
     calls.clear()
-    assert [pair.big for _ in range(4)] == [True] * 4
+    assert [pair.decomposition.big for _ in range(4)] == [True] * 4
     assert calls == []

@@ -65,6 +65,12 @@ def test_incidence_graph_point_on_curve():
     for i in curves:
         assert (min(i, point), max(i, point)) in graph.edges
     assert pl.is_rcc_locus(graph)  # three lines and a shared point, all rational
+    # the same edges with the point listed before the curves
+    last = len(comps) - 1
+    flipped = pl.incidence_graph(pair, comps[::-1])
+    assert sorted(flipped.edges) == sorted(
+        tuple(sorted((last - i, last - j))) for i, j in graph.edges)
+    assert flipped.nodes[0].kind == "point" and len(flipped.edges) == 6
 
 
 def test_is_rcc_locus_genus_obstruction(ruled_blowup_pair):

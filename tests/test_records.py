@@ -31,8 +31,7 @@ def one_of_each_record():
         pl.RDivisor.make(1, {"C0": 1}),
         pair.decomposition,
         pair,
-        pair.ledger.entries[0],
-        pair.ledger,
+        pair.ledger["L"],
         report.nklt[0],
         pl.incidence_graph(pair, report.pnklt),
         report,

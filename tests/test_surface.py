@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     ruled,
 )
 from pklt_lab.lattice import basis_class, signature
+from pklt_lab.modelio import ValidationError, parse_model
 
 
 def test_make_base_p2():
@@ -521,3 +523,93 @@ def test_distinct_curves_meet_non_negatively_at_every_level():
                 assert num >= 0, (m, lvl.k, a, b, num)
                 pairs[num > 0] += 1
     assert pairs[True] > 1000 and pairs[False] > 1000
+
+
+def cubic_lattice(basis=("H",), canonical=(-3,), curves=(("C", (3,), 1),)):
+    """P² as a rank-1 lattice with the cubic C = 3H, or a variant of it."""
+    return pl.AbstractLattice(basis, ((1,),), canonical,
+                              tuple(pl.CurveSpec(*c) for c in curves))
+
+
+def typed_rejections():
+    """Each check of the library that a caller, not the CLI, meets, as a
+    call, the error it raises and the start of its text."""
+    m = blown_ruled(2, 3)  # top 1
+    pair = pl.make_pair(m, 1)
+    d0, d1 = pl.RDivisor.make(0, {"C0": 1}), pl.RDivisor.make(1, {"C0": 1})
+    negative = pl.RDivisor.make(1, {"C0": -1})
+    loaded = parse_model({"version": "pklt-lab/1", "base": {"kind": "P2"}})
+    return {
+        "basis-label-count": (
+            lambda: pl.make_base(cubic_lattice(basis=("H", "A"))),
+            pl.ModelError, "basis label count must equal rank"),
+        "canonical-length": (
+            lambda: pl.make_base(cubic_lattice(canonical=(-3, 0))),
+            pl.ModelError, "canonical class length must equal rank"),
+        "class-length": (
+            lambda: pl.make_base(cubic_lattice(curves=(("C", (3, 0), 1),))),
+            pl.ModelError, "curve 'C' class length must equal rank"),
+        "duplicate-curve-id": (
+            lambda: pl.make_base(cubic_lattice(
+                curves=(("C", (3,), 1), ("C", (1,), 0)))),
+            pl.ModelError, "duplicate curve id 'C'"),
+        "genus-below-0": (
+            lambda: pl.make_base(cubic_lattice(curves=(("C", (3,), -1),))),
+            pl.ModelError, "curve 'C' needs genus >= 0"),
+        "unknown-base-spec": (
+            lambda: pl.make_base("P3"),
+            pl.ModelError, "unknown base spec 'P3'"),
+        "level-out-of-range": (
+            lambda: m.level(2),
+            pl.ModelError, "level 2 out of range (tower has 2)"),
+        "curve-above-the-level": (
+            lambda: m.level(0).curve("E1"), pl.ModelError, "unknown curve 'E1'"),
+        "pull-back-from-above": (
+            lambda: pl.pull_back(m, 1, 0, m.level(0).canonical),
+            pl.ModelError, "pull_back goes up the tower"),
+        "push-forward-to-above": (
+            lambda: pl.push_forward(m, 0, 1, d0),
+            pl.ModelError, "push_forward goes down the tower"),
+        "push-forward-from-another-level": (
+            lambda: pl.push_forward(m, 1, 0, d0),
+            pl.ModelError, "divisor does not live at the source level"),
+        "push-forward-of-an-unknown-curve": (
+            lambda: pl.push_forward(m, 1, 0, pl.RDivisor.make(1, {"Z": 1})),
+            pl.ModelError, "unknown curve 'Z'"),
+        "total-transform-from-above-the-top": (
+            lambda: pl.total_transform(m, pl.RDivisor.make(2, {})),
+            pl.ModelError, "total_transform goes up the tower"),
+        "sum-across-levels": (
+            lambda: d0 + d1,
+            pl.ModelError, "cannot add divisors at different levels"),
+        "rat-of-a-bool": (
+            lambda: pl.rat(True), TypeError, "bool is not a rational coefficient"),
+        "rat-of-a-float": (
+            lambda: pl.rat(0.5), TypeError, "not an exact rational: 0.5"),
+        "solve-of-a-non-square-system": (
+            lambda: pl.solve_exact([[1, 0]], [1]),
+            ValueError, "dimension mismatch"),
+        "plus-across-lattices": (
+            lambda: p2().level(0).canonical.plus([(1, m.level(0).canonical)]),
+            pl.LatticeMismatchError, "classes from different lattices"),
+        "monotonicity-of-a-negative-extra": (
+            lambda: pl.check_monotonicity(pair, negative),
+            pl.PairError, "extra boundary must be effective"),
+        "witness-at-another-level": (
+            lambda: pl.check_witness(pair, d0),
+            pl.PairError, "witness must live at the pair level"),
+        "negative-witness": (
+            lambda: pl.check_witness(pair, negative),
+            pl.PairError, "witness must be effective"),
+        "unknown-named-divisor": (
+            lambda: loaded.divisor_at("X", 0),
+            ValidationError, "/divisors: unknown divisor 'X'"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(typed_rejections()))
+def test_each_typed_rejection_raises_its_error(case):
+    call, error, text = typed_rejections()[case]
+    with pytest.raises(error, match="^" + re.escape(text)) as info:
+        call()
+    assert type(info.value) is error
