@@ -4,6 +4,9 @@
              [model.json] [--divisor NAME] [--level K] [--eps P/Q]
              [--format json|text]
 
+Each subcommand is one row of ``COMMANDS``; the model is loaded once,
+before the row's handler runs, which returns its report's own fields.
+
 Exit codes: 0 success, 1 computation failure (e.g. not pseudoeffective
 against the catalog, a theory invariant failing on an incomplete
 catalog, or a number too long to print), 2 parse/schema error or a
@@ -23,18 +26,12 @@ from fractions import Fraction
 
 from . import corpus
 from .lattice import DigitLimitError, rat
-from .modelio import SchemaError, ValidationError, load_model
+from .modelio import BUILTIN_DIVISORS, SchemaError, ValidationError, load_model
 from .potential import InvariantViolation, PairError, fano_type_test, make_pair
-from .report import (
-    DISCLAIMER,
-    REPORT_SCHEMA,
-    decompose_named,
-    fano_json,
-    pair_sections,
-    zariski_json,
-)
+from .report import (DISCLAIMER, REPORT_SCHEMA, fano_json, pair_sections,
+                     zariski_json)
 from .surface import validate
-from .zariski import NotPseudoeffectiveError
+from .zariski import NotPseudoeffectiveError, zariski_decompose
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -62,33 +59,6 @@ class CliFailure(Exception):
         self.payload = payload
 
 
-@functools.cache  # built once per process: most of an in-process call
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pklt-lab",
-        description=(
-            "Exact surface birational geometry: Zariski decompositions, "
-            "potential discrepancies, pNklt loci and Fano-type tests on "
-            "blow-up towers."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    needs_model = ("check", "zariski", "potential", "pnklt", "classify",
-                   "fano", "rcc")
-    for name in needs_model + ("examples",):
-        p = sub.add_parser(name)
-        if name != "examples":
-            p.add_argument("model", help="model JSON file (schema pklt-lab/1)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if name == "zariski":
-            p.add_argument("--divisor", required=True)
-        if name in ("zariski", "fano"):
-            p.add_argument("--level", type=int, default=None)
-        if name in ("potential", "pnklt", "classify"):
-            p.add_argument("--eps", default=None)
-    return parser
-
-
 def _parse_eps(value) -> int | Fraction | None:
     if value is None:
         return None
@@ -101,89 +71,111 @@ def _parse_eps(value) -> int | Fraction | None:
     return eps
 
 
-def _check_level(model, level: int) -> None:
+def _level(args, model, default: int) -> int:
+    """--level, or the command's default, checked against the tower."""
+    level = default if args.level is None else args.level
     if not 0 <= level <= model.top:
         raise CliFailure(EXIT_SCHEMA, {
             "error": "bad-level",
             "detail": f"level {level} is outside the tower (0..{model.top})",
         })
+    return level
 
 
-def _cmd_check(args) -> dict:
-    loaded = load_model(args.model)
+def _check(args, loaded) -> dict:
     delta = loaded.delta()
     ready = validate(loaded.model, delta.support if delta is not None else ())
     # LoadedModel.delta() has checked Δ's curves, so the model is valid here
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "check",
-        "valid": True,
-        "violations": [],
-        "log_resolution_ready": ready,
-    }
+    return {"valid": True, "violations": [], "log_resolution_ready": ready}
 
 
-def _cmd_zariski(args) -> dict:
-    loaded = load_model(args.model)
-    level = args.level if args.level is not None else loaded.model.top
-    _check_level(loaded.model, level)
-    try:
-        zd = decompose_named(loaded, level, args.divisor)
-    except KeyError:
-        raise CliFailure(
-            EXIT_VALIDATION,
-            {"error": "unknown-divisor", "detail": args.divisor},
-        )
-    out = {"schema": REPORT_SCHEMA, "command": "zariski"}
-    out.update(zariski_json(loaded.model, zd, args.divisor))
-    return out
+def _zariski(args, loaded) -> dict:
+    model, name = loaded.model, args.divisor
+    level = _level(args, model, model.top)
+    if name in loaded.divisors:
+        cls = loaded.divisor_at(name, level).class_at(model)
+    elif name in BUILTIN_DIVISORS:
+        cls = model.level(level).canonical.scale(BUILTIN_DIVISORS[name])
+    else:
+        raise CliFailure(EXIT_VALIDATION,
+                         {"error": "unknown-divisor", "detail": name})
+    return zariski_json(model, zariski_decompose(model, level, cls), name)
 
 
-def _cmd_pair(args, names) -> dict:
-    loaded = load_model(args.model)
-    eps = _parse_eps(getattr(args, "eps", None))
-    pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": args.command,
-        **pair_sections(pair, names, eps),
-        "disclaimer": DISCLAIMER,
-    }
+def _pair(*names):
+    """The handler of a command printing these sections of the pair."""
+    def handler(args, loaded) -> dict:
+        eps = _parse_eps(getattr(args, "eps", None))
+        pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
+        return {**pair_sections(pair, names, eps), "disclaimer": DISCLAIMER}
+    return handler
 
 
-def _cmd_fano(args) -> dict:
-    loaded = load_model(args.model)
-    level = args.level if args.level is not None else loaded.pair_level
-    _check_level(loaded.model, level)
+def _fano(args, loaded) -> dict:
+    level = _level(args, loaded.model, loaded.pair_level)
     verdict = fano_json(loaded.model, fano_type_test(loaded.model, level))
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "fano",
-        "level": level,
-        "fano_type": verdict,
-        "disclaimer": DISCLAIMER,
-    }
+    return {"level": level, "fano_type": verdict, "disclaimer": DISCLAIMER}
 
 
-def _cmd_rcc(args) -> dict:
-    out = _cmd_pair(args, ("rcc",))
+def _rcc(args, loaded) -> dict:
+    out = _pair("rcc")(args, loaded)
     if not out["rcc"]["applicable"]:
         raise CliFailure(EXIT_COMPUTE, {"error": "rcc-inapplicable",
                                         "detail": out["rcc"]["reason"]})
     return out
 
 
-def _cmd_examples(args) -> dict:
+def _examples(args, loaded) -> dict:
     results = corpus.run_examples()
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "command": "examples",
-        "entries": results,
-        "ok": all(r["ok"] for r in results),
-    }
-    if not payload["ok"]:
-        raise CliFailure(EXIT_CORPUS, payload)
-    return payload
+    body = {"entries": results, "ok": all(r["ok"] for r in results)}
+    if not body["ok"]:
+        raise CliFailure(EXIT_CORPUS, {"schema": REPORT_SCHEMA,
+                                       "command": args.command, **body})
+    return body
+
+
+# each option a command may take, as argparse declares it
+OPTIONS = {
+    "--divisor": {"required": True},
+    "--level": {"type": int, "default": None},
+    "--eps": {"default": None},
+}
+
+# subcommand -> (takes a model, its options, its handler), in help order;
+# a handler gets the parsed arguments and the loaded model, or None
+COMMANDS = {
+    "check": (True, (), _check),
+    "zariski": (True, ("--divisor", "--level"), _zariski),
+    "potential": (True, ("--eps",), _pair(
+        "pair", "ledger", "zariski", "frakA", "loci", "flags")),
+    "pnklt": (True, ("--eps",), _pair("loci")),
+    "classify": (True, ("--eps",), _pair(
+        "pair", "frakA", "loci", "flags", "fano_type", "rcc")),
+    "fano": (True, ("--level",), _fano),
+    "rcc": (True, (), _rcc),
+    "examples": (False, (), _examples),
+}
+
+
+@functools.cache  # built once per process: most of an in-process call
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pklt-lab",
+        description=(
+            "Exact surface birational geometry: Zariski decompositions, "
+            "potential discrepancies, pNklt loci and Fano-type tests on "
+            "blow-up towers."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (takes_model, options, _) in COMMANDS.items():
+        p = sub.add_parser(name)
+        if takes_model:
+            p.add_argument("model", help="model JSON file (schema pklt-lab/1)")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+    return parser
 
 
 def _render_text(doc, out, indent=0) -> None:
@@ -226,26 +218,12 @@ def _emit(payload: dict, fmt: str) -> None:
     sys.stdout.flush()
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "zariski": _cmd_zariski,
-    "potential": lambda a: _cmd_pair(
-        a, ("pair", "ledger", "zariski", "frakA", "loci", "flags")
-    ),
-    "pnklt": lambda a: _cmd_pair(a, ("loci",)),
-    "classify": lambda a: _cmd_pair(
-        a, ("pair", "frakA", "loci", "flags", "fano_type", "rcc")
-    ),
-    "fano": _cmd_fano,
-    "rcc": _cmd_rcc,
-    "examples": _cmd_examples,
-}
-
-
 def _outcome(args) -> tuple[int, dict]:
     """The command's exit code and the payload to print."""
+    takes_model, _, handler = COMMANDS[args.command]
     try:
-        return EXIT_OK, _HANDLERS[args.command](args)
+        loaded = load_model(args.model) if takes_model else None
+        body = handler(args, loaded)
     except InvariantViolation as exc:
         return EXIT_COMPUTE, {"error": "catalog-incomplete",
                               "invariant": exc.invariant, "detail": exc.detail}
@@ -256,6 +234,7 @@ def _outcome(args) -> tuple[int, dict]:
         return code, {"error": error, "detail": str(exc)}
     except CliFailure as failure:
         return failure.code, failure.payload
+    return EXIT_OK, {"schema": REPORT_SCHEMA, "command": args.command, **body}
 
 
 def _io_failure(exc: OSError) -> int:

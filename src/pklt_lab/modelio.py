@@ -8,6 +8,7 @@ are schema errors, reported with a JSON pointer to the offending spot.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .lattice import rat
@@ -25,6 +26,8 @@ from .surface import (
 )
 
 SCHEMA_VERSION = "pklt-lab/1"
+# the built-in divisor names, reserved in a file: each is this multiple of K
+BUILTIN_DIVISORS = {"antiK": -1, "K": 1}
 
 
 class SchemaError(ValueError):
@@ -215,6 +218,23 @@ def parse_model(doc) -> LoadedModel:
         centers = [
             _parse_blowup(b, f"/blowups/{i}") for i, b in enumerate(doc["blowups"])
         ]
+    divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
+    if "divisors" in doc:
+        # any name but a built-in one is allowed
+        _require_object(doc["divisors"], "/divisors", doc["divisors"])
+        for name, terms in doc["divisors"].items():
+            if name in BUILTIN_DIVISORS:
+                raise SchemaError(f"/divisors/{name}",
+                                  f"{name!r} is a built-in divisor name")
+            divisors[name] = _parse_divisor_terms(terms, f"/divisors/{name}")
+    pair = None
+    if "pair" in doc:
+        _require_object(doc["pair"], "/pair", {"level", "delta"},
+                        required=("level",))
+        pair = (_parse_int(doc["pair"]["level"], "/pair/level", 0),
+                _parse_str(doc["pair"]["delta"], "/pair/delta")
+                if "delta" in doc["pair"] else None)
+    # every schema error is raised above, before any validation error
     try:
         model = make_base(base)
     except ModelError as exc:
@@ -224,27 +244,12 @@ def parse_model(doc) -> LoadedModel:
         model = blow_up(model, centers)
     except ModelError as exc:
         raise ValidationError(f"/blowups/{exc.center}", str(exc))
-
-    divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
-    if "divisors" in doc:
-        # any name is allowed
-        _require_object(doc["divisors"], "/divisors", doc["divisors"])
-        for name, terms in doc["divisors"].items():
-            divisors[name] = _parse_divisor_terms(terms, f"/divisors/{name}")
-
-    pair = None
-    if "pair" in doc:
-        _require_object(doc["pair"], "/pair", {"level", "delta"},
-                        required=("level",))
-        level = _parse_int(doc["pair"]["level"], "/pair/level", 0)
+    if pair is not None:
+        level, name = pair
         if level > model.top:
             raise ValidationError("/pair/level", f"level {level} out of range")
-        name = None
-        if "delta" in doc["pair"]:
-            name = _parse_str(doc["pair"]["delta"], "/pair/delta")
-            if name not in divisors:
-                raise ValidationError("/pair/delta", f"unknown divisor {name!r}")
-        pair = (level, name)
+        if name is not None and name not in divisors:
+            raise ValidationError("/pair/delta", f"unknown divisor {name!r}")
     loaded = LoadedModel(model, divisors, pair)
     loaded.delta()  # Δ must live at the pair level
     return loaded
@@ -266,10 +271,10 @@ def _read_object(pairs: list) -> _Object:
 
 
 def load_model(source: str) -> LoadedModel:
-    """Parse a model from a path or raw JSON text."""
+    """Parse a model from a path, or raw JSON text that names no file."""
     text = source
     try:
-        if not source.lstrip().startswith("{"):
+        if os.path.isfile(source) or not source.lstrip().startswith("{"):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text, object_pairs_hook=_read_object)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import DivisorClass, numeral
-from .modelio import LoadedModel
 from .potential import (
     FanoVerdict,
     PairSpec,
@@ -16,7 +15,7 @@ from .potential import (
     fano_verdict,
 )
 from .surface import RDivisor, SurfaceModel, display_name
-from .zariski import ZariskiDecomposition, zariski_decompose
+from .zariski import ZariskiDecomposition
 from . import rcc
 
 REPORT_SCHEMA = "pklt-lab/report/1"
@@ -168,19 +167,3 @@ def full_report(pair: PairSpec, eps: Fraction | None = None) -> dict:
         **pair_sections(pair, SECTIONS, eps),
         "disclaimer": DISCLAIMER,
     }
-
-
-def decompose_named(
-    loaded: LoadedModel, level: int, name: str
-) -> ZariskiDecomposition:
-    """Resolve a divisor name ('antiK'/'K' are built in) and decompose it."""
-    model = loaded.model
-    if name in loaded.divisors:
-        cls = loaded.divisor_at(name, level).class_at(model)
-    elif name == "antiK":
-        cls = -model.level(level).canonical
-    elif name == "K":
-        cls = model.level(level).canonical
-    else:
-        raise KeyError(name)
-    return zariski_decompose(model, level, cls)

@@ -41,8 +41,10 @@ def run_cli(args, capsys):
 
 
 def write_model(tmp_path, doc, name="model.json"):
+    """Writes a model document, or a model text as it is, to a file."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -438,6 +440,10 @@ def with_divisor(terms):
     return dict(RULED_BLOWUP, divisors={"D": terms})
 
 
+# P² blown up at a point of a curve it does not have: a validation error
+BAD_BLOWUP = blowups_doc(P2, [{"on": [{"curve": "nope"}]}])
+
+
 def with_base(**fields):
     """RULED_BLOWUP on a lattice base: P² with its cubic, fields changed."""
     return dict(RULED_BLOWUP, base=dict(CUBIC_BASE, **fields), blowups=[],
@@ -494,6 +500,26 @@ LOADER_REJECTIONS = {
     "unknown-pair-delta": (
         dict(RULED_BLOWUP, pair={"level": 1, "delta": "D"}), 3,
         "/pair/delta: unknown divisor 'D'"),
+    "builtin-name-K": (
+        dict(RULED_BLOWUP, divisors={"K": [{"curve": "C0", "coeff": "1"}]}), 2,
+        "/divisors/K: 'K' is a built-in divisor name"),
+    "builtin-name-antiK": (
+        dict(RULED_BLOWUP, divisors={"antiK": []}), 2,
+        "/divisors/antiK: 'antiK' is a built-in divisor name"),
+    # a schema error in divisors or pair wins over a bad blow-up
+    "terms-not-an-array-after-a-bad-blowup": (
+        dict(BAD_BLOWUP, divisors={"D": 5}), 2,
+        "/divisors/D: expected an array of terms"),
+    "pair-level-not-an-integer-after-a-bad-blowup": (
+        dict(BAD_BLOWUP, pair={"level": "x"}), 2,
+        "/pair/level: expected an integer"),
+    "divisor-repeated-after-a-bad-blowup": (
+        json.dumps(BAD_BLOWUP)[:-1]
+        + ', "divisors": {"D": [], "D": []}}', 2,
+        "/divisors: repeated key 'D'"),
+    "pair-delta-empty-above-the-top": (
+        dict(RULED_BLOWUP, pair={"level": 2, "delta": ""}), 2,
+        "/pair/delta: expected a non-empty string"),
 }
 
 
@@ -1057,6 +1083,16 @@ def test_load_model_invalid_json_is_schema_error():
         load_model("{not json")
 
 
+def test_a_path_that_begins_with_a_brace_is_read_as_a_file(
+        tmp_path, capsys, monkeypatch):
+    """A file named like '{ruled}.json' is a path, not JSON text."""
+    shutil.copy("models/ruled_blowup.json", tmp_path / "{ruled}.json")
+    monkeypatch.chdir(tmp_path)
+    assert load_model("{ruled}.json").model.top == 1
+    code, out = run_cli(["check", "{ruled}.json"], capsys)
+    assert (code, json.loads(out)["valid"]) == (0, True)
+
+
 def test_divisor_unknown_curve_pointer():
     doc = dict(
         RULED_BLOWUP,
@@ -1192,3 +1228,69 @@ def test_pair_sections_are_the_full_report_sections_fuzzed():
             assert list(sections.items()) == [(k, full[k]) for k in names]
         compared += 1
     assert compared > 100
+
+
+# the options each subcommand takes, with their values once parsed
+TAKES = {
+    "check": {}, "zariski": {"divisor": "X", "level": 0},
+    "potential": {"eps": "1/2"}, "pnklt": {"eps": "1/2"},
+    "classify": {"eps": "1/2"}, "fano": {"level": 0}, "rcc": {},
+    "examples": {},
+}
+PROBES = {"divisor": ["--divisor", "X"], "level": ["--level", "0"],
+          "eps": ["--eps", "1/2"]}
+# each subcommand's report fields on a successful run, in print order
+REPORT_KEYS = {
+    "check": ["valid", "violations", "log_resolution_ready"],
+    "zariski": ["divisor", "level", "pseudoeffective", "P", "N", "support",
+                "big", "nnef", "disclaimer"],
+    "potential": ["pair", "ledger", "zariski", "frakA", "loci", "flags",
+                  "disclaimer"],
+    "pnklt": ["loci", "disclaimer"],
+    "classify": ["pair", "frakA", "loci", "flags", "fano_type", "rcc",
+                 "disclaimer"],
+    "fano": ["level", "fano_type", "disclaimer"],
+    "rcc": ["rcc", "disclaimer"],
+    "examples": ["entries", "ok"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_subcommand_keeps_its_arguments_and_report_keys(command, capsys):
+    """The CLI contract: which of --divisor, --level and --eps argparse
+    takes for each subcommand (any other is exit 2, and zariski needs
+    --divisor), that examples alone takes no model, the defaults, and the
+    top-level keys of a successful run on the sample model."""
+    parser = cli._build_parser()
+    model = [] if command == "examples" else ["models/ruled_blowup.json"]
+    for probes in range(1 << len(PROBES)):
+        chosen = [name for i, name in enumerate(PROBES) if probes >> i & 1]
+        argv = [command, *model, *(a for n in chosen for a in PROBES[n])]
+        if set(chosen) <= set(TAKES[command]) and (
+                command != "zariski" or "divisor" in chosen):
+            parsed = vars(parser.parse_args(argv))
+            assert parsed == {
+                "command": command, "format": "json",
+                **({"model": model[0]} if model else {}),
+                **{n: TAKES[command][n] if n in chosen else None
+                   for n in TAKES[command]},
+            }
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+    needed = ["--divisor", "X"] if command == "zariski" else []
+    rejected = [[command, *model, *needed, "--format", "xml"],
+                [command, *needed] if model else [command, "model.json"]]
+    if "level" in TAKES[command]:
+        rejected.append([command, *model, *needed, "--level", "x"])
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    needed = ["--divisor", "antiK"] if command == "zariski" else []
+    code, out = run_cli([command, *model, *needed], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == ["schema", "command",
+                                     *REPORT_KEYS[command]]
