@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import rat
 from .surface import (
@@ -28,18 +29,23 @@ from .surface import (
 SCHEMA_VERSION = "pklt-lab/1"
 # the built-in divisor names, reserved in a file: each is this multiple of K
 BUILTIN_DIVISORS = {"antiK": -1, "K": 1}
+# each base kind's fields besides "kind", all of them required
+BASE_FIELDS = {"P2": (), "ruled": ("genus", "e"),
+               "lattice": ("basis", "gram", "K", "curves")}
 
 
-class SchemaError(ValueError):
+class PointerError(ValueError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
 
 
-class ValidationError(ValueError):
-    def __init__(self, pointer: str, message: str):
-        self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
+class SchemaError(PointerError):
+    """The document is not pklt-lab/1 JSON (exit 2)."""
+
+
+class ValidationError(PointerError):
+    """The document is pklt-lab/1 but describes no valid model (exit 3)."""
 
 
 def _require_object(doc, pointer, allowed, required=()):
@@ -53,6 +59,13 @@ def _require_object(doc, pointer, allowed, required=()):
     for key in required:
         if key not in doc:
             raise SchemaError(pointer, f"missing required field {key!r}")
+
+
+def _parse_array(value, pointer, parse, what="an array") -> tuple:
+    """A JSON array as the tuple of its items, item i parsed at pointer/i."""
+    if not isinstance(value, list):
+        raise SchemaError(pointer, f"expected {what}")
+    return tuple(parse(v, f"{pointer}/{i}") for i, v in enumerate(value))
 
 
 def parse_rational(value, pointer) -> int | Fraction:
@@ -71,10 +84,10 @@ def parse_rational(value, pointer) -> int | Fraction:
     raise SchemaError(pointer, f"not a rational: {value!r}")
 
 
-def _parse_int(value, pointer, minimum=None) -> int:
+def _parse_int(value, pointer, minimum) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(pointer, "expected an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise SchemaError(pointer, f"must be >= {minimum}")
     return value
 
@@ -86,61 +99,42 @@ def _parse_str(value, pointer) -> str:
 
 
 def _parse_vector(value, pointer) -> tuple[int | Fraction, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(pointer, "expected an array of rationals")
-    return tuple(parse_rational(v, f"{pointer}/{i}") for i, v in enumerate(value))
+    return _parse_array(value, pointer, parse_rational, "an array of rationals")
+
+
+def _parse_curve(doc, pointer) -> CurveSpec:
+    _require_object(doc, pointer, {"id", "class", "genus"},
+                    required=("id", "class", "genus"))
+    return CurveSpec(
+        _parse_str(doc["id"], f"{pointer}/id"),
+        _parse_vector(doc["class"], f"{pointer}/class"),
+        _parse_int(doc["genus"], f"{pointer}/genus", 0),
+    )
 
 
 def _parse_base(doc, pointer):
-    _require_object(
-        doc, pointer,
-        {"kind", "genus", "e", "basis", "gram", "K", "curves"},
-        required=("kind",),
-    )
+    _require_object(doc, pointer, {"kind"}.union(*BASE_FIELDS.values()),
+                    required=("kind",))
     kind = _parse_str(doc["kind"], f"{pointer}/kind")
+    if kind not in BASE_FIELDS:
+        raise SchemaError(f"{pointer}/kind", f"unknown base kind {kind!r}")
+    fields = ("kind", *BASE_FIELDS[kind])
+    _require_object(doc, pointer, fields, required=fields)
     if kind == "P2":
-        _require_object(doc, pointer, {"kind"})
         return ProjectivePlane()
     if kind == "ruled":
-        _require_object(doc, pointer, {"kind", "genus", "e"},
-                        required=("kind", "genus", "e"))
         return Ruled(
             _parse_int(doc["genus"], f"{pointer}/genus", 0),
             _parse_int(doc["e"], f"{pointer}/e", 1),
         )
-    if kind == "lattice":
-        _require_object(doc, pointer,
-                        {"kind", "basis", "gram", "K", "curves"},
-                        required=("kind", "basis", "gram", "K", "curves"))
-        basis = doc["basis"]
-        if not isinstance(basis, list) or not basis:
-            raise SchemaError(f"{pointer}/basis", "expected a non-empty array")
-        basis = tuple(
-            _parse_str(b, f"{pointer}/basis/{i}") for i, b in enumerate(basis)
-        )
-        gram_doc = doc["gram"]
-        if not isinstance(gram_doc, list):
-            raise SchemaError(f"{pointer}/gram", "expected an array of rows")
-        gram = tuple(
-            _parse_vector(row, f"{pointer}/gram/{i}")
-            for i, row in enumerate(gram_doc)
-        )
-        canonical = _parse_vector(doc["K"], f"{pointer}/K")
-        curves_doc = doc["curves"]
-        if not isinstance(curves_doc, list):
-            raise SchemaError(f"{pointer}/curves", "expected an array")
-        curves = []
-        for i, cdoc in enumerate(curves_doc):
-            cptr = f"{pointer}/curves/{i}"
-            _require_object(cdoc, cptr, {"id", "class", "genus"},
-                            required=("id", "class", "genus"))
-            curves.append(CurveSpec(
-                _parse_str(cdoc["id"], f"{cptr}/id"),
-                _parse_vector(cdoc["class"], f"{cptr}/class"),
-                _parse_int(cdoc["genus"], f"{cptr}/genus", 0),
-            ))
-        return AbstractLattice(basis, gram, canonical, tuple(curves))
-    raise SchemaError(f"{pointer}/kind", f"unknown base kind {kind!r}")
+    # an empty basis, like any other false value, is not a non-empty array
+    basis = _parse_array(doc["basis"] or None, f"{pointer}/basis", _parse_str,
+                         "a non-empty array")
+    gram = _parse_array(doc["gram"], f"{pointer}/gram", _parse_vector,
+                        "an array of rows")
+    canonical = _parse_vector(doc["K"], f"{pointer}/K")
+    curves = _parse_array(doc["curves"], f"{pointer}/curves", _parse_curve)
+    return AbstractLattice(basis, gram, canonical, curves)
 
 
 def _parse_blowup(doc, pointer) -> BlowUpCenter:
@@ -160,27 +154,18 @@ def _parse_blowup(doc, pointer) -> BlowUpCenter:
     return BlowUpCenter(tuple(on), near, label, exc_id)
 
 
-def _parse_divisor_terms(doc, pointer) -> tuple[tuple[str, int | Fraction], ...]:
-    if not isinstance(doc, list):
-        raise SchemaError(pointer, "expected an array of terms")
-    terms = []
-    for i, entry in enumerate(doc):
-        eptr = f"{pointer}/{i}"
-        _require_object(entry, eptr, {"curve", "coeff"}, required=("curve", "coeff"))
-        terms.append((
-            _parse_str(entry["curve"], f"{eptr}/curve"),
-            parse_rational(entry["coeff"], f"{eptr}/coeff"),
-        ))
-    return tuple(terms)
+def _parse_term(doc, pointer) -> tuple[str, int | Fraction]:
+    _require_object(doc, pointer, {"curve", "coeff"}, required=("curve", "coeff"))
+    return (_parse_str(doc["curve"], f"{pointer}/curve"),
+            parse_rational(doc["coeff"], f"{pointer}/coeff"))
 
 
-class LoadedModel:
+class LoadedModel(NamedTuple):
     """A parsed model file: tower, named divisor terms, optional pair."""
 
-    def __init__(self, model, divisors, pair):
-        self.model: SurfaceModel = model
-        self.divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = divisors
-        self.pair: tuple[int, str] | None = pair  # (level, delta name)
+    model: SurfaceModel
+    divisors: dict[str, tuple[tuple[str, int | Fraction], ...]]
+    pair: tuple[int, str | None] | None  # (level, delta name)
 
     @property
     def pair_level(self) -> int:
@@ -211,13 +196,8 @@ def parse_model(doc) -> LoadedModel:
     if doc["version"] != SCHEMA_VERSION:
         raise SchemaError("/version", f"expected {SCHEMA_VERSION!r}")
     base = _parse_base(doc["base"], "/base")
-    centers = []
-    if "blowups" in doc:
-        if not isinstance(doc["blowups"], list):
-            raise SchemaError("/blowups", "expected an array")
-        centers = [
-            _parse_blowup(b, f"/blowups/{i}") for i, b in enumerate(doc["blowups"])
-        ]
+    centers = (_parse_array(doc["blowups"], "/blowups", _parse_blowup)
+               if "blowups" in doc else ())
     divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
     if "divisors" in doc:
         # any name but a built-in one is allowed
@@ -226,7 +206,8 @@ def parse_model(doc) -> LoadedModel:
             if name in BUILTIN_DIVISORS:
                 raise SchemaError(f"/divisors/{name}",
                                   f"{name!r} is a built-in divisor name")
-            divisors[name] = _parse_divisor_terms(terms, f"/divisors/{name}")
+            divisors[name] = _parse_array(terms, f"/divisors/{name}",
+                                          _parse_term, "an array of terms")
     pair = None
     if "pair" in doc:
         _require_object(doc["pair"], "/pair", {"level", "delta"},

@@ -51,13 +51,6 @@ class _NegInfinity:
     """Total potential discrepancy sentinel for divergence to -infinity.
     Its str, "-inf", is the text a report prints for it."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "-inf"
 

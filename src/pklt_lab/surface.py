@@ -48,7 +48,8 @@ class Record:
     """Base of the records that cannot be NamedTuples.  The constructor
     takes the fields that ``__slots__`` names, in order; assigning to one
     later raises AttributeError.  Records of one type compare and hash by
-    their fields, and may be weakly referenced."""
+    their fields, unless a subclass says otherwise, and may be weakly
+    referenced."""
 
     __slots__ = ("__weakref__",)
 
@@ -185,10 +186,12 @@ class SurfaceModel(Record):
     ``blow_up`` stores each center with every incidence, ``near`` included,
     in ``on_curves``.  ``scale``·C·C′ is an int for catalog curves C, C′
     at any level (a blow-up adds products of multiplicities to C·C′).
-    A Record: a tuple cannot be weakly referenced.
+    A Record: a tuple cannot be weakly referenced.  Hashing one raises
+    TypeError, naming SurfaceModel: the curve table is a dict.
     """
 
     __slots__ = ("base", "form", "lattice", "centers", "curves", "scale")
+    __hash__ = None
     base: BaseSpec
     form: IntersectionForm
     lattice: AbstractLattice
@@ -274,12 +277,6 @@ class RDivisor(NamedTuple):
             merged[cid] = rat(merged[cid] + c) if cid in merged else c
         terms = tuple(sorted((k, v) for k, v in merged.items() if v != 0))
         return RDivisor(level, terms)
-
-    def coeff(self, cid: str) -> int | Fraction:
-        for k, v in self.terms:
-            if k == cid:
-                return v
-        return 0
 
     @property
     def support(self) -> tuple[str, ...]:

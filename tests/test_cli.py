@@ -520,6 +520,48 @@ LOADER_REJECTIONS = {
     "pair-delta-empty-above-the-top": (
         dict(RULED_BLOWUP, pair={"level": 2, "delta": ""}), 2,
         "/pair/delta: expected a non-empty string"),
+    # a base object's errors, in order: a field no kind has, a missing or
+    # empty kind, an unknown kind, then the kind's own fields
+    "field-of-no-base-kind-before-a-missing-kind": (
+        dict(RULED_BLOWUP, base={"foo": 1}), 2, "/base/foo: unknown field"),
+    "field-of-another-base-kind": (
+        dict(RULED_BLOWUP, base={"kind": "P2", "genus": 0}), 2,
+        "/base/genus: unknown field"),
+    "lattice-field-on-a-ruled-base": (
+        dict(RULED_BLOWUP, base={"kind": "ruled", "genus": 2, "e": 3,
+                                 "basis": []}), 2,
+        "/base/basis: unknown field"),
+    "unknown-base-kind-with-a-known-field": (
+        dict(RULED_BLOWUP, base={"kind": "cone", "genus": 1}), 2,
+        "/base/kind: unknown base kind 'cone'"),
+    "ruled-base-field-missing": (
+        dict(RULED_BLOWUP, base={"kind": "ruled", "genus": 2}), 2,
+        "/base: missing required field 'e'"),
+    "lattice-base-field-missing": (
+        dict(RULED_BLOWUP, base={k: v for k, v in CUBIC_BASE.items()
+                                 if k != "curves"}), 2,
+        "/base: missing required field 'curves'"),
+    "catalog-curve-field-missing": (
+        with_base(curves=[{"id": "C", "class": ["3"]}]), 2,
+        "/base/curves/0: missing required field 'genus'"),
+    "unknown-field-at-the-root": (
+        dict(RULED_BLOWUP, foo=1), 2, "/foo: unknown field"),
+    "unknown-field-in-a-blowup": (
+        dict(RULED_BLOWUP, blowups=[{"foo": 1}]), 2,
+        "/blowups/0/foo: unknown field"),
+    "unknown-field-in-an-on-entry": (
+        dict(RULED_BLOWUP, blowups=[{"on": [{"curve": "C0", "foo": 1}]}]), 2,
+        "/blowups/0/on/0/foo: unknown field"),
+    "unknown-field-in-a-term": (
+        with_divisor([{"curve": "C0", "coeff": "1", "foo": 1}]), 2,
+        "/divisors/D/0/foo: unknown field"),
+    "unknown-field-in-a-catalog-curve": (
+        with_base(curves=[{"id": "C", "class": ["3"], "genus": 1,
+                           "foo": 1}]), 2,
+        "/base/curves/0/foo: unknown field"),
+    "unknown-field-in-the-pair": (
+        dict(RULED_BLOWUP, pair={"level": 1, "foo": 1}), 2,
+        "/pair/foo: unknown field"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import pklt_lab as pl
 from conftest import blown_ruled, p2
-from pklt_lab import lattice, potential, surface, zariski
+from pklt_lab import lattice, modelio, potential, surface, zariski
 from pklt_lab.surface import Record
 
 
@@ -36,13 +36,15 @@ def one_of_each_record():
         pl.incidence_graph(pair, report.pnklt),
         report,
         pl.fano_type_test(p2(), 0),
+        modelio.parse_model({"version": modelio.SCHEMA_VERSION,
+                             "base": {"kind": "P2"}}),
     ]
 
 
 def record_types():
     return {
         value
-        for module in (lattice, surface, zariski, potential)
+        for module in (lattice, surface, zariski, potential, modelio)
         for value in vars(module).values()
         if isinstance(value, type) and value is not Record
         and value.__module__ == module.__name__
@@ -89,6 +91,8 @@ def test_surface_model_is_weakly_referenced_and_compares_by_value():
     model, twin = blown_ruled(2, 3), blown_ruled(2, 3)
     assert model is not twin and model == twin
     assert model != blown_ruled(2, 4) and model != p2()
+    with pytest.raises(TypeError, match="unhashable type: 'SurfaceModel'"):
+        hash(model)
     ref = weakref.ref(twin)
     del twin
     gc.collect()
