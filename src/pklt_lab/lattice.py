@@ -9,10 +9,15 @@ deliberately no floating-point anywhere in this package.  Since
 ``int / int`` is a float in Python, every division has a Fraction
 operand or is an exact ``//``: the LDLᵀ factor of the Zariski solve
 holds only ints, scaled by leading minors, and the solve reads N and P
-off it as one ``quotient`` of ints per printed coefficient.  Sums are
-not normalized, except a class's coefficients in ``DivisorClass.plus``,
-so a ``Fraction(n, 1)`` can still come out of a sum of genuine fractions
-from a rational Δ or form, such as an intersection number.
+off it as one ``quotient`` of ints per printed coefficient.  A pair's
+discrepancies a, σ and pa are ints too: numerators over one positive
+int, ``PairSpec.den``, compared as ints and printed by ``numeral_over``;
+Fractions are made from them only for the total potential discrepancy
+and ε₀, one ``quotient`` each, and in the rational view
+``potential_ledger``.  Sums are not normalized, except a class's
+coefficients in ``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still
+come out of a sum of genuine fractions from a rational Δ or form, such
+as an intersection number.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -71,6 +77,15 @@ def numeral(x) -> str:
         raise DigitLimitError(
             f"a number to print has more than {sys.get_int_max_str_digits()} "
             f"digits") from None
+
+
+def numeral_over(p: int, den: int) -> str:
+    """str(Fraction(p, den)) for ints p and den > 0, reduced by one gcd
+    without building the Fraction; DigitLimitError as ``numeral``."""
+    g = gcd(p, den)
+    if g == den:
+        return numeral(p // g)
+    return f"{numeral(p // g)}/{numeral(den // g)}"
 
 
 def quotient(p, q) -> int | Fraction:

@@ -19,6 +19,7 @@ towers rather than trusting it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .lattice import intersect, quotient, rat
@@ -64,12 +65,15 @@ class PairSpec(Record):
     ``decomposition`` is the Zariski decomposition of f*(-(K+Δ)) at the
     top level of the tower, pulled back from the pair level: P = f*P_X
     and N = f*N_X, and big when -(K+Δ) is.  ``ledger`` maps each
-    top-level curve id, in catalog order, to its row; ``points`` maps each
-    exceptional over X to its point of X.  Pairs compare and hash by
-    identity.
+    top-level curve id, in catalog order, to its row of int numerators
+    over ``den``, the lcm of the denominators of Δ's and N's coefficients,
+    which every a-value divides; ``potential_ledger`` is its rational
+    view.  ``points`` maps each exceptional over X to its point of X.
+    Pairs compare and hash by identity.
     """
 
-    __slots__ = ("model", "level", "delta", "decomposition", "ledger", "points")
+    __slots__ = ("model", "level", "delta", "decomposition", "ledger", "points",
+                 "den")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     model: SurfaceModel
@@ -78,6 +82,7 @@ class PairSpec(Record):
     decomposition: ZariskiDecomposition
     ledger: dict[str, LedgerEntry]
     points: dict[str, LocusComponent]
+    den: int
 
 
 def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) -> PairSpec:
@@ -109,14 +114,15 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     points = _points_over(model, level)
     if not validate(model, {*delta.support, *n.support, *points}):
         raise PairError("top level is not log-resolution-ready for this pair")
-    a = _a_values(model, level, delta)
-    sigma = dict(n.terms)
+    den = _den(delta, n)
+    a = _a_values(model, level, delta, den)
+    sigma = _numerators(n, den)
     ledger = {}
     for cid in model.curves:
         sig = sigma.get(cid, 0)
         ledger[cid] = LedgerEntry(a[cid], sig, a[cid] - sig)
     return PairSpec(model, level, delta, low._replace(level=model.top, N=n),
-                    ledger, points)
+                    ledger, points, den)
 
 
 def anti_log_canonical(pair: PairSpec):
@@ -124,20 +130,30 @@ def anti_log_canonical(pair: PairSpec):
     return -(lvl.canonical + pair.delta.class_at(pair.model))
 
 
+def _den(*divisors: RDivisor) -> int:
+    """The lcm of the denominators of the divisors' coefficients."""
+    return lcm(*[v.denominator for d in divisors for _, v in d.terms])
+
+
+def _numerators(d: RDivisor, den: int) -> dict[str, int]:
+    """d's coefficients times ``den``, a multiple of their denominators."""
+    return {cid: v.numerator * (den // v.denominator) for cid, v in d.terms}
+
+
 def _a_values(
-    model: SurfaceModel, level: int, delta: RDivisor
-) -> dict[str, int | Fraction]:
-    """Discrepancies of every top-level catalog curve over (level, Δ).
+    model: SurfaceModel, level: int, delta: RDivisor, den: int
+) -> dict[str, int]:
+    """Discrepancies of every top-level catalog curve over (level, Δ), as
+    int numerators over ``den``, a multiple of Δ's denominators.
 
     Curves of X carry a = -mult_Δ; each exceptional created above X gets
-    a = 1 + Σ m·a(C) over the curves through its center.  Ints unless Δ
-    has a rational coefficient.
+    a = 1 + Σ m·a(C) over the curves through its center.
     """
-    mult = dict(delta.terms)
+    mult = _numerators(delta, den)
     a = {cid: -mult.get(cid, 0)
          for cid, c in model.curves.items() if c.born <= level}
     for center in model.centers[level:]:
-        val = 1
+        val = den
         for cid, m in center.on_curves:
             val += m * a[cid]
         a[center.exceptional_id] = val
@@ -145,7 +161,9 @@ def _a_values(
 
 
 class LedgerEntry(NamedTuple):
-    """One top-level curve's row; the ledger keys it by curve id."""
+    """One top-level curve's row; the ledger keys it by curve id.  Int
+    numerators over the pair's ``den`` in ``PairSpec.ledger``, canonical
+    rationals in ``potential_ledger``."""
 
     a: int | Fraction
     sigma_num: int | Fraction
@@ -153,14 +171,21 @@ class LedgerEntry(NamedTuple):
 
 
 def potential_ledger(pair: PairSpec) -> dict[str, LedgerEntry]:
-    """a, σ_num and pa per top-level curve id, as computed by make_pair."""
-    return pair.ledger
+    """a, σ_num and pa per top-level curve id, as canonical rationals."""
+    den = pair.den
+    return {cid: LedgerEntry(*(quotient(v, den) for v in e))
+            for cid, e in pair.ledger.items()}
+
+
+def _least_pa(pair: PairSpec) -> int:
+    """min(0, per-curve pa), as a numerator over ``pair.den``."""
+    return min([0] + [e.pa for e in pair.ledger.values()])
 
 
 def total_potential_discrepancy(pair: PairSpec):
     """min(0, per-curve pa) when that is >= -1, else NEG_INFINITY."""
-    m = min([0] + [e.pa for e in pair.ledger.values()])
-    return m if m >= -1 else NEG_INFINITY
+    m = _least_pa(pair)
+    return quotient(m, pair.den) if m >= -pair.den else NEG_INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +278,8 @@ def is_connected(graph: IncidenceGraph) -> bool:
 
 
 def nklt_locus(pair: PairSpec) -> list[LocusComponent]:
-    return _components(pair, [cid for cid, e in pair.ledger.items() if e.a <= -1])
+    limit = -pair.den
+    return _components(pair, [cid for cid, e in pair.ledger.items() if e.a <= limit])
 
 
 def eps_spnklt(pair: PairSpec, eps: int | Fraction) -> list[LocusComponent]:
@@ -265,12 +291,16 @@ def eps_spnklt(pair: PairSpec, eps: int | Fraction) -> list[LocusComponent]:
     No runtime check is needed, since both implications hold for every
     ε >= 0: pa_i + 1 <= -1 + ε gives pa_i < -1 + ε, and
     pa_i + pa_j + 1 <= -1 + ε gives min(pa_i, pa_j) <= -1 + ε/2.
+
+    With ε = p/q, pa <= -1 + ε is pa·q <= (p − q)·den on the numerators.
     """
     eps = rat(eps)
-    if eps < 0:
+    p, q = eps.numerator, eps.denominator
+    if p < 0:
         raise ValueError("eps must be >= 0")
-    limit = -1 + eps
-    return _components(pair, [cid for cid, e in pair.ledger.items() if e.pa <= limit])
+    limit = (p - q) * pair.den
+    return _components(
+        pair, [cid for cid, e in pair.ledger.items() if e.pa * q <= limit])
 
 
 def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
@@ -279,8 +309,9 @@ def pnklt_locus(pair: PairSpec) -> list[LocusComponent]:
 
 def eps_threshold(pair: PairSpec) -> int | Fraction | None:
     """Largest ε below which ε-spNklt equals pNklt: min(pa+1) over pa > -1."""
-    vals = [e.pa + 1 for e in pair.ledger.values() if e.pa > -1]
-    return min(vals) if vals else None
+    den = pair.den
+    vals = [e.pa for e in pair.ledger.values() if e.pa > -den]
+    return quotient(min(vals) + den, den) if vals else None
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +331,14 @@ class PotentialReport(NamedTuple):
 
 
 def classify_pair(pair: PairSpec) -> PotentialReport:
-    ledger = pair.ledger.values()
+    ledger, limit = pair.ledger.values(), -pair.den
     frak = total_potential_discrepancy(pair)
     nklt = tuple(nklt_locus(pair))
     pnklt = tuple(pnklt_locus(pair))
-    klt = all(e.a > -1 for e in ledger)
-    lc = all(e.a >= -1 for e in ledger)
-    p_klt = frak is not NEG_INFINITY and frak > -1
-    p_lc = frak is not NEG_INFINITY and frak >= -1
+    klt = all(e.a > limit for e in ledger)
+    lc = all(e.a >= limit for e in ledger)
+    p_lc = frak is not NEG_INFINITY
+    p_klt = p_lc and _least_pa(pair) > limit
 
     # structural guarantees of the theory, checked even under python -O
     _require(not p_klt or klt, "potentially-klt-implies-klt",
@@ -387,7 +418,8 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
         raise PairError("the Fano-type test of a pair needs Δ = 0")
     model, level, big = pair.model, pair.level, pair.decomposition.big
     n = push_forward(model, model.top, level, pair.decomposition.N)
-    xn_klt = all(a > -1 for a in _a_values(model, level, n).values())
+    den = pair.den  # N's denominators, as Δ = 0
+    xn_klt = all(a > -den for a in _a_values(model, level, n, den).values())
     _require(xn_klt == report.potentially_klt, "dim-2-klt-equivalence",
              f"(X, N) has klt {xn_klt} but X has potentially klt "
              f"{report.potentially_klt}")
@@ -407,12 +439,13 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
 def check_monotonicity(
     pair: PairSpec, extra: RDivisor
 ) -> list[tuple[str, int | Fraction, int | Fraction]]:
-    """Violations of pa(Δ) >= pa(Δ+extra), per curve.  Must come back empty."""
+    """Violations of pa(Δ) >= pa(Δ+extra), per curve.  Must come back empty.
+    The two pairs' ``den``s may differ, so it reads their rational views."""
     if not extra.is_effective():
         raise PairError("extra boundary must be effective")
-    bigger = make_pair(pair.model, pair.level, pair.delta + extra)
-    return [(cid, e.pa, bigger.ledger[cid].pa) for cid, e in pair.ledger.items()
-            if e.pa < bigger.ledger[cid].pa]
+    bigger = potential_ledger(make_pair(pair.model, pair.level, pair.delta + extra))
+    return [(cid, e.pa, bigger[cid].pa)
+            for cid, e in potential_ledger(pair).items() if e.pa < bigger[cid].pa]
 
 
 def check_intersection_limit(pair: PairSpec, deltas: Sequence[RDivisor]) -> dict:
@@ -451,9 +484,11 @@ def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     eps = quotient(eps0, 2) if eps0 is not None and eps0 > 0 else 0
     locus = {c.key for c in eps_spnklt(pair, eps)}
     # Nklt(X, Δ+D) needs no pseudoeffectivity: discrepancies only
-    a2 = _a_values(model, pair.level, pair.delta + witness)
+    boundary = pair.delta + witness
+    den = _den(boundary)
+    a2 = _a_values(model, pair.level, boundary, den)
     nklt2 = {
-        c.key for c in _components(pair, [cid for cid, v in a2.items() if v <= -1])
+        c.key for c in _components(pair, [cid for cid, v in a2.items() if v <= -den])
     }
     result["inclusion_holds"] = locus <= nklt2
     result["eps"] = eps

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DivisorClass, numeral
+from .lattice import DivisorClass, numeral, numeral_over
 from .potential import (
     FanoVerdict,
     PairSpec,
@@ -112,12 +112,14 @@ def rcc_json(pr: PotentialReport) -> dict:
 
 
 def _ledger_json(pr: PotentialReport, eps: Fraction | None) -> dict:
-    model = pr.pair.model
+    """The ledger's int numerators, printed over the pair's ``den``."""
+    model, den = pr.pair.model, pr.pair.den
+    text = numeral if den == 1 else lambda v: numeral_over(v, den)
     return {
         _display(model, model.top, cid): {
-            "a": numeral(e.a),
-            "sigma_num": numeral(e.sigma_num),
-            "pa": numeral(e.pa),
+            "a": text(e.a),
+            "sigma_num": text(e.sigma_num),
+            "pa": text(e.pa),
         }
         for cid, e in pr.pair.ledger.items()
     }

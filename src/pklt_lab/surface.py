@@ -14,7 +14,7 @@ import itertools
 import zlib
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (
     DivisorClass,
@@ -269,8 +269,11 @@ class RDivisor(NamedTuple):
     terms: tuple[tuple[str, int | Fraction], ...]
 
     @staticmethod
-    def make(level: int, mapping: Mapping[str, object] | Iterable = ()) -> "RDivisor":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
+    def make(level: int, mapping: dict[str, object] | Iterable = ()) -> "RDivisor":
+        """The divisor Σ c·C at ``level``, from a dict curve id -> c or
+        (id, c) pairs: coefficients made canonical, repeated ids summed,
+        zero terms dropped, sorted by id."""
+        items = mapping.items() if isinstance(mapping, dict) else mapping
         merged: dict[str, int | Fraction] = {}
         for cid, c in items:
             c = rat(c)
@@ -515,6 +518,8 @@ def push_forward(
     for cid, _ in d.terms:
         if not src.has_curve(cid):
             raise ModelError(f"unknown curve {cid!r}")
+    if from_level == to_level:
+        return d
     return RDivisor.make(to_level, [
         (cid, c) for cid, c in d.terms if model.curves[cid].born <= to_level])
 
@@ -523,10 +528,13 @@ def total_transform(model: SurfaceModel, d: RDivisor) -> RDivisor:
     """Coefficients of the pullback f*D to the top, an effective combination.
 
     Strict transforms keep their coefficient; each new exceptional picks
-    up the multiplicity of the pulled-back divisor at its center.
+    up the multiplicity of the pulled-back divisor at its center.  A
+    divisor of the top level is its own total transform.
     """
     if model.top < d.level:
         raise ModelError("total_transform goes up the tower")
+    if model.top == d.level:
+        return d
     coeffs = dict(d.terms)
     for center in model.centers[d.level:]:
         coeffs[center.exceptional_id] = sum(

@@ -180,14 +180,13 @@ def zariski_decompose(
             new = [j for j, v in _p_dot(b, x, rows).items()
                    if j not in joined and v < 0]
         S.extend(sorted(new))
-    if definite:
-        X, q = factor.solve()
-        den = d * e * q
-        x = [quotient(c * v, den) if v else 0 for v in X]
-    if any(xi < 0 for xi in x):
-        raise NotPseudoeffectiveError("negative coefficient in N")
     if not definite:
+        if any(xi < 0 for xi in x):
+            raise NotPseudoeffectiveError("negative coefficient in N")
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
+    X, q = factor.solve()
+    if any(v < 0 for v in X):  # xₖ has Xₖ's sign: c, d, e, q > 0
+        raise NotPseudoeffectiveError("negative coefficient in N")
     pc = _p_dot(b, X, rows, q)
     on_s = [ids[i] for i in S if (pc[i] if i in pc else b[i])]
     off_s = [ids[j] for j, v in pc.items() if j not in joined and v < 0]
@@ -197,10 +196,12 @@ def zariski_decompose(
             f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
             f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
         )
+    den = d * e * q
     Pn = Dn.scale(e * q).plus((-c * v, classes[i]) for i, v in zip(S, X))
     P = DivisorClass({j: quotient(v, den) for j, v in Pn.terms.items()},
                      D.lattice_id)
-    N = RDivisor.make(level, [(ids[i], xi) for i, xi in zip(S, x)])
+    N = RDivisor(level, tuple(sorted(
+        (ids[i], quotient(c * v, den)) for i, v in zip(S, X) if v)))
     big = (intersect(Dn, Dn, lvl.form) * e * e * q
            > c * sum(v * b[i] for i, v in zip(S, X)))
     return ZariskiDecomposition(level, P, N, big)

@@ -4,9 +4,9 @@ checks by use.
 ``bench/spans.py`` wraps each function in its ``LAYERS`` table; a name
 that no longer resolves breaks ``bench/run.py --trace 1``, and nothing in
 ``src/`` would notice, since the engine never calls some of them:
-``gram_submatrix``, ``is_negative_definite``, ``is_big`` and
-``potential_ledger`` are kept for the tracer and as test references, and
-``solve_exact`` runs only in the dense branch of the Zariski solve.
+``gram_submatrix``, ``is_negative_definite`` and ``is_big`` are kept
+for the tracer and as test references, and ``solve_exact`` runs only in
+the dense branch of the Zariski solve.
 ``bench/checks.py`` reads more of the program, outside ``LAYERS``.
 """
 

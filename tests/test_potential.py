@@ -5,6 +5,7 @@ import re
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from conftest import (
     ruled,
     top_level_decomposition,
 )
+from pklt_lab.modelio import load_model
 from pklt_lab.potential import _points_over, anti_log_canonical
 from pklt_lab.report import _display, full_report, pair_sections
 from pklt_lab.surface import display_name
@@ -39,19 +41,19 @@ def half_l_pair(coeff=Fraction(3, 2), blowups=0):
 
 def test_discrepancy_coefficient_rule():
     pair = half_l_pair()
-    assert pair.ledger.get("L").a == Fraction(-3, 2)
+    assert pl.potential_ledger(pair).get("L").a == Fraction(-3, 2)
 
 
 def test_discrepancy_blowup_recursion():
     pair = half_l_pair(blowups=1)
-    assert pair.ledger.get("L").a == Fraction(-3, 2)
-    assert pair.ledger.get("E1").a == Fraction(-1, 2)  # 1 + (-3/2)
+    assert pl.potential_ledger(pair).get("L").a == Fraction(-3, 2)
+    assert pl.potential_ledger(pair).get("E1").a == Fraction(-1, 2)  # 1 + (-3/2)
 
 
 def test_discrepancy_free_exceptional():
     m = blown_ruled(2, 3)
     pair = pl.make_pair(m, 0)
-    assert pair.ledger.get("E1").a == 1
+    assert pl.potential_ledger(pair).get("E1").a == 1
 
 
 def test_potential_ledger_ruled_blowup(ruled_blowup_pair):
@@ -129,7 +131,7 @@ def test_nklt_locus_concurrent_lines_point():
     m = pl.blow_up(m, (pl.BlowUpCenter(lines, point_label="q"),))
     delta = pl.RDivisor.make(0, {"L1": 1, "L2": 1, "L3": 1})
     pair = pl.make_pair(m, 0, delta)
-    assert pair.ledger.get("E1").a == -2  # 1 + 3·(-1)
+    assert pl.potential_ledger(pair).get("E1").a == -2  # 1 + 3·(-1)
     comps = pl.nklt_locus(pair)
     point = [c for c in comps if c.kind == "point"]
     assert len(point) == 1
@@ -441,6 +443,51 @@ def test_check_monotonicity_examples():
     assert pl.check_monotonicity(p, pl.RDivisor.make(0, {"L": Fraction(1, 2)})) == []
 
 
+def test_check_monotonicity_across_denominators():
+    """Δ = L/2 and Δ + L/3 = 5L/6 on P² blown up at a free point: the pairs'
+    ``den``s are 2 and 6, and pa(E1) = 1 in both, with numerators 2 and 6,
+    so comparing raw numerators would report a violation that is not one."""
+    model = pl.blow_up(p2(), [pl.BlowUpCenter(())])
+    pair = pl.make_pair(model, 0, pl.RDivisor.make(0, {"L": Fraction(1, 2)}))
+    extra = pl.RDivisor.make(0, {"L": Fraction(1, 3)})
+    bigger = pl.make_pair(model, 0, pair.delta + extra)
+    assert (pair.den, bigger.den) == (2, 6)
+    assert (pair.ledger["E1"].pa, bigger.ledger["E1"].pa) == (2, 6)
+    assert pl.potential_ledger(bigger)["E1"].pa == 1
+    assert pl.check_monotonicity(pair, extra) == []
+
+
+def _ruled_blowup_den_six():
+    """models/ruled_blowup.json at level 1 with Δ = C0/2 + E1/3."""
+    path = Path(__file__).resolve().parents[1] / "models" / "ruled_blowup.json"
+    delta = pl.RDivisor.make(1, {"C0": Fraction(1, 2), "E1": Fraction(1, 3)})
+    return pl.make_pair(load_model(str(path)).model, 1, delta)
+
+
+@pytest.mark.parametrize("build, den", [
+    (lambda: pl.make_pair(chain_model(24), 24), 73),
+    (_ruled_blowup_den_six, 6),
+], ids=["chain24", "ruled_blowup_den6"])
+def test_classification_compares_and_subtracts_no_fraction(build, den, monkeypatch):
+    """classify_pair and the ledger, loci and flags sections work on the
+    ledger's int numerators over ``den``: with Fraction's ordering and
+    subtraction made to raise, they give the same sections."""
+    pair = build()
+    assert pair.den == den
+    names, epsilons = ["ledger", "loci", "flags"], (None, Fraction(1, 3))
+    expected = [pair_sections(pair, names, eps) for eps in epsilons]
+
+    def refuse(*args):
+        raise AssertionError("Fraction ordering or subtraction")
+
+    with monkeypatch.context() as patch:
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__sub__", "__rsub__"):
+            patch.setattr(Fraction, op, refuse)
+        pl.classify_pair(pair)
+        got = [pair_sections(pair, names, eps) for eps in epsilons]
+    assert got == expected
+
+
 def test_check_intersection_limit_examples(ruled_blowup_pair):
     p = pl.make_pair(p2(), 0)
     deltas = [
@@ -490,7 +537,8 @@ def test_the_cubic_pair_is_solved_in_ints():
     zd = pair.decomposition
     assert zd.N.terms == (("C", 1),) and type(dict(zd.N.terms)["C"]) is int
     assert zd.P.terms == {} and not zd.big
-    values = [v for e in pair.ledger.values() for v in (e.a, e.sigma_num, e.pa)]
+    values = [v for e in pl.potential_ledger(pair).values()
+              for v in (e.a, e.sigma_num, e.pa)]
     assert len(values) == 3 * 50 and all(type(v) is int for v in values)
 
 
@@ -545,7 +593,7 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                         pl.InvariantViolation):
                     continue
                 zd = pair.decomposition
-                numbers = [v for e in pr.pair.ledger.values()
+                numbers = [v for e in pl.potential_ledger(pr.pair).values()
                            for v in (e.a, e.sigma_num, e.pa)]
                 numbers += [c.genus for c in pr.nklt + pr.pnklt]
                 numbers += [v for _, v in zd.N.terms + delta.terms]
@@ -565,7 +613,8 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                     assert not _uncanonical(numbers), (model, level, delta)
                     integral += 1
                 if delta.is_zero():
-                    assert all(type(e.a) is int for e in pr.pair.ledger.values())
+                    assert all(type(e.a) is int
+                               for e in pl.potential_ledger(pr.pair).values())
                 reports += 1
     assert set(kinds) == {"ProjectivePlane", "Ruled", "AbstractLattice",
                           "rejected"}
