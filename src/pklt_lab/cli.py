@@ -194,8 +194,6 @@ def _render_text(doc, out, indent=0) -> None:
                 _render_text(value, out, indent + 1)
             else:
                 out.write(f"{pad}- {_scalar(value)}\n")
-    else:
-        out.write(f"{pad}{_scalar(doc)}\n")
 
 
 def _scalar(value) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import zlib
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (
@@ -94,10 +93,10 @@ class Ruled(NamedTuple("Ruled", [("genus", int), ("e", int)])):
     __slots__ = ()
 
     def __new__(cls, genus: int, e: int):
-        if genus < 0:
-            raise ModelError("ruled surface needs genus >= 0")
-        if e <= 0:
-            raise ModelError("ruled surface needs invariant e > 0")
+        if type(genus) is not int or genus < 0:
+            raise ModelError("ruled surface needs an int genus >= 0")
+        if type(e) is not int or e <= 0:
+            raise ModelError("ruled surface needs an int invariant e > 0")
         return super().__new__(cls, genus, e)
 
     def lattice_tag(self) -> str:
@@ -167,8 +166,8 @@ class BlowUpCenter(NamedTuple):
     def effective_incidences(self) -> tuple[tuple[str, int], ...]:
         pairs: dict[str, int] = {}
         for cid, m in self.on_curves:
-            if m < 1:
-                raise ModelError(f"multiplicity must be >= 1 on {cid!r}")
+            if type(m) is not int or m < 1:
+                raise ModelError(f"multiplicity must be an int >= 1 on {cid!r}")
             if cid in pairs:
                 raise ModelError(f"center lists curve {cid!r} more than once")
             pairs[cid] = m
@@ -184,20 +183,21 @@ class SurfaceModel(Record):
     coordinates up the tower.  ``curves`` maps each id, in catalog order,
     to the curve at its last change (birth, or the last center through it).
     ``blow_up`` stores each center with every incidence, ``near`` included,
-    in ``on_curves``.  ``scale``·C·C′ is an int for catalog curves C, C′
-    at any level (a blow-up adds products of multiplicities to C·C′).
+    in ``on_curves``.  A blow-up adds only int coordinates, −m for a
+    multiplicity m and E's 1, so Γ·δ² clears every C·C′ at every level,
+    Γ and δ the lcms of the denominators of the base Gram block and of
+    the catalog: the Zariski solve's one integer scale.
     A Record: a tuple cannot be weakly referenced.  Hashing one raises
     TypeError, naming SurfaceModel: the curve table is a dict.
     """
 
-    __slots__ = ("base", "form", "lattice", "centers", "curves", "scale")
+    __slots__ = ("base", "form", "lattice", "centers", "curves")
     __hash__ = None
     base: BaseSpec
     form: IntersectionForm
     lattice: AbstractLattice
     centers: tuple[BlowUpCenter, ...]
     curves: dict[str, Curve]
-    scale: int
 
     @property
     def top(self) -> int:
@@ -380,8 +380,8 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
             seen.add(cs.id)
             if len(cs.coeffs) != rank:
                 raise ModelError(f"curve {cs.id!r} class length must equal rank")
-            if cs.genus < 0:
-                raise ModelError(f"curve {cs.id!r} needs genus >= 0")
+            if type(cs.genus) is not int or cs.genus < 0:
+                raise ModelError(f"curve {cs.id!r} needs an int genus >= 0")
         lattice = AbstractLattice(
             spec.basis, tuple(tuple(map(rat, row)) for row in spec.gram),
             tuple(map(rat, spec.canonical)),
@@ -403,16 +403,14 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         except ModelError as exc:
             exc.curve = i
             raise
-    scale = 1
-    for a, b in itertools.combinations_with_replacement(curves.values(), 2):
+    for a, b in itertools.combinations(curves.values(), 2):
         num = intersect(a.cls, b.cls, form)
-        scale = lcm(scale, num.denominator)
-        if num < 0 and a is not b:
+        if num < 0:
             raise ModelError(
                 f"catalog curves {a.id!r} and {b.id!r} meet negatively: "
                 f"intersection number is {numeral(num)}"
             )
-    return SurfaceModel(spec, form, lattice, (), curves, scale)
+    return SurfaceModel(spec, form, lattice, (), curves)
 
 
 def blow_up(
@@ -486,8 +484,7 @@ def blow_up(
     for cid, cls in grown.items():
         c = curves[cid]
         curves[cid] = Curve(cid, cls, c.genus, c.born, last[cid])
-    return SurfaceModel(model.base, form, model.lattice, tuple(placed), curves,
-                        model.scale)
+    return SurfaceModel(model.base, form, model.lattice, tuple(placed), curves)
 
 
 # ---------------------------------------------------------------------------

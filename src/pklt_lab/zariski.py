@@ -61,8 +61,8 @@ class ZariskiDecomposition(NamedTuple):
 def intersection_rows(classes: Sequence[DivisorClass], form: IntersectionForm,
                       scale: int):
     """``row(i)``: the nonzero Cᵢ·Cⱼ over the catalog ``classes``, as
-    {j: scale·Cᵢ·Cⱼ} in catalog order; ``scale`` makes each an int (a
-    model's ``scale`` does).
+    {j: scale·Cᵢ·Cⱼ} in catalog order; ``scale`` makes each an int (the
+    c of ``zariski_decompose`` does).
 
     An index from each coordinate to the curves with a nonzero term there,
     read off the sparse classes, names the curves that can meet Cᵢ: through
@@ -95,8 +95,8 @@ def intersection_rows(classes: Sequence[DivisorClass], form: IntersectionForm,
 
 def _p_dot(b, x, rows, q=1) -> dict:
     """q·bⱼ − Σ xₖ·rowₖ[j] for every j that a row touches, over the rows'
-    nonzeros only; for x = q·x′ with b = Σ x′ₖ·rowₖ on S, and b = e·(Dn·C),
-    it is q·e·d·P·Cⱼ.  An untouched curve has P·C = D·C."""
+    nonzeros only; for x = q·x′ with b = Σ x′ₖ·rowₖ on S, and b = c·(Dn·C),
+    it is c·q·d·P·Cⱼ.  An untouched curve has P·C = D·C."""
     pc = {}
     for xk, row in zip(x, rows):
         if xk:
@@ -118,15 +118,18 @@ def zariski_decompose(
     D² are products of integral classes, ints on an integral form and
     catalog.  S only grows, so Dn·C is computed once per curve and the row
     Cᵢ·C once when Cᵢ joins, over the curves ``intersection_rows`` finds
-    can meet Cᵢ.  The system is solved in ints, rows scaled by the model's
-    ``scale`` c and Dn·C by the lcm e of the denominators a rational form
-    leaves in it; every scale is positive, so every sign is kept, by one
-    ``LDLFactor`` extended by the rows that join and bordered by the curves
-    off S they touch: a round reads its violators off the border by a sign
-    test, and x is back-substituted once, after the last round.  A curve
-    that no row touches keeps P·C = D·C ≥ 0.  While consecutive minors
-    alternate in sign, gram(S) is negative definite; a pivot ≥ 0 means D is
-    not pseudoeffective, and from then on each round is solved afresh by
+    can meet Cᵢ.  The system is solved in ints, its rows and Dn·C scaled
+    by one c = Γ·δ², Γ the lcm of the denominators of the base Gram block
+    and δ that of the base catalog's coefficients: a blow-up adds only
+    integral coordinates, so c clears every Cᵢ·Cⱼ and every Dn·C at every
+    level, and is computed only when S is not empty.  c is positive, so
+    every sign is kept, by one ``LDLFactor`` extended by the rows that
+    join and bordered by the curves off S they touch: a round reads its
+    violators off the border by a sign test, and x is back-substituted
+    once, after the last round.  A curve that no row touches keeps
+    P·C = D·C ≥ 0.  While consecutive minors alternate in sign, gram(S)
+    is negative definite; a pivot ≥ 0 means D is not pseudoeffective,
+    and from then on each round is solved afresh by
     ``solve_exact`` on the dense gram(S), so the error names the same
     failure (singular system, negative coefficient, indefinite support) as
     a solve per round would.  The factor alone cannot: on P² blown up at
@@ -136,28 +139,30 @@ def zariski_decompose(
     checks P·C = 0 on S and P·C ≥ 0 off it, in ints, and raises
     ``InvariantViolation`` naming the curves if the factor ever disagrees
     with x.  x and P are read off the numerators X and q = |Δₙ| in ints:
-    xₖ = c·Xₖ/(d·e·q) and P = (e·q·Dn − c·Σ Xₖ·Cₖ)/(d·e·q), one
-    ``quotient`` per coefficient of N and per nonzero coordinate of P, so
-    a Fraction is built only for a coefficient that is printed.  P² is
+    xₖ = Xₖ/(d·q) and P = (q·Dn − Σ Xₖ·Cₖ)/(d·q), one ``quotient`` per
+    coefficient of N and per nonzero coordinate of P, so a Fraction is
+    built only for a coefficient that is printed.  P² is
     D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S, so P² > 0 is read as
-    Dn²·e²·q > c·Σ Xₖ·bₖ.
+    c·q·Dn² > Σ Xₖ·bₖ.
     """
     lvl = model.level(level)
     if not lvl.has_class(D):  # a class of a lower level is its own pullback
         raise ValueError("divisor class does not live at the requested level")
-    at_level, c = lvl.classes, model.scale
+    at_level = lvl.classes
     ids, classes = list(at_level), list(at_level.values())
     d = lcm(*[v.denominator for v in D.terms.values()])
     Dn = DivisorClass({i: v.numerator * (d // v.denominator)
                        for i, v in D.terms.items()}, D.lattice_id)  # d·D
     dc = [intersect(Dn, cls, lvl.form) for cls in classes]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into the catalog
-    row_of = intersection_rows(classes, lvl.form, c) if S else None
-    e, b = 1, dc  # b = e·(Dn·C), ints
-    if S and not all(type(v) is int for v in dc):
-        e = lcm(*[v.denominator for v in dc])
-        b = [v.numerator * (e // v.denominator) for v in dc]
-    rows: list[dict[int, int]] = []  # rows[k] = {j: scale·C_S[k]·C_j ≠ 0}
+    c, b, row_of = 1, dc, None  # with S empty no row is read: P = D
+    if S:
+        lat = model.lattice
+        c = lcm(*[v.denominator for row in lat.gram for v in row]) * lcm(
+            *[v.denominator for cs in lat.curves for v in cs.coeffs]) ** 2
+        b = [v.numerator * (c // v.denominator) for v in dc]  # c·(Dn·C)
+        row_of = intersection_rows(classes, lvl.form, c)
+    rows: list[dict[int, int]] = []  # rows[k] = {j: c·C_S[k]·C_j ≠ 0}
     joined: set[int] = set()  # catalog indices with a row
     factor = LDLFactor(b)
     definite = True
@@ -185,7 +190,7 @@ def zariski_decompose(
             raise NotPseudoeffectiveError("negative coefficient in N")
         raise NotPseudoeffectiveError("support Gram matrix not negative definite")
     X, q = factor.solve()
-    if any(v < 0 for v in X):  # xₖ has Xₖ's sign: c, d, e, q > 0
+    if any(v < 0 for v in X):  # xₖ has Xₖ's sign: d, q > 0
         raise NotPseudoeffectiveError("negative coefficient in N")
     pc = _p_dot(b, X, rows, q)
     on_s = [ids[i] for i in S if (pc[i] if i in pc else b[i])]
@@ -196,14 +201,13 @@ def zariski_decompose(
             f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
             f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
         )
-    den = d * e * q
-    Pn = Dn.scale(e * q).plus((-c * v, classes[i]) for i, v in zip(S, X))
+    den = d * q
+    Pn = Dn.scale(q).plus((-v, classes[i]) for i, v in zip(S, X))
     P = DivisorClass({j: quotient(v, den) for j, v in Pn.terms.items()},
                      D.lattice_id)
     N = RDivisor(level, tuple(sorted(
-        (ids[i], quotient(c * v, den)) for i, v in zip(S, X) if v)))
-    big = (intersect(Dn, Dn, lvl.form) * e * e * q
-           > c * sum(v * b[i] for i, v in zip(S, X)))
+        (ids[i], quotient(v, den)) for i, v in zip(S, X) if v)))
+    big = intersect(Dn, Dn, lvl.form) * c * q > sum(v * b[i] for i, v in zip(S, X))
     return ZariskiDecomposition(level, P, N, big)
 
 

@@ -233,20 +233,26 @@ def factor_numbers(factor):
 def catalog_model(spec):
     """The one-level model over ``spec``'s catalog as declared, negative
     pairs included.  No surface has such a catalog, so make_base rejects
-    it; this test-only model feeds it to the catalog-relative solver.  Its
-    scale is the lcm of the denominators of the catalog's numbers."""
+    it; this test-only model feeds it to the catalog-relative solver."""
     m = pl.make_base(spec._replace(curves=()))
     form = m.form
     classes = [pl.DivisorClass.dense(cs.coeffs, form.lattice_id)
                for cs in spec.curves]
-    scale = math.lcm(*(pl.intersect(a, b, form).denominator
-                       for a in classes for b in classes))
     return pl.SurfaceModel(
         spec, form, m.lattice._replace(curves=spec.curves), m.centers,
         {cs.id: Curve(cs.id, c, cs.genus, 0, 0)
          for cs, c in zip(spec.curves, classes)},
-        scale,
     )
+
+
+def zariski_scale(model):
+    """The one integer scale c = Γ·δ² of the Zariski solve: Γ the lcm of
+    the denominators of the base Gram block, δ that of the base catalog's
+    coefficients."""
+    lat = model.lattice
+    gamma = math.lcm(*(v.denominator for row in lat.gram for v in row))
+    delta = math.lcm(*(v.denominator for cs in lat.curves for v in cs.coeffs))
+    return gamma * delta ** 2
 
 
 LATTICE_GRAM = ((Fraction(1), Fraction(0), Fraction(0)),
@@ -629,6 +635,7 @@ __all__ = [
     "first_bad_genus",
     "make_lattice_base",
     "catalog_model",
+    "zariski_scale",
     "top_level_decomposition",
     "reference_rcc_json",
     "anti_log_canonical",

@@ -220,7 +220,8 @@ def test_ldl_factor_matches_sylvester_and_solve_exact():
     times its stage's minor.  Every other system is all ints, as the
     Zariski rows of an integral class are; the others are Fraction
     systems, which the factor sees as ints scaled by c for G and e for b,
-    both positive, as zariski_decompose scales them: its pivots are then
+    both positive (zariski_decompose takes one c = e that clears both;
+    any positive scales keep every sign): its pivots are then
     c times G's, its residuals e times G's, and its x e/c times G's.  Each
     is read out exactly from the factor's ints: pivot Δₖ₊₁/Δₖ, residual
     A/Δₛ and x = X/q.  The factor stores nothing but ints."""

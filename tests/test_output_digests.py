@@ -1,0 +1,150 @@
+"""Every model subcommand's exit code and stdout on seeded documents,
+against digests recorded at a commit whose outputs are known good
+(``output_digests.json``, written by ``record_output_digests.py``).
+
+A change that keeps the program's answers keeps every byte it prints.
+Per family of documents the file holds the number of commands, one
+digest over all their outputs, and a short digest per command, so that a
+mismatch names the first commands that differ.  Each document goes to
+``cli.main`` as JSON text, which ``load_model`` reads when the text names
+no file.  Argument errors are left out: argparse's usage text differs
+between Python versions.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import itertools
+import json
+import random
+from pathlib import Path
+
+from conftest import (
+    COEFF_POOL,
+    first_bad_genus,
+    first_negative_pair,
+    random_lattice_tower,
+    random_rational_lattice_tower,
+    serialize_model,
+)
+from pklt_lab import cli, corpus
+from pklt_lab.modelio import LoadedModel
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
+SMALL_N = range(1, 7)  # tower sizes of the cubic and chain documents
+LATTICE_MODELS = 12  # accepted draws per lattice family
+
+
+def bench_workloads():
+    """``bench/workloads.py`` as a module of its own; it imports nothing
+    of the program."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lattice_doc(model, rng) -> dict:
+    """``model`` with a divisor D on its base curves, and a pair at a
+    random level with Δ = 0."""
+    base = [cid for cid, c in model.curves.items() if c.born == 0]
+    terms = tuple((cid, rng.choice(COEFF_POOL[1:])) for cid in base)
+    pair = (rng.randrange(0, model.top + 1), None)
+    return serialize_model(LoadedModel(model, {"D": terms}, pair))
+
+
+def lattice_docs(draw, seed: int):
+    """LATTICE_MODELS draws of ``draw`` whose base catalog passes the
+    reference genus and pair checks, as documents."""
+    rng = random.Random(seed)
+    found = 0
+    while found < LATTICE_MODELS:
+        model = draw(rng)
+        if (model is None or first_bad_genus(model.base)
+                or first_negative_pair(model.base)):
+            continue
+        found += 1
+        yield lattice_doc(model, rng)
+
+
+def families() -> dict:
+    """Family name -> its documents, as JSON texts."""
+    wl = bench_workloads()
+    labels = [f"p{i}" for i in range(1, max(SMALL_N) + 1)]
+    docs = {
+        "corpus": [*corpus.ENTRIES.values(), "models/ruled_blowup.json"],
+        "fuzz": [d for d, _ in itertools.islice(wl.fuzz_stream(11), 100)],
+        "fuzz_unrestricted": [d for d, _ in itertools.islice(
+            wl.fuzz_stream(12, restrict=False), 50)],
+        "cubic_chain": [build(labels[:n]) for build in (wl.cubic_doc, wl.chain_doc)
+                        for n in SMALL_N],
+        "lattice": list(lattice_docs(random_lattice_tower, 21)),
+        "rational_lattice": list(lattice_docs(random_rational_lattice_tower, 22)),
+    }
+    return {name: [(ROOT / d).read_text(encoding="utf-8") if isinstance(d, str)
+                    else json.dumps(d) for d in family]
+            for name, family in docs.items()}
+
+
+def commands(text: str):
+    """The arguments after the document of each command run on it."""
+    doc = json.loads(text)
+    levels = sorted({"0", str(len(doc.get("blowups", [])))})
+    yield ["check"]
+    for name in ("antiK", "K", *doc.get("divisors", {})):
+        for level in levels:
+            yield ["zariski", "--divisor", name, "--level", level]
+    for command in ("potential", "pnklt", "classify"):
+        yield [command]
+        yield [command, "--eps", "1/3"]
+    yield ["classify", "--format", "text"]
+    yield ["rcc"]
+    for level in levels:
+        yield ["fano", "--level", level]
+
+
+def run(argv) -> bytes:
+    """The exit code and stdout of ``cli.main(argv)``, as bytes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}".encode()
+
+
+def outputs(texts):
+    """(label, output) for each command on each document."""
+    for i, text in enumerate(texts):
+        for args in commands(text):
+            yield f"[{i}] {' '.join(args)}", run([args[0], text, *args[1:]])
+
+
+def digest(labelled) -> dict:
+    """The command count, the digest over every output and a short digest
+    per command."""
+    whole, short = hashlib.sha256(), []
+    for _, out in labelled:
+        one = hashlib.sha256(out)
+        whole.update(one.digest())
+        short.append(one.hexdigest()[:8])
+    return {"count": len(short), "digest": whole.hexdigest()[:16],
+            "commands": short}
+
+
+def record() -> dict:
+    return {name: digest(outputs(texts)) for name, texts in families().items()}
+
+
+def test_outputs_match_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    texts = families()
+    assert list(texts) == list(recorded)
+    for name, want in recorded.items():
+        labelled = list(outputs(texts[name]))
+        got = digest(labelled)
+        differ = [f"{name}{label}" for (label, _), g, w
+                  in zip(labelled, got["commands"], want["commands"]) if g != w]
+        assert differ == [], differ[:5]
+        assert got == want, name

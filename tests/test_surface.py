@@ -19,6 +19,7 @@ from conftest import (
     reference_tower,
     ruled,
 )
+from pklt_lab import surface
 from pklt_lab.lattice import basis_class, signature
 from pklt_lab.modelio import ValidationError, parse_model
 
@@ -48,6 +49,29 @@ def test_make_base_ruled_0_1():
 def test_make_base_rejects_bad_ruled():
     with pytest.raises(pl.ModelError):
         pl.make_base(pl.Ruled(2, 0))
+
+
+def test_make_base_intersects_each_pair_of_distinct_curves_once(monkeypatch):
+    """The genus check intersects each of the m catalog curves twice (K·C
+    and C²) and the sign check each pair of distinct curves once: 2m +
+    m(m−1)/2 calls.  No product of a curve with itself is taken twice."""
+    calls = []
+
+    def counting(a, b, form):
+        calls.append((a, b))
+        return pl.intersect(a, b, form)
+
+    monkeypatch.setattr(surface, "intersect", counting)
+    blown = pl.AbstractLattice(  # P² at two points: H, A, B, H − A, H − B
+        ("H", "A", "B"), ((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 1),
+        tuple(pl.CurveSpec(cid, coeffs, 0) for cid, coeffs in (
+            ("H", (1, 0, 0)), ("A", (0, 1, 0)), ("B", (0, 0, 1)),
+            ("HA", (1, -1, 0)), ("HB", (1, 0, -1)))))
+    for spec, m in ((pl.ProjectivePlane(), 1), (pl.Ruled(2, 3), 2),
+                    (cubic_lattice(), 1), (blown, 5)):
+        calls.clear()
+        pl.make_base(spec)
+        assert len(calls) == 2 * m + m * (m - 1) // 2, spec
 
 
 def test_blow_up_section_point():
@@ -447,7 +471,7 @@ def test_each_center_check_names_the_failing_center():
     with pytest.raises(pl.ModelError) as exc:
         pl.blow_up(p2(), centers)
     assert exc.value.center == 2
-    assert str(exc.value) == "multiplicity must be >= 1 on 'L'"
+    assert str(exc.value) == "multiplicity must be an int >= 1 on 'L'"
 
 
 def all_pairs_validate(model, supports=()):
@@ -539,6 +563,10 @@ def typed_rejections():
     d0, d1 = pl.RDivisor.make(0, {"C0": 1}), pl.RDivisor.make(1, {"C0": 1})
     negative = pl.RDivisor.make(1, {"C0": -1})
     loaded = parse_model({"version": "pklt-lab/1", "base": {"kind": "P2"}})
+
+    def on_l(mult):
+        return pl.blow_up(p2(), [pl.BlowUpCenter((("L", mult),))])
+
     return {
         "basis-label-count": (
             lambda: pl.make_base(cubic_lattice(basis=("H", "A"))),
@@ -555,7 +583,34 @@ def typed_rejections():
             pl.ModelError, "duplicate curve id 'C'"),
         "genus-below-0": (
             lambda: pl.make_base(cubic_lattice(curves=(("C", (3,), -1),))),
-            pl.ModelError, "curve 'C' needs genus >= 0"),
+            pl.ModelError, "curve 'C' needs an int genus >= 0"),
+        "genus-a-half": (
+            lambda: pl.make_base(cubic_lattice(curves=(("C", (3,), 0.5),))),
+            pl.ModelError, "curve 'C' needs an int genus >= 0"),
+        "genus-a-bool": (
+            lambda: pl.make_base(cubic_lattice(curves=(("C", (3,), True),))),
+            pl.ModelError, "curve 'C' needs an int genus >= 0"),
+        "ruled-e-a-float": (
+            lambda: pl.Ruled(2, 3.0),
+            pl.ModelError, "ruled surface needs an int invariant e > 0"),
+        "ruled-genus-a-bool": (
+            lambda: pl.Ruled(True, 3),
+            pl.ModelError, "ruled surface needs an int genus >= 0"),
+        "ruled-genus-an-integral-fraction": (
+            lambda: pl.Ruled(Fraction(3), 3),
+            pl.ModelError, "ruled surface needs an int genus >= 0"),
+        "multiplicity-a-fraction": (
+            lambda: on_l(Fraction(3, 2)),
+            pl.ModelError, "multiplicity must be an int >= 1 on 'L'"),
+        "multiplicity-a-float": (
+            lambda: on_l(1.5),
+            pl.ModelError, "multiplicity must be an int >= 1 on 'L'"),
+        "multiplicity-an-integral-float": (
+            lambda: on_l(2.0),
+            pl.ModelError, "multiplicity must be an int >= 1 on 'L'"),
+        "multiplicity-a-bool": (
+            lambda: on_l(True),
+            pl.ModelError, "multiplicity must be an int >= 1 on 'L'"),
         "unknown-base-spec": (
             lambda: pl.make_base("P3"),
             pl.ModelError, "unknown base spec 'P3'"),

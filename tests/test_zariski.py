@@ -26,6 +26,7 @@ from conftest import (
     random_tower,
     reference_zariski,
     ruled,
+    zariski_scale,
 )
 from pklt_lab import surface, zariski
 from pklt_lab.lattice import LDLFactor
@@ -330,12 +331,12 @@ def _rational_lattice_cases(rng, count):
 
 def test_rational_lattices_match_the_per_round_reference():
     """On catalogs of rational classes on a rational form the factor solves
-    scale·gram(S)·x′ = e·(D·C) in ints, with the model's scale and the
-    lcm e of the D·C denominators, and reads x off x′: the same
+    c·gram(S)·x′ = c·(Dn·C) in ints, with the one scale c = Γ·δ² of the
+    base lattice's denominators, and reads x off x′: the same
     decomposition, or the same error, as the reference's Fraction solve."""
     rng = random.Random(36)
     cases = list(_rational_lattice_cases(rng, 800))
-    assert sum(m.scale > 1 for m, _, _ in cases) > 400
+    assert sum(zariski_scale(m) > 1 for m, _, _ in cases) > 400
     details = _assert_matches_reference(cases)
     assert set(details) == NOT_PSEF_DETAILS, details
     supports = 0
@@ -348,15 +349,21 @@ def test_rational_lattices_match_the_per_round_reference():
 
 
 def test_make_base_scale_clears_self_intersections():
-    """A model's scale clears the denominators of every Cᵢ·Cⱼ of its
-    catalog, squares included: a lone curve A with A² = −1/2 needs 2, and
-    a blow-up keeps it.  The solve on that scale finds N = A for H + A."""
+    """The solve's scale c = Γ·δ² clears the denominators of every Cᵢ·Cⱼ
+    of the catalog, squares included: a lone curve A with A² = −1/2 gives
+    c = 2, whose rows are ints at the base and after a blow-up on A
+    (Ã² = −3/2, Ã·E = 1).  The solve on that scale finds N = A for H + A."""
     spec = pl.AbstractLattice(("H", "A"), ((2, 0), (0, Fraction(-1, 2))),
                               (-3, -1), (pl.CurveSpec("A", (0, 1), 0),))
     m = pl.make_base(spec)
-    assert m.scale == 2
-    assert pl.blow_up(m, [pl.BlowUpCenter((("A", 1),))]).scale == 2
-    assert ruled(2, 3).scale == p2().scale == 1
+    assert zariski_scale(ruled(2, 3)) == zariski_scale(p2()) == 1
+    rows = []
+    for tower in (m, pl.blow_up(m, [pl.BlowUpCenter((("A", 1),))])):
+        lvl = tower.level(tower.top)
+        classes = list(lvl.classes.values())
+        row = zariski.intersection_rows(classes, lvl.form, zariski_scale(tower))
+        rows.append([row(i) for i in range(len(classes))])
+    assert rows == [[{0: -1}], [{0: -3, 1: 2}, {0: 2, 1: -2}]]
     D = pl.DivisorClass.dense((1, 1), m.level(0).form.lattice_id)
     zd = pl.zariski_decompose(m, 0, D)
     assert (zd.N.terms, coords(zd.P, 2), zd.big) == ((("A", 1),), (1, 0), True)
@@ -378,14 +385,14 @@ def test_big_is_p_squared_positive():
             continue
         p2 = pl.intersect(zd.P, zd.P, m.level(level).form)
         assert zd.big == (p2 > 0)
-        seen[zd.big, bool(zd.N.terms), m.scale > 1] += 1
+        seen[zd.big, bool(zd.N.terms), zariski_scale(m) > 1] += 1
     for _ in range(200):
         pair = random_pair(rng)
         zd = pair.decomposition
         p2 = pl.intersect(zd.P, zd.P, pair.model.level(zd.level).form)
         assert zd.big == (p2 > 0)
         seen[zd.big, bool(zd.N.terms), "pair"] += 1
-    kinds = (False, True, "pair")  # scale 1, scale > 1, a pair's −(K+Δ)
+    kinds = (False, True, "pair")  # c = 1, c > 1, a pair's −(K+Δ)
     assert set(seen) == set(itertools.product((True, False), (True, False),
                                               kinds)), seen
 
@@ -514,14 +521,18 @@ def test_index_rows_equal_the_dense_rows():
     lattices = [random_lattice_tower(rng) for _ in range(200)]
     assert None in lattices and lattices.count(None) < len(lattices)
     towers += [m for m in lattices if m is not None]
+    rng = random.Random(1413)
+    towers += [random_rational_lattice_tower(rng) for _ in range(100)]
+    assert sum(zariski_scale(m) > 1 for m in towers) > 50
     nonzero = 0
     for m in towers:
+        scale = zariski_scale(m)
         for lvl in m.levels:
             classes, form = list(lvl.classes.values()), lvl.form
-            row = zariski.intersection_rows(classes, form, m.scale)
+            row = zariski.intersection_rows(classes, form, scale)
             for i, ci in enumerate(classes):
                 dense = {
-                    j: m.scale * v for j, c in enumerate(classes)
+                    j: scale * v for j, c in enumerate(classes)
                     if (v := pl.intersect(ci, c, form))
                 }
                 assert row(i) == dense
