@@ -30,7 +30,7 @@ from .modelio import BUILTIN_DIVISORS, SchemaError, ValidationError, load_model
 from .potential import InvariantViolation, PairError, fano_type_test, make_pair
 from .report import (DISCLAIMER, REPORT_SCHEMA, fano_json, pair_sections,
                      zariski_json)
-from .surface import validate
+from .surface import integral_class, validate
 from .zariski import NotPseudoeffectiveError, zariski_decompose
 
 EXIT_OK = 0
@@ -93,13 +93,14 @@ def _zariski(args, loaded) -> dict:
     model, name = loaded.model, args.divisor
     level = _level(args, model, model.top)
     if name in loaded.divisors:
-        cls = loaded.divisor_at(name, level).class_at(model)
+        k, terms = 0, loaded.divisor_at(name, level).terms
     elif name in BUILTIN_DIVISORS:
-        cls = model.level(level).canonical.scale(BUILTIN_DIVISORS[name])
+        k, terms = BUILTIN_DIVISORS[name], ()
     else:
         raise CliFailure(EXIT_VALIDATION,
                          {"error": "unknown-divisor", "detail": name})
-    return zariski_json(model, zariski_decompose(model, level, cls), name)
+    D, d = integral_class(model, level, k, terms)
+    return zariski_json(model, zariski_decompose(model, level, D, d), name)
 
 
 def _pair(*names):

@@ -14,10 +14,13 @@ discrepancies a, σ and pa are ints too: numerators over one positive
 int, ``PairSpec.den``, compared as ints and printed by ``numeral_over``;
 Fractions are made from them only for the total potential discrepancy
 and ε₀, one ``quotient`` each, and in the rational view
-``potential_ledger``.  Sums are not normalized, except a class's
-coefficients in ``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still
-come out of a sum of genuine fractions from a rational Δ or form, such
-as an intersection number.
+``potential_ledger``.  The class a pair or the CLI decomposes, −(K+Δ),
+±K or a named divisor, reaches the solve as an int class d·D with its
+positive int d, summed in ints by ``surface.integral_class``.  Other sums
+are not normalized, except a class's coefficients in
+``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still come out of a
+sum of genuine fractions from a rational Δ or form, such as an
+intersection number.
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .lattice import intersect, quotient, rat
+from .lattice import DivisorClass, intersect, quotient, rat
 from .surface import (
     RDivisor,
     Record,
     SurfaceModel,
+    integral_class,
     push_forward,
     total_transform,
     validate,
@@ -92,11 +93,12 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     that -(K+Δ) is pseudoeffective against the catalog, and that the top
     level is log-resolution-ready for Supp Δ, Supp N and the exceptionals.
 
-    -(K+Δ) is decomposed once, at the pair level, and pulled back to the
-    top: Zariski decomposition commutes with pullback by a birational
-    morphism of smooth surfaces (Fujita 1979; Bauer 2009), given distinct
-    catalog curves that meet non-negatively, which ``make_base`` and the
-    budget of ``blow_up`` keep at every level.
+    -(K+Δ) is decomposed once, at the pair level, handed to the solve as
+    the int class d·(-(K+Δ)) with its d, and pulled back to the top:
+    Zariski decomposition commutes with pullback by a birational morphism
+    of smooth surfaces (Fujita 1979; Bauer 2009), given distinct catalog
+    curves that meet non-negatively, which ``make_base`` and the budget
+    of ``blow_up`` keep at every level.
     """
     lvl = model.level(level)
     if delta is None:
@@ -108,8 +110,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
             raise PairError(f"boundary curve {cid!r} is not on level {level}")
     if not delta.is_effective():
         raise PairError("boundary divisor must be effective")
+    minus = [(cid, -c) for cid, c in delta.terms]
     low = zariski_decompose(  # raises NotPseudoeffectiveError
-        model, level, -(lvl.canonical + delta.class_at(model)))
+        model, level, *integral_class(model, level, -1, minus))
     n = total_transform(model, low.N)
     points = _points_over(model, level)
     if not validate(model, {*delta.support, *n.support, *points}):
@@ -125,9 +128,12 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
                     ledger, points, den)
 
 
-def anti_log_canonical(pair: PairSpec):
-    lvl = pair.model.level(pair.level)
-    return -(lvl.canonical + pair.delta.class_at(pair.model))
+def anti_log_canonical(pair: PairSpec) -> DivisorClass:
+    """−(K+Δ) at the pair level: make_pair's int class over its d, one
+    ``quotient`` per coordinate."""
+    D, d = integral_class(pair.model, pair.level, -1,
+                          [(cid, -c) for cid, c in pair.delta.terms])
+    return D._replace(terms={i: quotient(v, d) for i, v in D.terms.items()})
 
 
 def _den(*divisors: RDivisor) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (
@@ -32,8 +33,8 @@ class ModelError(ValueError):
 
     ``center`` is the index, in the sequence given to ``blow_up``, of the
     center that failed; ``curve`` the index, in the base catalog, of a
-    curve that ``make_base`` rejects for its id or its genus.  None for an
-    error raised anywhere else."""
+    curve that ``make_base`` rejects for its id, its class or its genus.
+    None for an error raised anywhere else."""
 
     center: int | None = None
     curve: int | None = None
@@ -307,6 +308,38 @@ class RDivisor(NamedTuple):
         )
 
 
+def integral_class(
+    model: SurfaceModel, level: int, k: int,
+    terms: Sequence[tuple[str, int | Fraction]] = (),
+) -> tuple[DivisorClass, int]:
+    """(d·(k·K + Σ c·C), d) at ``level`` for an int k and the (curve id, c)
+    ``terms``: a class with int coefficients and a positive int d.  d is
+    the lcm of the c's denominators, times that of the sum's where a
+    rational lattice leaves a Fraction, which one more pass clears.  One
+    pass over K's coefficients and the curves' classes, each cut to the
+    level's rank, with no Fraction arithmetic on an integral lattice."""
+    lvl = model.level(level)
+    d = lcm(*[c.denominator for _, c in terms])
+    kd, rank, out = k * d, lvl.rank, {}
+    if kd:
+        base = model.lattice.canonical
+        out = {i: kd * v for i, v in enumerate(base) if v}
+        out.update(dict.fromkeys(range(len(base), rank), kd))  # the Eᵢ
+    for cid, c in terms:
+        if not lvl.has_curve(cid):
+            raise ModelError(f"unknown curve {cid!r}")
+        m = c.numerator * (d // c.denominator)
+        for i, v in model.curves[cid].cls.terms.items():
+            if i < rank:
+                out[i] = out.get(i, 0) + m * v
+    out = {i: v for i, v in out.items() if v}
+    if any(type(v) is not int for v in out.values()):
+        e = lcm(*[v.denominator for v in out.values()])
+        out = {i: v.numerator * (e // v.denominator) for i, v in out.items()}
+        d *= e
+    return DivisorClass(out, lvl.form.lattice_id), d
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -341,13 +374,13 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
     and the catalog classes with every integral entry as an int, so that
     intersection numbers are ints; the tower's one form has the spec's tag.
 
-    Each catalog curve needs an id that does not end in '~' and an
-    integral arithmetic genus at least its declared genus; a failure sets
-    ``ModelError.curve``.  Distinct catalog curves must meet
-    non-negatively, as on any surface: a lattice catalog with Cᵢ·Cⱼ < 0 is
-    rejected, naming the first such pair.  P² (L alone) and ruled bases
-    (C0·f = 1) always pass, and the budget of ``blow_up`` keeps the
-    condition at every later level."""
+    Each catalog curve needs a new id that does not end in '~', a class
+    of the lattice's rank, an int genus >= 0 and an integral arithmetic
+    genus at least that genus; a failure sets ``ModelError.curve``.
+    Distinct catalog curves must meet non-negatively, as on any surface:
+    a lattice catalog with Cᵢ·Cⱼ < 0 is rejected, naming the first such
+    pair.  P² (L alone) and ruled bases (C0·f = 1) always pass, and the
+    budget of ``blow_up`` keeps the condition at every later level."""
     if isinstance(spec, ProjectivePlane):
         lattice = AbstractLattice(("L",), ((1,),), (-3,),
                                   (CurveSpec("L", (1,), 0),))
@@ -374,14 +407,18 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
         if len(spec.canonical) != rank:
             raise ModelError("canonical class length must equal rank")
         seen: set[str] = set()
-        for cs in spec.curves:
-            if cs.id in seen:
-                raise ModelError(f"duplicate curve id {cs.id!r}")
+        for i, cs in enumerate(spec.curves):
+            try:
+                if cs.id in seen:
+                    raise ModelError(f"duplicate curve id {cs.id!r}")
+                if len(cs.coeffs) != rank:
+                    raise ModelError(f"curve {cs.id!r} class length must equal rank")
+                if type(cs.genus) is not int or cs.genus < 0:
+                    raise ModelError(f"curve {cs.id!r} needs an int genus >= 0")
+            except ModelError as exc:
+                exc.curve = i
+                raise
             seen.add(cs.id)
-            if len(cs.coeffs) != rank:
-                raise ModelError(f"curve {cs.id!r} class length must equal rank")
-            if type(cs.genus) is not int or cs.genus < 0:
-                raise ModelError(f"curve {cs.id!r} needs an int genus >= 0")
         lattice = AbstractLattice(
             spec.basis, tuple(tuple(map(rat, row)) for row in spec.gram),
             tuple(map(rat, spec.canonical)),

@@ -106,23 +106,27 @@ def _p_dot(b, x, rows, q=1) -> dict:
 
 
 def zariski_decompose(
-    model: SurfaceModel, level: int, D: DivisorClass
+    model: SurfaceModel, level: int, D: DivisorClass, d: int = 1
 ) -> ZariskiDecomposition:
-    """Iterative negative-curve algorithm (Bauer 2009).
+    """The decomposition of D/d, for a positive int d: iterative
+    negative-curve algorithm (Bauer 2009).
 
     Start with the catalog curves meeting D negatively; at each round solve
     gram(S)·x = (D·C) exactly, set N = Σ x_C·C and P = D − N, and add every
     catalog curve with P·C < 0, all at once: the fixed point is unique.
 
-    D is read through Dn = d·D, d the lcm of its denominators, so D·C and
+    D/d is read through Dn = e·D over d·e, e the lcm of D's denominators
+    (1 for an int class, such as ``integral_class`` builds), so D·C and
     D² are products of integral classes, ints on an integral form and
-    catalog.  S only grows, so Dn·C is computed once per curve and the row
-    Cᵢ·C once when Cᵢ joins, over the curves ``intersection_rows`` finds
-    can meet Cᵢ.  The system is solved in ints, its rows and Dn·C scaled
-    by one c = Γ·δ², Γ the lcm of the denominators of the base Gram block
-    and δ that of the base catalog's coefficients: a blow-up adds only
-    integral coordinates, so c clears every Cᵢ·Cⱼ and every Dn·C at every
-    level, and is computed only when S is not empty.  c is positive, so
+    catalog; d·e only scales the system, so no sign, support or canonical
+    quotient depends on which d is given.  S only grows, so Dn·C is
+    computed once per curve and the row Cᵢ·C once when Cᵢ joins, over
+    the curves ``intersection_rows`` finds can meet Cᵢ.  The system is
+    solved in ints, its rows and Dn·C scaled by one c = Γ·δ², Γ the lcm
+    of the denominators of the base Gram block and δ that of the base
+    catalog's coefficients: a blow-up adds only integral coordinates, so
+    c clears every Cᵢ·Cⱼ and every Dn·C at every level, and is computed
+    only when S is not empty.  c is positive, so
     every sign is kept, by one ``LDLFactor`` extended by the rows that
     join and bordered by the curves off S they touch: a round reads its
     violators off the border by a sign test, and x is back-substituted
@@ -139,23 +143,25 @@ def zariski_decompose(
     checks P·C = 0 on S and P·C ≥ 0 off it, in ints, and raises
     ``InvariantViolation`` naming the curves if the factor ever disagrees
     with x.  x and P are read off the numerators X and q = |Δₙ| in ints:
-    xₖ = Xₖ/(d·q) and P = (q·Dn − Σ Xₖ·Cₖ)/(d·q), one ``quotient`` per
-    coefficient of N and per nonzero coordinate of P, so a Fraction is
-    built only for a coefficient that is printed.  P² is
-    D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S, so P² > 0 is read as
-    c·q·Dn² > Σ Xₖ·bₖ.
+    xₖ = Xₖ/(d·e·q) and P = (q·Dn − Σ Xₖ·Cₖ)/(d·e·q), one int pass for
+    P's numerators and one ``quotient`` per coefficient of N and per
+    nonzero coordinate of P, so a Fraction is built only for a
+    coefficient that is printed.  P² is D·P = D² − Σ xₖ·(D·Cₖ), as
+    P·Cₖ = 0 on S, so P² > 0 is read as c·q·Dn² > Σ Xₖ·bₖ.
     """
     lvl = model.level(level)
     if not lvl.has_class(D):  # a class of a lower level is its own pullback
         raise ValueError("divisor class does not live at the requested level")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"the scale d of D/d must be an int >= 1, not {d!r}")
     at_level = lvl.classes
     ids, classes = list(at_level), list(at_level.values())
-    d = lcm(*[v.denominator for v in D.terms.values()])
-    Dn = DivisorClass({i: v.numerator * (d // v.denominator)
-                       for i, v in D.terms.items()}, D.lattice_id)  # d·D
+    e = lcm(*[v.denominator for v in D.terms.values()])
+    Dn = DivisorClass({i: v.numerator * (e // v.denominator)
+                       for i, v in D.terms.items()}, D.lattice_id)  # e·D
     dc = [intersect(Dn, cls, lvl.form) for cls in classes]
     S = [j for j, v in enumerate(dc) if v < 0]  # indices into the catalog
-    c, b, row_of = 1, dc, None  # with S empty no row is read: P = D
+    c, b, row_of = 1, dc, None  # with S empty no row is read: P = D/d
     if S:
         lat = model.lattice
         c = lcm(*[v.denominator for row in lat.gram for v in row]) * lcm(
@@ -201,9 +207,12 @@ def zariski_decompose(
             f"P·C ≠ 0 on Supp N at {', '.join(on_s) or 'no curve'}; "
             f"P·C < 0 off it at {', '.join(off_s) or 'no curve'}",
         )
-    den = d * q
-    Pn = Dn.scale(q).plus((-v, classes[i]) for i, v in zip(S, X))
-    P = DivisorClass({j: quotient(v, den) for j, v in Pn.terms.items()},
+    den = d * e * q
+    Pn = {j: q * v for j, v in Dn.terms.items()}  # q·Dn − Σ Xₖ·Cₖ
+    for i, v in zip(S, X):
+        for j, u in classes[i].terms.items():
+            Pn[j] = Pn.get(j, 0) - v * u
+    P = DivisorClass({j: quotient(v, den) for j, v in Pn.items() if v},
                      D.lattice_id)
     N = RDivisor(level, tuple(sorted(
         (ids[i], quotient(v, den)) for i, v in zip(S, X) if v)))

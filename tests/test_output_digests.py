@@ -47,16 +47,18 @@ def bench_workloads():
     return module
 
 
-def lattice_doc(model, rng) -> dict:
+def lattice_doc(model, rng, delta: str | None) -> dict:
     """``model`` with a divisor D on its base curves, and a pair at a
-    random level with Δ = 0."""
+    random level with Δ named ``delta`` (None: Δ = 0).  A D that is Δ
+    has no zero coefficient, so that Δ ≠ 0."""
     base = [cid for cid, c in model.curves.items() if c.born == 0]
-    terms = tuple((cid, rng.choice(COEFF_POOL[1:])) for cid in base)
-    pair = (rng.randrange(0, model.top + 1), None)
+    pool = COEFF_POOL[2:] if delta else COEFF_POOL[1:]
+    terms = tuple((cid, rng.choice(pool)) for cid in base)
+    pair = (rng.randrange(0, model.top + 1), delta)
     return serialize_model(LoadedModel(model, {"D": terms}, pair))
 
 
-def lattice_docs(draw, seed: int):
+def lattice_docs(draw, seed: int, delta: str | None = None):
     """LATTICE_MODELS draws of ``draw`` whose base catalog passes the
     reference genus and pair checks, as documents."""
     rng = random.Random(seed)
@@ -67,7 +69,7 @@ def lattice_docs(draw, seed: int):
                 or first_negative_pair(model.base)):
             continue
         found += 1
-        yield lattice_doc(model, rng)
+        yield lattice_doc(model, rng, delta)
 
 
 def families() -> dict:
@@ -83,6 +85,10 @@ def families() -> dict:
                         for n in SMALL_N],
         "lattice": list(lattice_docs(random_lattice_tower, 21)),
         "rational_lattice": list(lattice_docs(random_rational_lattice_tower, 22)),
+        # the one family with a rational form and a pair with Δ = D, where
+        # integral_class has a Fraction left to clear
+        "rational_lattice_delta": list(
+            lattice_docs(random_rational_lattice_tower, 23, "D")),
     }
     return {name: [(ROOT / d).read_text(encoding="utf-8") if isinstance(d, str)
                     else json.dumps(d) for d in family]

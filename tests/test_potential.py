@@ -322,6 +322,28 @@ def test_report_decomposes_once_per_pair_at_the_pair_level(
                      "classify_pair": analyses, "_points_over": analyses}
 
 
+@pytest.mark.parametrize("model, level, delta", [
+    (chain_model(24), 1, {"C0": Fraction(1, 2)}),
+    (cubic12_model(), 12, {"C": Fraction(1, 3)}),
+    (ruled(2, 3), 0, {}),
+], ids=["chain-delta", "cubic-top-delta", "ruled-delta-zero"])
+def test_make_pair_hands_the_solve_an_int_class(monkeypatch, model, level, delta):
+    """make_pair builds d·(−(K+Δ)) in ints with ``integral_class``, and
+    the solve reads P off its Cramer numerators in ints: neither sums a
+    class (``DivisorClass.plus``, which ``+`` and ``-`` call) nor builds
+    Δ's class (``RDivisor.class_at``)."""
+    calls = collections.Counter()
+    for owner, name in ((pl.DivisorClass, "plus"), (pl.RDivisor, "class_at")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    pair = pl.make_pair(model, level, pl.RDivisor.make(level, delta))
+    assert pair.decomposition.N.terms  # P was read off a solve
+    assert calls == {}
+
+
 def _pair_decomposition_or_error(decompose, *args):
     try:
         zd = decompose(*args)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 import pklt_lab as pl
 from conftest import (
+    COEFF_POOL,
     blown_ruled,
     chain_model,
     coords,
@@ -15,6 +17,7 @@ from conftest import (
     p2,
     random_center,
     random_lattice_tower,
+    random_rational_lattice_tower,
     random_tower,
     reference_tower,
     ruled,
@@ -555,6 +558,21 @@ def cubic_lattice(basis=("H",), canonical=(-3,), curves=(("C", (3,), 1),)):
                               tuple(pl.CurveSpec(*c) for c in curves))
 
 
+@pytest.mark.parametrize("curves, text", [
+    ((("L", (1,), 0), ("L", (3,), 1)), "duplicate curve id 'L'"),
+    ((("L", (1,), 0), ("C", (3, 0), 1)),
+     "curve 'C' class length must equal rank"),
+    ((("L", (1,), 0), ("C", (3,), -1)), "curve 'C' needs an int genus >= 0"),
+], ids=["duplicate-id", "class-length", "genus-below-0"])
+def test_make_base_names_the_curve_each_catalog_check_rejects(curves, text):
+    """The checks of a lattice catalog's ids, class lengths and genera set
+    ``ModelError.curve`` to the rejected curve's index, as the id-suffix
+    and arithmetic-genus checks do."""
+    with pytest.raises(pl.ModelError) as info:
+        pl.make_base(cubic_lattice(curves=curves))
+    assert (str(info.value), info.value.curve) == (text, 1)
+
+
 def typed_rejections():
     """Each check of the library that a caller, not the CLI, meets, as a
     call, the error it raises and the start of its text."""
@@ -659,6 +677,16 @@ def typed_rejections():
         "unknown-named-divisor": (
             lambda: loaded.divisor_at("X", 0),
             ValidationError, "/divisors: unknown divisor 'X'"),
+        "integral-class-of-a-curve-above-the-level": (
+            lambda: surface.integral_class(m, 0, 0, (("E1", 1),)),
+            pl.ModelError, "unknown curve 'E1'"),
+        "decomposition-over-a-zero-scale": (
+            lambda: pl.zariski_decompose(m, 0, m.level(0).canonical, 0),
+            ValueError, "the scale d of D/d must be an int >= 1, not 0"),
+        "decomposition-over-a-fraction-scale": (
+            lambda: pl.zariski_decompose(
+                m, 0, m.level(0).canonical, Fraction(1, 2)),
+            ValueError, "the scale d of D/d must be an int >= 1"),
     }
 
 
@@ -668,3 +696,35 @@ def test_each_typed_rejection_raises_its_error(case):
     with pytest.raises(error, match="^" + re.escape(text)) as info:
         call()
     assert type(info.value) is error
+
+
+def test_integral_class_is_d_times_the_rational_class_fuzzed():
+    """integral_class(model, level, k, terms) is (d·(k·K + Σ c·C), d): int
+    coefficients, an int d >= 1, and the class over d equal to the one
+    ``DivisorClass`` arithmetic sums.  At every level of 200 random P²
+    and ruled towers and 200 rational-lattice towers, for −(K+Δ) with Δ
+    drawn from COEFF_POOL, for K, −K and for Δ itself; on the rational
+    lattices the sum keeps a Fraction often enough that the extra pass
+    runs."""
+    rng = random.Random(28)
+    cases = rescaled = 0
+    for n in range(400):
+        m = (random_tower if n % 2 else random_rational_lattice_tower)(rng)
+        for lvl in m.levels:
+            delta = pl.RDivisor.make(
+                lvl.k, {cid: rng.choice(COEFF_POOL) for cid in lvl.classes})
+            minus = [(cid, -c) for cid, c in delta.terms]
+            for k, terms, want in (
+                (-1, minus, -(lvl.canonical + delta.class_at(m))),
+                (1, (), lvl.canonical),
+                (-1, (), -lvl.canonical),
+                (0, delta.terms, delta.class_at(m)),
+            ):
+                D, d = surface.integral_class(m, lvl.k, k, terms)
+                assert type(d) is int and d >= 1
+                assert all(type(v) is int for v in D.terms.values())
+                assert D.lattice_id == want.lattice_id
+                assert {i: Fraction(v, d) for i, v in D.terms.items()} == want.terms
+                cases += 1
+                rescaled += d > math.lcm(*[c.denominator for _, c in terms])
+    assert cases > 2000 and rescaled > 100, (cases, rescaled)

@@ -567,7 +567,7 @@ def _rational_pair_cases(rng, count):
 
 
 def test_solve_intersects_only_integral_classes(monkeypatch):
-    """The solve scales D by the lcm d of its denominators before any
+    """The solve scales D by the lcm e of its denominators before any
     product, so on an integral catalog every intersect it makes (D·C, the
     rows, D²) takes two classes of int coefficients, for a rational D or
     Δ too: on P², ruled and integral lattice towers, on random pairs'
@@ -595,6 +595,36 @@ def test_solve_intersects_only_integral_classes(monkeypatch):
     assert supports > 200
     assert all(type(v) is int for pair in seen for c in pair
                for v in c.terms.values())
+
+
+def test_decomposition_of_a_scaled_class_over_its_scale():
+    """zariski_decompose(model, level, e·D, e) is the decomposition of D,
+    or the same error: P, N and big agree for e in 2, 3, 6 and 35, on the
+    integral catalog cases and the random pairs' −(K+Δ) of
+    ``test_solve_intersects_only_integral_classes``, on rational-lattice
+    towers with −K or a class of signed coefficients, and on the chain."""
+    rng = random.Random(28)
+    cases = [*_integral_catalog_cases(rng, 300),
+             *_rational_pair_cases(rng, 100)]
+    for _ in range(100):
+        m = random_rational_lattice_tower(rng)
+        lvl = m.level(rng.randrange(0, m.top + 1))
+        cls = pl.RDivisor.make(
+            lvl.k, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
+        ).class_at(m) if rng.random() < 0.7 else -lvl.canonical
+        cases.append((m, lvl.k, cls))
+    m = chain_model(24)
+    cases.append((m, m.top, -m.level(m.top).canonical))
+    supports = 0
+    for m, level, D in cases:
+        want = _decomposition_or_error(pl.zariski_decompose, m, level, D)
+        supports += len(want) == 3 and bool(want[1].terms)
+        for e in (2, 3, 6, 35):
+            got = _decomposition_or_error(
+                lambda m, level, D: pl.zariski_decompose(m, level, D.scale(e), e),
+                m, level, D)
+            assert got == want, (m, level, D, e)
+    assert supports > 100, supports
 
 
 @pytest.mark.parametrize("n", [24, 48, 96, 192, 384])
