@@ -22,6 +22,7 @@ from .surface import (
     Ruled,
     SurfaceModel,
     blow_up,
+    integral_class,
     make_base,
     pull_back,
     push_forward,

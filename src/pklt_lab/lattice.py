@@ -17,10 +17,9 @@ and ε₀, one ``quotient`` each, and in the rational view
 ``potential_ledger``.  The class a pair or the CLI decomposes, −(K+Δ),
 ±K or a named divisor, reaches the solve as an int class d·D with its
 positive int d, summed in ints by ``surface.integral_class``.  Other sums
-are not normalized, except a class's coefficients in
-``DivisorClass.plus``, so a ``Fraction(n, 1)`` can still come out of a
-sum of genuine fractions from a rational Δ or form, such as an
-intersection number.
+are not normalized, so a ``Fraction(n, 1)`` can still come out of a sum
+of genuine fractions from a rational Δ or form, such as an intersection
+number.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class LatticeMismatchError(ValueError):
@@ -108,8 +107,8 @@ class DivisorClass(NamedTuple):
     class has no rank, so a class of a level is its own pullback above it.
 
     A coefficient is an int or a Fraction, never a float: sums and products
-    of ints stay ints, and nothing here divides.  ``plus`` makes the
-    coefficients it sums canonical.
+    of ints stay ints, and nothing here divides.  A class has no
+    arithmetic: ``surface.integral_class`` sums classes.
     """
 
     terms: dict[int, int | Fraction]
@@ -120,37 +119,6 @@ class DivisorClass(NamedTuple):
         cls, coeffs: Sequence[int | Fraction], lattice_id: str
     ) -> "DivisorClass":
         return cls({i: c for i, c in enumerate(coeffs) if c}, lattice_id)
-
-    def plus(
-        self, scaled: Iterable[tuple[int | Fraction, "DivisorClass"]]
-    ) -> "DivisorClass":
-        """self + Σ r·C over the (r, C) pairs, all in this lattice, with
-        canonical coefficients."""
-        terms = dict(self.terms)
-        for r, other in scaled:
-            if other.lattice_id != self.lattice_id:
-                raise LatticeMismatchError(
-                    f"classes from different lattices: "
-                    f"{self.lattice_id!r} vs {other.lattice_id!r}"
-                )
-            for i, c in other.terms.items():
-                terms[i] = terms.get(i, 0) + r * c
-        terms = {i: rat(c) for i, c in terms.items() if c}
-        return DivisorClass(terms, self.lattice_id)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self.plus(((1, other),))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self.plus(((-1, other),))
-
-    def __neg__(self) -> "DivisorClass":
-        return self.scale(-1)
-
-    def scale(self, r) -> "DivisorClass":
-        r = rat(r)
-        terms = {i: r * c for i, c in self.terms.items()} if r else {}
-        return DivisorClass(terms, self.lattice_id)
 
 
 def basis_class(index: int, lattice_id: str) -> DivisorClass:

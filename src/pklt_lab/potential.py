@@ -100,16 +100,9 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
     curves that meet non-negatively, which ``make_base`` and the budget
     of ``blow_up`` keep at every level.
     """
-    lvl = model.level(level)
     if delta is None:
         delta = RDivisor.make(level, {})
-    if delta.level != level:
-        raise PairError("boundary divisor must live at the pair level")
-    for cid in delta.support:
-        if not lvl.has_curve(cid):
-            raise PairError(f"boundary curve {cid!r} is not on level {level}")
-    if not delta.is_effective():
-        raise PairError("boundary divisor must be effective")
+    _check_on_level(model, level, delta, "boundary")
     minus = [(cid, -c) for cid, c in delta.terms]
     low = zariski_decompose(  # raises NotPseudoeffectiveError
         model, level, *integral_class(model, level, -1, minus))
@@ -126,6 +119,18 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
         ledger[cid] = LedgerEntry(a[cid], sig, a[cid] - sig)
     return PairSpec(model, level, delta, low._replace(level=model.top, N=n),
                     ledger, points, den)
+
+
+def _check_on_level(model: SurfaceModel, level: int, d: RDivisor, kind: str) -> None:
+    """Δ's rule, and a witness's: at the pair level, on its curves, effective."""
+    lvl = model.level(level)
+    if d.level != level:
+        raise PairError(f"{kind} divisor must live at the pair level")
+    for cid in d.support:
+        if not lvl.has_curve(cid):
+            raise PairError(f"{kind} curve {cid!r} is not on level {level}")
+    if not d.is_effective():
+        raise PairError(f"{kind} divisor must be effective")
 
 
 def anti_log_canonical(pair: PairSpec) -> DivisorClass:
@@ -475,11 +480,8 @@ def check_intersection_limit(pair: PairSpec, deltas: Sequence[RDivisor]) -> dict
 def check_witness(pair: PairSpec, witness: RDivisor) -> dict:
     """Verify a user-supplied divisor D with f*D >= N: then the small-ε
     strictly-potentially-non-klt locus sits inside Nklt(X, Δ+D)."""
-    if witness.level != pair.level:
-        raise PairError("witness must live at the pair level")
-    if not witness.is_effective():
-        raise PairError("witness must be effective")
     model = pair.model
+    _check_on_level(model, pair.level, witness, "witness")
     ft = dict(total_transform(model, witness).terms)
     n = dict(pair.decomposition.N.terms)
     dominates = all(ft.get(cid, 0) >= v for cid, v in n.items())

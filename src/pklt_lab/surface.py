@@ -226,12 +226,6 @@ class Level:
         self.rank = len(model.lattice.gram) + k
 
     @property
-    def canonical(self) -> DivisorClass:
-        """K₀ + E1 + ... + Ek (Hartshorne V.3.3)."""
-        coeffs = tuple(self.model.lattice.canonical) + (1,) * self.k
-        return DivisorClass.dense(coeffs, self.form.lattice_id)
-
-    @property
     def basis_labels(self) -> tuple[str, ...]:
         centers = self.model.centers[: self.k]
         return self.model.lattice.basis + tuple(c.exceptional_id for c in centers)
@@ -297,22 +291,13 @@ class RDivisor(NamedTuple):
             raise ModelError("cannot add divisors at different levels")
         return RDivisor.make(self.level, list(self.terms) + list(other.terms))
 
-    def scale(self, r) -> "RDivisor":
-        r = rat(r)
-        return RDivisor.make(self.level, [(k, r * v) for k, v in self.terms])
-
-    def class_at(self, model: SurfaceModel) -> DivisorClass:
-        lvl = model.level(self.level)
-        return DivisorClass({}, lvl.form.lattice_id).plus(
-            (c, lvl.curve(cid).cls) for cid, c in self.terms
-        )
-
 
 def integral_class(
     model: SurfaceModel, level: int, k: int,
     terms: Sequence[tuple[str, int | Fraction]] = (),
 ) -> tuple[DivisorClass, int]:
-    """(d·(k·K + Σ c·C), d) at ``level`` for an int k and the (curve id, c)
+    """(d·(k·K + Σ c·C), d) at ``level``, with K = K₀ + E1 + ... + E_level
+    (Hartshorne V.3.3), for an int k and the (curve id, c)
     ``terms``: a class with int coefficients and a positive int d.  d is
     the lcm of the c's denominators, times that of the sum's where a
     rational lattice leaves a Fraction, which one more pass clears.  One

@@ -357,6 +357,43 @@ def reference_tower(model):
 
 
 # ---------------------------------------------------------------------------
+# dense class reference
+
+
+def reference_class(model, level, k, terms=()):
+    """k·K + Σ c·C at ``level``, for the (curve id, c) ``terms``, summed
+    densely in Fractions from the base lattice's coordinates and the
+    centers' multiplicities: a curve's class is its base coordinates, or
+    E_b's unit vector, then −m for each later center on it with
+    multiplicity m, and K gains a 1 per center.  The reference for
+    surface.integral_class, with no code of surface.py; a DivisorClass
+    with canonical coefficients."""
+    lat, centers = model.lattice, model.centers[:level]
+    born = {c.exceptional_id: j for j, c in enumerate(centers, 1)}
+    base = {cs.id: cs.coeffs for cs in lat.curves}
+    total = [Fraction(k * v) for v in (*lat.canonical, *[1] * level)]
+    for cid, c in terms:
+        b = born.get(cid, 0)
+        head = (0,) * len(lat.gram) if b else base[cid]
+        tail = (1 if j == b else -dict(center.on_curves).get(cid, 0)
+                for j, center in enumerate(centers, 1))
+        for i, v in enumerate((*head, *tail)):
+            total[i] += Fraction(c) * v
+    return pl.DivisorClass.dense([pl.rat(v) for v in total],
+                                 model.form.lattice_id)
+
+
+def class_sum(cls, scaled):
+    """cls + Σ r·C over the (r, C) pairs, with canonical coefficients: the
+    class sums of the Zariski oracles."""
+    terms = dict(cls.terms)
+    for r, other in scaled:
+        for i, v in other.terms.items():
+            terms[i] = terms.get(i, 0) + r * v
+    return cls._replace(terms={i: pl.rat(v) for i, v in terms.items() if v})
+
+
+# ---------------------------------------------------------------------------
 # brute-force Zariski oracle
 
 
@@ -385,10 +422,7 @@ def brute_force_zariski(model, level, D):
                     continue
             else:
                 x = []
-            n_cls = D.scale(0)
-            for c, xc in zip(subset, x):
-                n_cls = n_cls + c.cls.scale(xc)
-            P = D - n_cls
+            P = class_sum(D, [(-xc, c.cls) for c, xc in zip(subset, x)])
             if any(pl.intersect(P, c.cls, lvl.form) < 0 for c in curves):
                 continue
             survivors.append(
@@ -475,13 +509,9 @@ def reference_zariski(model, level, D):
                 x = pl.solve_exact(gram, rhs)
             except pl.SingularMatrixError:
                 raise pl.NotPseudoeffectiveError("singular curve configuration")
-            n_cls = D.scale(0)
-            for c, xc in zip(S, x):
-                n_cls = n_cls + c.cls.scale(xc)
         else:
             gram = []
-            n_cls = D.scale(0)
-        P = D - n_cls
+        P = class_sum(D, [(-xc, c.cls) for c, xc in zip(S, x)])
         new = [
             c
             for c in curves
@@ -514,7 +544,8 @@ def reference_fano_type_test(model, level):
     against its potentially-klt flag.  The oracle for fano_type_test, which
     reads the verdict off the classification of (X, 0) instead."""
     try:
-        zd = pl.zariski_decompose(model, level, -model.level(level).canonical)
+        zd = pl.zariski_decompose(
+            model, level, *pl.integral_class(model, level, -1))
     except pl.NotPseudoeffectiveError as exc:
         return pl.FanoVerdict(False, f"-K is {exc}")
     report = pl.classify_pair(pl.make_pair(model, level, zd.N))
@@ -542,10 +573,8 @@ def top_level_decomposition(model, level, delta=None):
     """f*(-(K+Δ)) decomposed at the top of the tower, against every catalog
     curve there.  The oracle for make_pair, which decomposes -(K+Δ) at the
     pair level and pulls P and N back."""
-    lvl = model.level(level)
-    d = -lvl.canonical
-    if delta is not None:
-        d = d - delta.class_at(model)
+    minus = () if delta is None else [(cid, -c) for cid, c in delta.terms]
+    d = reference_class(model, level, -1, minus)
     return pl.zariski_decompose(
         model, model.top, pl.pull_back(model, level, model.top, d)
     )
@@ -623,6 +652,8 @@ __all__ = [
     "random_klt_pair",
     "random_center",
     "reference_tower",
+    "reference_class",
+    "class_sum",
     "reference_point_descriptor",
     "brute_force_zariski",
     "reference_zariski",

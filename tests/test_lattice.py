@@ -156,7 +156,7 @@ small_rats = st.fractions(
        small_rats, small_rats)
 def test_intersect_bilinear_symmetric(r, a0, a1, b0, b1, c0, c1):
     a, b, c = cls(a0, a1), cls(b0, b1), cls(c0, c1)
-    lhs = pl.intersect(a.scale(r) + b, c, RULED_23)
+    lhs = pl.intersect(cls(r * a0 + b0, r * a1 + b1), c, RULED_23)
     rhs = r * pl.intersect(a, c, RULED_23) + pl.intersect(b, c, RULED_23)
     assert lhs == rhs
     assert pl.intersect(a, b, RULED_23) == pl.intersect(b, a, RULED_23)

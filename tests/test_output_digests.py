@@ -96,20 +96,24 @@ def families() -> dict:
 
 
 def commands(text: str):
-    """The arguments after the document of each command run on it."""
+    """The arguments after the document of each command run on it: each
+    subcommand's first run is followed by the same run in text format."""
     doc = json.loads(text)
     levels = sorted({"0", str(len(doc.get("blowups", [])))})
-    yield ["check"]
+    runs = [["check"]]
     for name in ("antiK", "K", *doc.get("divisors", {})):
         for level in levels:
-            yield ["zariski", "--divisor", name, "--level", level]
+            runs.append(["zariski", "--divisor", name, "--level", level])
     for command in ("potential", "pnklt", "classify"):
-        yield [command]
-        yield [command, "--eps", "1/3"]
-    yield ["classify", "--format", "text"]
-    yield ["rcc"]
-    for level in levels:
-        yield ["fano", "--level", level]
+        runs += [[command], [command, "--eps", "1/3"]]
+    runs.append(["rcc"])
+    runs += [["fano", "--level", level] for level in levels]
+    seen = set()
+    for args in runs:
+        yield args
+        if args[0] not in seen:
+            seen.add(args[0])
+            yield [*args, "--format", "text"]
 
 
 def run(argv) -> bytes:

@@ -322,28 +322,6 @@ def test_report_decomposes_once_per_pair_at_the_pair_level(
                      "classify_pair": analyses, "_points_over": analyses}
 
 
-@pytest.mark.parametrize("model, level, delta", [
-    (chain_model(24), 1, {"C0": Fraction(1, 2)}),
-    (cubic12_model(), 12, {"C": Fraction(1, 3)}),
-    (ruled(2, 3), 0, {}),
-], ids=["chain-delta", "cubic-top-delta", "ruled-delta-zero"])
-def test_make_pair_hands_the_solve_an_int_class(monkeypatch, model, level, delta):
-    """make_pair builds d·(−(K+Δ)) in ints with ``integral_class``, and
-    the solve reads P off its Cramer numerators in ints: neither sums a
-    class (``DivisorClass.plus``, which ``+`` and ``-`` call) nor builds
-    Δ's class (``RDivisor.class_at``)."""
-    calls = collections.Counter()
-    for owner, name in ((pl.DivisorClass, "plus"), (pl.RDivisor, "class_at")):
-        def counted(*args, _original=getattr(owner, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-    pair = pl.make_pair(model, level, pl.RDivisor.make(level, delta))
-    assert pair.decomposition.N.terms  # P was read off a solve
-    assert calls == {}
-
-
 def _pair_decomposition_or_error(decompose, *args):
     try:
         zd = decompose(*args)
@@ -538,6 +516,22 @@ def test_check_witness_ruled_blowup(ruled_blowup_pair):
     assert rep["eps"] == Fraction(1, 6)
     too_small = pl.check_witness(ruled_blowup_pair, pl.RDivisor.make(1, {}))
     assert not too_small["dominates"]
+
+
+@pytest.mark.parametrize("cid", ["E1", "nope"])
+def test_check_witness_rejects_a_curve_not_on_the_pair_level(cid):
+    """A witness names curves of the pair level, as Δ does: E1 is born
+    above level 0 and 'nope' is no curve, so each raises the PairError
+    that make_pair raises for the same term in Δ, not a verdict on the
+    term's silent drop."""
+    model = blown_ruled(2, 3)
+    terms = pl.RDivisor.make(0, {"C0": 5, cid: 7})
+    with pytest.raises(pl.PairError) as boundary:
+        pl.make_pair(model, 0, terms)
+    with pytest.raises(pl.PairError) as witness:
+        pl.check_witness(pl.make_pair(model, 0), terms)
+    assert str(boundary.value) == f"boundary curve {cid!r} is not on level 0"
+    assert str(witness.value) == f"witness curve {cid!r} is not on level 0"
 
 
 def test_check_witness_halves_an_integral_eps0_exactly():

@@ -13,6 +13,7 @@ from conftest import (
     random_lattice_tower,
     random_pair,
     random_tower,
+    reference_class,
     reference_rcc_json,
     ruled,
 )
@@ -116,7 +117,7 @@ def test_surface_rcc_preconditions():
         pl.surface_rcc_via_pnklt(report)
     # -K on Ruled(2,2) is psef with N = 2C0 and P = 0, so not big
     m = ruled(2, 2)
-    assert not pl.is_big(m, 0, -m.level(0).canonical)
+    assert not pl.is_big(m, 0, reference_class(m, 0, -1))
     with pytest.raises(ValueError, match="big"):
         pl.surface_rcc_via_pnklt(classify(m, 0))
 

@@ -19,7 +19,7 @@ def one_of_each_record():
     pair = pl.make_pair(p2(), 0, pl.RDivisor.make(0, {"L": 1}))
     report = pl.classify_pair(pair)
     return [
-        level.canonical,
+        pl.integral_class(model, 1, 1)[0],
         level.form,
         pl.ProjectivePlane(),
         model.base,

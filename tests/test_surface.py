@@ -11,6 +11,7 @@ import pklt_lab as pl
 from conftest import (
     COEFF_POOL,
     blown_ruled,
+    class_sum,
     chain_model,
     coords,
     cubic12_model,
@@ -19,6 +20,7 @@ from conftest import (
     random_lattice_tower,
     random_rational_lattice_tower,
     random_tower,
+    reference_class,
     reference_tower,
     ruled,
 )
@@ -27,17 +29,25 @@ from pklt_lab.lattice import basis_class, signature
 from pklt_lab.modelio import ValidationError, parse_model
 
 
+def canonical(m, k):
+    """K at level k of a tower whose base K is integral, as
+    integral_class sums it."""
+    K, d = pl.integral_class(m, k, 1)
+    assert d == 1
+    return K
+
+
 def test_make_base_p2():
     m = p2()
     lvl = m.level(0)
-    assert coords(lvl.canonical, lvl.rank) == (Fraction(-3),)
+    assert coords(canonical(m, 0), lvl.rank) == (-3,)
     assert lvl.curve("L").genus == 0
 
 
 def test_make_base_ruled_2_3():
     m = ruled(2, 3)
     lvl = m.level(0)
-    assert coords(lvl.canonical, lvl.rank) == (Fraction(-2), Fraction(-1))
+    assert coords(canonical(m, 0), lvl.rank) == (-2, -1)
     assert lvl.form.gram == ((Fraction(-3), Fraction(1)),
                              (Fraction(1), Fraction(0)))
     assert lvl.curve("C0").genus == 2
@@ -46,7 +56,7 @@ def test_make_base_ruled_2_3():
 
 def test_make_base_ruled_0_1():
     m = ruled(0, 1)
-    assert coords(m.level(0).canonical, 2) == (Fraction(-2), Fraction(-3))
+    assert coords(canonical(m, 0), 2) == (-2, -3)
 
 
 def test_make_base_rejects_bad_ruled():
@@ -91,8 +101,8 @@ def test_blow_up_section_point():
 def test_blow_up_free_point_on_p2_degree_8():
     m = pl.blow_up(p2(), (pl.BlowUpCenter(()),))
     lvl = m.level(1)
-    antik = -lvl.canonical
-    assert coords(antik, lvl.rank) == (Fraction(3), Fraction(-1))
+    antik, _ = pl.integral_class(m, 1, -1)
+    assert coords(antik, lvl.rank) == (3, -1)
     assert pl.intersect(antik, antik, lvl.form) == 8
 
 
@@ -112,17 +122,17 @@ def test_infinitely_near_rejects_base_curve():
 
 def test_canonical_update_rule():
     m = blown_ruled(2, 3)
-    lvl0, lvl1 = m.level(0), m.level(1)
-    pulled = pl.pull_back(m, 0, 1, lvl0.canonical)
+    lvl1 = m.level(1)
+    pulled = pl.pull_back(m, 0, 1, canonical(m, 0))
     e = lvl1.curve("E1").cls
-    assert lvl1.canonical == pulled + e
+    assert canonical(m, 1) == class_sum(pulled, [(1, e)])
     assert pl.intersect(pulled, e, lvl1.form) == 0
 
 
 def test_pull_back_preserves_intersections():
     m = blown_ruled(2, 3)
     lvl0, lvl1 = m.level(0), m.level(1)
-    antik = -lvl0.canonical
+    antik, _ = pl.integral_class(m, 0, -1)
     up = pl.pull_back(m, 0, 1, antik)
     assert coords(up, lvl1.rank) == (Fraction(2), Fraction(1), Fraction(0))
     assert pl.intersect(up, up, lvl1.form) == pl.intersect(antik, antik, lvl0.form)
@@ -133,12 +143,12 @@ def test_pull_back_rejects_a_class_from_above_its_source():
     """-K₁ has a term at E1, the coordinate past level 0's rank."""
     m = blown_ruled(2, 3)
     with pytest.raises(pl.ModelError, match="does not live at the source level"):
-        pl.pull_back(m, 0, 1, -m.level(1).canonical)
+        pl.pull_back(m, 0, 1, pl.integral_class(m, 1, -1)[0])
 
 
 def test_pull_back_identity_levels():
     m = ruled(2, 3)
-    k = m.level(0).canonical
+    k = canonical(m, 0)
     assert pl.pull_back(m, 0, 0, k) == k
 
 
@@ -276,8 +286,8 @@ def test_structural_invariants_fuzzed():
             e = lvl.curve(m.centers[k - 1].exceptional_id)
             assert e.genus == 0
             assert pl.intersect(e.cls, e.cls, lvl.form) == -1
-            pulled_k = pl.pull_back(m, k - 1, k, prev.canonical)
-            assert lvl.canonical == pulled_k + e.cls
+            pulled_k = pl.pull_back(m, k - 1, k, canonical(m, k - 1))
+            assert canonical(m, k) == class_sum(pulled_k, [(1, e.cls)])
             for a in prev.classes.values():
                 for b in prev.classes.values():
                     assert pl.intersect(
@@ -304,19 +314,20 @@ def test_structural_invariants_fuzzed():
 def level_data(lvl):
     curves = [lvl.curve(cid) for cid in lvl.classes]
     center = lvl.model.centers[lvl.k - 1] if lvl.k else None
-    return (lvl.form, lvl.canonical, lvl.basis_labels, curves, center)
+    return (lvl.form, canonical(lvl.model, lvl.k), lvl.basis_labels, curves,
+            center)
 
 
 def test_every_level_matches_the_dense_reference():
     rng = random.Random(5)
     towers = [random_tower(rng) for _ in range(60)]
     for m in towers + [cubic12_model(), chain_model(24)]:
-        for lvl, (labels, canonical, curves) in zip(
+        for lvl, (labels, K, curves) in zip(
             m.levels, reference_tower(m), strict=True
         ):
             lat = lvl.form.lattice_id
             assert lvl.basis_labels == labels
-            assert lvl.canonical == pl.DivisorClass.dense(canonical, lat)
+            assert canonical(m, lvl.k) == pl.DivisorClass.dense(K, lat)
             assert [(c.id, c.genus, c.display, c.cls)
                     for c in map(lvl.curve, lvl.classes)] == [
                 (cid, g, display, pl.DivisorClass.dense(cls, lat))
@@ -638,7 +649,7 @@ def typed_rejections():
         "curve-above-the-level": (
             lambda: m.level(0).curve("E1"), pl.ModelError, "unknown curve 'E1'"),
         "pull-back-from-above": (
-            lambda: pl.pull_back(m, 1, 0, m.level(0).canonical),
+            lambda: pl.pull_back(m, 1, 0, canonical(m, 0)),
             pl.ModelError, "pull_back goes up the tower"),
         "push-forward-to-above": (
             lambda: pl.push_forward(m, 0, 1, d0),
@@ -662,18 +673,15 @@ def typed_rejections():
         "solve-of-a-non-square-system": (
             lambda: pl.solve_exact([[1, 0]], [1]),
             ValueError, "dimension mismatch"),
-        "plus-across-lattices": (
-            lambda: p2().level(0).canonical.plus([(1, m.level(0).canonical)]),
-            pl.LatticeMismatchError, "classes from different lattices"),
         "monotonicity-of-a-negative-extra": (
             lambda: pl.check_monotonicity(pair, negative),
             pl.PairError, "extra boundary must be effective"),
         "witness-at-another-level": (
             lambda: pl.check_witness(pair, d0),
-            pl.PairError, "witness must live at the pair level"),
+            pl.PairError, "witness divisor must live at the pair level"),
         "negative-witness": (
             lambda: pl.check_witness(pair, negative),
-            pl.PairError, "witness must be effective"),
+            pl.PairError, "witness divisor must be effective"),
         "unknown-named-divisor": (
             lambda: loaded.divisor_at("X", 0),
             ValidationError, "/divisors: unknown divisor 'X'"),
@@ -681,11 +689,11 @@ def typed_rejections():
             lambda: surface.integral_class(m, 0, 0, (("E1", 1),)),
             pl.ModelError, "unknown curve 'E1'"),
         "decomposition-over-a-zero-scale": (
-            lambda: pl.zariski_decompose(m, 0, m.level(0).canonical, 0),
+            lambda: pl.zariski_decompose(m, 0, canonical(m, 0), 0),
             ValueError, "the scale d of D/d must be an int >= 1, not 0"),
         "decomposition-over-a-fraction-scale": (
             lambda: pl.zariski_decompose(
-                m, 0, m.level(0).canonical, Fraction(1, 2)),
+                m, 0, canonical(m, 0), Fraction(1, 2)),
             ValueError, "the scale d of D/d must be an int >= 1"),
     }
 
@@ -698,33 +706,33 @@ def test_each_typed_rejection_raises_its_error(case):
     assert type(info.value) is error
 
 
-def test_integral_class_is_d_times_the_rational_class_fuzzed():
+@pytest.mark.parametrize("draw", [
+    random_tower, random_lattice_tower, random_rational_lattice_tower,
+], ids=["p2-ruled", "lattice", "rational-lattice"])
+def test_integral_class_is_d_times_the_reference_class_fuzzed(draw):
     """integral_class(model, level, k, terms) is (d·(k·K + Σ c·C), d): int
-    coefficients, an int d >= 1, and the class over d equal to the one
-    ``DivisorClass`` arithmetic sums.  At every level of 200 random P²
-    and ruled towers and 200 rational-lattice towers, for −(K+Δ) with Δ
-    drawn from COEFF_POOL, for K, −K and for Δ itself; on the rational
-    lattices the sum keeps a Fraction often enough that the extra pass
-    runs."""
-    rng = random.Random(28)
-    cases = rescaled = 0
-    for n in range(400):
-        m = (random_tower if n % 2 else random_rational_lattice_tower)(rng)
+    coefficients, an int d >= 1, and the class over d equal to
+    reference_class's dense Fraction sum.  At every level of the towers
+    among 150 draws that make_base accepts, for k in −1, 0 and 1, with no
+    terms, with a Δ drawn from COEFF_POOL and with −Δ.  Only on the
+    rational lattices does the sum keep a Fraction, often enough that the
+    extra pass runs."""
+    rng = random.Random(29)
+    cases = collections.Counter()
+    for _ in range(150):
+        m = draw(rng)
+        if m is None:  # a lattice catalog that make_base rejects
+            continue
         for lvl in m.levels:
-            delta = pl.RDivisor.make(
-                lvl.k, {cid: rng.choice(COEFF_POOL) for cid in lvl.classes})
-            minus = [(cid, -c) for cid, c in delta.terms]
-            for k, terms, want in (
-                (-1, minus, -(lvl.canonical + delta.class_at(m))),
-                (1, (), lvl.canonical),
-                (-1, (), -lvl.canonical),
-                (0, delta.terms, delta.class_at(m)),
-            ):
-                D, d = surface.integral_class(m, lvl.k, k, terms)
+            delta = [(cid, rng.choice(COEFF_POOL)) for cid in lvl.classes]
+            minus = [(cid, -c) for cid, c in delta]
+            for k, terms in itertools.product((-1, 0, 1), ((), delta, minus)):
+                D, d = pl.integral_class(m, lvl.k, k, terms)
+                want = reference_class(m, lvl.k, k, terms)
                 assert type(d) is int and d >= 1
                 assert all(type(v) is int for v in D.terms.values())
                 assert D.lattice_id == want.lattice_id
                 assert {i: Fraction(v, d) for i, v in D.terms.items()} == want.terms
-                cases += 1
-                rescaled += d > math.lcm(*[c.denominator for _, c in terms])
-    assert cases > 2000 and rescaled > 100, (cases, rescaled)
+                cases[d > math.lcm(*[c.denominator for _, c in terms])] += 1
+    rational = draw is random_rational_lattice_tower
+    assert cases[False] > 500 and (cases[True] > 100) == rational, cases

@@ -24,6 +24,7 @@ from conftest import (
     random_pair,
     random_rational_lattice_tower,
     random_tower,
+    reference_class,
     reference_zariski,
     ruled,
     zariski_scale,
@@ -36,7 +37,7 @@ from pklt_lab.potential import anti_log_canonical
 def test_anticanonical_on_ruled_2_3():
     m = ruled(2, 3)
     lvl = m.level(0)
-    zd = pl.zariski_decompose(m, 0, -lvl.canonical)
+    zd = pl.zariski_decompose(m, 0, *pl.integral_class(m, 0, -1))
     assert zd.N.terms == (("C0", Fraction(5, 3)),)
     assert coords(zd.P, lvl.rank) == (Fraction(1, 3), Fraction(1))
     assert pl.intersect(zd.P, zd.P, lvl.form) == Fraction(1, 3)
@@ -44,20 +45,19 @@ def test_anticanonical_on_ruled_2_3():
 
 def test_anticanonical_on_blown_ruled_2_3():
     m = blown_ruled(2, 3)
-    lvl = m.level(1)
-    zd = pl.zariski_decompose(m, 1, -lvl.canonical)
+    zd = pl.zariski_decompose(m, 1, *pl.integral_class(m, 1, -1))
     assert dict(zd.N.terms) == {"C0": Fraction(5, 3), "E1": Fraction(2, 3)}
     # P is the pullback of the positive part downstairs
-    down = pl.zariski_decompose(m, 0, -m.level(0).canonical)
+    down = pl.zariski_decompose(m, 0, *pl.integral_class(m, 0, -1))
     assert zd.P == pl.pull_back(m, 0, 1, down.P)
 
 
 def test_nef_divisor_has_zero_negative_part():
     m = ruled(0, 2)
     lvl = m.level(0)
-    zd = pl.zariski_decompose(m, 0, -lvl.canonical)
+    zd = pl.zariski_decompose(m, 0, *pl.integral_class(m, 0, -1))
     assert zd.N.is_zero()
-    assert zd.P == -lvl.canonical
+    assert zd.P == reference_class(m, 0, -1)
     assert pl.intersect(zd.P, zd.P, lvl.form) == 8
 
 
@@ -70,30 +70,30 @@ def test_hirzebruch_battery():
     }
     for e, terms in expected.items():
         m = ruled(0, e)
-        zd = pl.zariski_decompose(m, 0, -m.level(0).canonical)
+        zd = pl.zariski_decompose(m, 0, *pl.integral_class(m, 0, -1))
         assert dict(zd.N.terms) == terms
 
 
 def test_not_pseudoeffective_raises_with_message():
     m = ruled(2, 3)
-    minus_c0 = m.level(0).curve("C0").cls.scale(-1)
+    minus_c0 = pl.integral_class(m, 0, 0, [("C0", -1)])
     with pytest.raises(pl.NotPseudoeffectiveError) as exc:
-        pl.zariski_decompose(m, 0, minus_c0)
+        pl.zariski_decompose(m, 0, *minus_c0)
     assert "catalog" in str(exc.value)
 
 
 def test_effective_divisor_is_pseudoeffective():
     m = blown_ruled(2, 3)
-    d = pl.RDivisor.make(1, {"C0": 2, "E1": 1}).class_at(m)
-    pl.zariski_decompose(m, 1, d)  # raises if not pseudoeffective
+    d = pl.integral_class(m, 1, 0, [("C0", 2), ("E1", 1)])
+    pl.zariski_decompose(m, 1, *d)  # raises if not pseudoeffective
 
 
 def test_is_big_examples():
     f2 = ruled(0, 2)
-    assert pl.is_big(f2, 0, -f2.level(0).canonical)
+    assert pl.is_big(f2, 0, reference_class(f2, 0, -1))
     m = ruled(2, 3)
     lvl = m.level(0)
-    assert pl.is_big(m, 0, -lvl.canonical)  # P² = 1/3 > 0
+    assert pl.is_big(m, 0, reference_class(m, 0, -1))  # P² = 1/3 > 0
     fiber = lvl.curve("f").cls
     assert not pl.is_big(m, 0, fiber)  # nef but f² = 0
 
@@ -101,14 +101,14 @@ def test_is_big_examples():
 def test_nnef_locus():
     m = ruled(2, 3)
     lvl = m.level(0)
-    assert pl.zariski_decompose(m, 0, -lvl.canonical).N.support == ("C0",)
+    assert pl.zariski_decompose(
+        m, 0, *pl.integral_class(m, 0, -1)).N.support == ("C0",)
     assert pl.zariski_decompose(m, 0, lvl.curve("f").cls).N.support == ()
 
 
 def test_nef_certificate_contents():
     m = ruled(2, 3)
-    lvl = m.level(0)
-    cert = is_nef_against_catalog(m, 0, -lvl.canonical)
+    cert = is_nef_against_catalog(m, 0, reference_class(m, 0, -1))
     assert not cert.nef
     assert cert.violations == (("C0", Fraction(-5)),)
     assert set(cert.tested_curves) == {"C0", "f"}
@@ -118,7 +118,7 @@ def test_wrong_level_class_rejected():
     """-K₁ has a term at E1, the coordinate past level 0's rank."""
     m = blown_ruled(2, 3)
     with pytest.raises(ValueError, match="does not live at the requested level"):
-        pl.zariski_decompose(m, 0, -m.level(1).canonical)
+        pl.zariski_decompose(m, 0, *pl.integral_class(m, 1, -1))
 
 
 def test_a_lower_level_class_is_its_own_pullback():
@@ -135,9 +135,9 @@ def test_a_lower_level_class_is_its_own_pullback():
         k = rng.randrange(j, m.top + 1)
         d = pl.RDivisor.make(
             j, {cid: rng.choice(SIGNED_POOL) for cid in m.level(j).classes})
-        D = d.class_at(m)
+        D = reference_class(m, j, 0, d.terms)
         assert pl.pull_back(m, j, k, D) is D
-        assert pl.total_transform(m, d).class_at(m) == D
+        assert reference_class(m, m.top, 0, pl.total_transform(m, d).terms) == D
         got = _decomposition_or_error(pl.zariski_decompose, m, k, D)
         assert got == _decomposition_or_error(
             pl.zariski_decompose, m, k, pl.pull_back(m, j, k, D))
@@ -157,7 +157,7 @@ def test_pullback_invariance_of_decomposition():
             continue
         level = rng.randrange(0, m.top)
         d = random_effective_divisor(rng, m, level)
-        cls = d.class_at(m)
+        cls = reference_class(m, level, 0, d.terms)
         try:
             zd = pl.zariski_decompose(m, level, cls)
         except pl.NotPseudoeffectiveError:
@@ -165,8 +165,8 @@ def test_pullback_invariance_of_decomposition():
         up = pl.pull_back(m, level, level + 1, cls)
         zd_up = pl.zariski_decompose(m, level + 1, up)
         assert zd_up.P == pl.pull_back(m, level, level + 1, zd.P)
-        assert zd_up.N.class_at(m) == pl.pull_back(
-            m, level, level + 1, zd.N.class_at(m)
+        assert reference_class(m, level + 1, 0, zd_up.N.terms) == pl.pull_back(
+            m, level, level + 1, reference_class(m, level, 0, zd.N.terms)
         )
         checked += 1
 
@@ -178,7 +178,7 @@ def test_matches_brute_force_oracle():
         m = random_tower(rng, max_blowups=3)
         level = rng.randrange(0, m.top + 1)
         d = random_effective_divisor(rng, m, level)
-        cls = d.class_at(m)
+        cls = reference_class(m, level, 0, d.terms)
         survivors = brute_force_zariski(m, level, cls)
         try:
             zd = pl.zariski_decompose(m, level, cls)
@@ -198,7 +198,7 @@ def test_maximality_of_positive_part():
     m = blown_ruled(2, 3)
     # effective representation of -K on the blow-up: 2C0~ + f~ + E1
     d = pl.RDivisor.make(1, {"C0": 2, "f": 1, "E1": 1})
-    zd = pl.zariski_decompose(m, 1, d.class_at(m))
+    zd = pl.zariski_decompose(m, 1, *pl.integral_class(m, 1, 0, d.terms))
     assert dict(zd.N.terms) == {"C0": Fraction(5, 3), "E1": Fraction(2, 3)}
     grid = {
         "C0": [Fraction(k, 3) for k in range(0, 7)],
@@ -208,10 +208,12 @@ def test_maximality_of_positive_part():
     nef_seen = 0
     for c0, f, e1 in itertools.product(grid["C0"], grid["f"], grid["E1"]):
         ell = pl.RDivisor.make(1, {"C0": c0, "f": f, "E1": e1})
-        if not is_nef_against_catalog(m, 1, ell.class_at(m)).nef:
+        if not is_nef_against_catalog(m, 1, reference_class(m, 1, 0, ell.terms)).nef:
             continue
         nef_seen += 1
-        rest = dict((d + ell.scale(-1)).terms)
+        rest = dict(d.terms)
+        for cid, c in ell.terms:
+            rest[cid] = rest.get(cid, 0) - c
         assert all(rest.get(cid, 0) >= c for cid, c in zd.N.terms)
     assert nef_seen > 1  # the grid did exercise nonzero nef subdivisors
 
@@ -224,7 +226,7 @@ def test_decomposition_fixed_point_properties_fuzzed():
         d = random_effective_divisor(rng, m, level)
         lvl = m.level(level)
         try:
-            zd = pl.zariski_decompose(m, level, d.class_at(m))
+            zd = pl.zariski_decompose(m, level, *pl.integral_class(m, level, 0, d.terms))
         except pl.NotPseudoeffectiveError:
             continue
         assert zd.N.is_effective()
@@ -277,13 +279,12 @@ def _tower_cases(rng, count):
         lvl = m.level(level)
         roll = rng.random()
         if roll < 0.2:
-            cls = lvl.canonical
+            cls = reference_class(m, level, 1)
         elif roll < 0.4:
-            cls = -lvl.canonical
+            cls = reference_class(m, level, -1)
         else:
-            cls = pl.RDivisor.make(
-                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
-            ).class_at(m)
+            cls = reference_class(m, level, 0, [
+                (cid, rng.choice(SIGNED_POOL)) for cid in lvl.classes])
         yield m, level, cls
 
 
@@ -321,11 +322,10 @@ def _rational_lattice_cases(rng, count):
         level = rng.randrange(0, m.top + 1)
         lvl = m.level(level)
         if rng.random() < 0.3:
-            cls = -lvl.canonical
+            cls = reference_class(m, level, -1)
         else:
-            cls = pl.RDivisor.make(
-                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
-            ).class_at(m)
+            cls = reference_class(m, level, 0, [
+                (cid, rng.choice(SIGNED_POOL)) for cid in lvl.classes])
         yield m, level, cls
 
 
@@ -405,7 +405,7 @@ def test_dense_branch_names_what_the_factor_cannot(level, pivots, det):
     the configuration singular."""
     m = pl.blow_up(p2(), [pl.BlowUpCenter((("L", 1),))] * 2)
     lvl = m.level(level)
-    K = lvl.canonical
+    K = reference_class(m, level, 1)
     S = [c for c in lvl.classes.values() if pl.intersect(K, c, lvl.form) < 0]
     gram = pl.gram_submatrix(S, lvl.form)
     factor = LDLFactor([pl.intersect(K, c, lvl.form) for c in S])
@@ -426,7 +426,7 @@ def test_chain_rows_intersect_only_neighbouring_curves(n, monkeypatch):
     catalog curves, so the coordinate index keeps its row O(1): one
     intersect per curve for D·C, about three per joining curve, one for P²."""
     m = chain_model(n)
-    minus_k = -m.level(m.top).canonical
+    minus_k = pl.integral_class(m, m.top, -1)
     calls = 0
 
     def counting(*args):
@@ -435,7 +435,7 @@ def test_chain_rows_intersect_only_neighbouring_curves(n, monkeypatch):
         return pl.intersect(*args)
 
     monkeypatch.setattr(zariski, "intersect", counting)
-    zd = pl.zariski_decompose(m, m.top, minus_k)
+    zd = pl.zariski_decompose(m, m.top, *minus_k)
     assert len(zd.N.support) == n
     assert calls <= 4 * n + 3
 
@@ -447,7 +447,7 @@ def test_chain_decomposition_does_linear_work(n, monkeypatch):
     round, and computes O(n) border entries in all (2n: one for f and one
     for the next curve of the chain per joining curve)."""
     m = chain_model(n)
-    minus_k = -m.level(m.top).canonical
+    minus_k = pl.integral_class(m, m.top, -1)
     factors = []
     solve = pl.lattice.LDLFactor.solve
 
@@ -456,7 +456,7 @@ def test_chain_decomposition_does_linear_work(n, monkeypatch):
         return solve(self)
 
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", counting)
-    zd = pl.zariski_decompose(m, m.top, minus_k)
+    zd = pl.zariski_decompose(m, m.top, *minus_k)
     assert len(zd.N.support) == n
     assert len(factors) == 1
     assert sum(len(keys) for keys in factors[0]._reach) <= 3 * n
@@ -483,7 +483,7 @@ def test_chain_factor_holds_small_ints(n, monkeypatch):
 
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", keeping)
     monkeypatch.setattr(zariski, "quotient", dividing)
-    zd = pl.zariski_decompose(m, m.top, -m.level(m.top).canonical)
+    zd = pl.zariski_decompose(m, m.top, *pl.integral_class(m, m.top, -1))
     assert len(zd.N.support) == n and len(factors) == 1
     X, q = solve(factors[0])
     assert len(divided) == 2 * (n + len(zd.P.terms))
@@ -505,7 +505,7 @@ def test_fixed_point_check_names_the_curves(monkeypatch):
 
     monkeypatch.setattr(pl.lattice.LDLFactor, "solve", off_by_one)
     with pytest.raises(pl.InvariantViolation) as exc:
-        pl.zariski_decompose(m, 1, -m.level(1).canonical)
+        pl.zariski_decompose(m, 1, *pl.integral_class(m, 1, -1))
     assert exc.value.invariant == "zariski-fixed-point"
     assert exc.value.detail == (
         "P·C ≠ 0 on Supp N at C0, E1; P·C < 0 off it at no curve"
@@ -551,11 +551,10 @@ def _integral_catalog_cases(rng, count):
         level = rng.randrange(0, m.top + 1)
         lvl = m.level(level)
         if rng.random() < 0.3:
-            yield m, level, -lvl.canonical
+            yield m, level, reference_class(m, level, -1)
         else:
-            yield m, level, pl.RDivisor.make(
-                level, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
-            ).class_at(m)
+            yield m, level, reference_class(m, level, 0, [
+                (cid, rng.choice(SIGNED_POOL)) for cid in lvl.classes])
 
 
 def _rational_pair_cases(rng, count):
@@ -582,7 +581,7 @@ def test_solve_intersects_only_integral_classes(monkeypatch):
     cases = [*_integral_catalog_cases(rng, 600),
              *_rational_pair_cases(rng, 200)]
     m = chain_model(48)
-    cases.append((m, m.top, -m.level(m.top).canonical))
+    cases.append((m, m.top, reference_class(m, m.top, -1)))
     rational = sum(any(type(v) is not int for v in cls.terms.values())
                    for _, _, cls in cases)
     lattices = sum(isinstance(m.base, pl.AbstractLattice) for m, _, _ in cases)
@@ -609,19 +608,20 @@ def test_decomposition_of_a_scaled_class_over_its_scale():
     for _ in range(100):
         m = random_rational_lattice_tower(rng)
         lvl = m.level(rng.randrange(0, m.top + 1))
-        cls = pl.RDivisor.make(
-            lvl.k, {cid: rng.choice(SIGNED_POOL) for cid in lvl.classes}
-        ).class_at(m) if rng.random() < 0.7 else -lvl.canonical
+        cls = reference_class(m, lvl.k, 0, [
+            (cid, rng.choice(SIGNED_POOL)) for cid in lvl.classes]
+        ) if rng.random() < 0.7 else reference_class(m, lvl.k, -1)
         cases.append((m, lvl.k, cls))
     m = chain_model(24)
-    cases.append((m, m.top, -m.level(m.top).canonical))
+    cases.append((m, m.top, reference_class(m, m.top, -1)))
     supports = 0
     for m, level, D in cases:
         want = _decomposition_or_error(pl.zariski_decompose, m, level, D)
         supports += len(want) == 3 and bool(want[1].terms)
         for e in (2, 3, 6, 35):
             got = _decomposition_or_error(
-                lambda m, level, D: pl.zariski_decompose(m, level, D.scale(e), e),
+                lambda m, level, D: pl.zariski_decompose(m, level, D._replace(
+                    terms={i: e * v for i, v in D.terms.items()}), e),
                 m, level, D)
             assert got == want, (m, level, D, e)
     assert supports > 100, supports
@@ -640,7 +640,7 @@ def test_read_out_divides_once_per_printed_coefficient(n, monkeypatch):
         return pl.lattice.quotient(p, q)
 
     m = chain_model(n)
-    cases = [(m, m.top, -m.level(m.top).canonical)]
+    cases = [(m, m.top, reference_class(m, m.top, -1))]
     cases += _rational_pair_cases(random.Random(n), 60)
     assert len(cases) > 20
     monkeypatch.setattr(zariski, "quotient", counting)
@@ -687,7 +687,7 @@ def test_zariski_decompose_builds_no_curve(monkeypatch):
 
     rng = random.Random(2121)
     pairs = [random_pair(rng) for _ in range(100)]
-    cases = [(m, k, -m.level(k).canonical)
+    cases = [(m, k, reference_class(m, k, -1))
              for m in (chain_model(24), chain_model(48))
              for k in range(m.top + 1)]
     cases += [(p.model, p.level, anti_log_canonical(p)) for p in pairs]
