@@ -164,15 +164,22 @@ def coords(cls, rank):
     return tuple(cls.terms.get(i, 0) for i in range(rank))
 
 
-def _dense_product(x, y, gram):
+def dense_product(x, y, gram):
     return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
+
+
+def arithmetic_genus(spec, coeffs):
+    """1 + (K·C + C²)/2 of the class ``coeffs`` under a lattice spec's
+    dense gram, as a Fraction."""
+    return 1 + Fraction(dense_product(spec.canonical, coeffs, spec.gram)
+                        + dense_product(coeffs, coeffs, spec.gram), 2)
 
 
 def first_negative_pair(spec):
     """The first two distinct catalog curves of a lattice spec that meet
     negatively, with their number under the dense gram; None if none do."""
     for a, b in itertools.combinations(spec.curves, 2):
-        num = _dense_product(a.coeffs, b.coeffs, spec.gram)
+        num = dense_product(a.coeffs, b.coeffs, spec.gram)
         if num < 0:
             return a.id, b.id, num
     return None
@@ -184,8 +191,7 @@ def first_bad_genus(spec):
     integer at least its declared genus, and the ModelError text naming
     it; None if every curve passes."""
     for i, cs in enumerate(spec.curves):
-        pa = 1 + Fraction(_dense_product(spec.canonical, cs.coeffs, spec.gram)
-                          + _dense_product(cs.coeffs, cs.coeffs, spec.gram), 2)
+        pa = arithmetic_genus(spec, cs.coeffs)
         if pa.denominator != 1:
             return i, (f"curve {cs.id!r} has arithmetic genus "
                        f"1 + (K.C + C.C)/2 = {pa}, not an integer")

@@ -18,10 +18,13 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import (
     COEFF_POOL,
+    arithmetic_genus,
+    dense_product,
     first_bad_genus,
     first_negative_pair,
     random_lattice_tower,
@@ -72,6 +75,70 @@ def lattice_docs(draw, seed: int, delta: str | None = None):
         yield lattice_doc(model, rng, delta)
 
 
+# the kinds of catalog fault make_base rejects: a fault of one curve
+# each, but the last, which makes two curves meet negatively
+FAULTS = ("tilde-id", "class-length", "duplicate-id", "genus-above-pa",
+          "pa-not-integral", "negative-pair")
+
+
+def with_fault(spec, i, kind, rng, untouched):
+    """Curve ``i`` of the lattice spec with a fault of ``kind``: its id
+    ends in '~', its class is one too long, its id is the previous
+    curve's, its genus is its arithmetic genus plus one, its first
+    coordinate gains 1/2 (K·C + C² is then not an integer on the form
+    diag(1, −1, −1) with K = (−3, 1, 1)), or its class is a small one of
+    arithmetic genus at least its genus that meets one of the
+    ``untouched`` classes negatively."""
+    cs = spec.curves[i]
+    if kind == "tilde-id":
+        return cs._replace(id=cs.id + "~")
+    if kind == "class-length":
+        return cs._replace(coeffs=(*cs.coeffs, Fraction(0)))
+    if kind == "duplicate-id":
+        return cs._replace(id=spec.curves[i - 1].id)
+    if kind == "genus-above-pa":
+        return cs._replace(genus=int(arithmetic_genus(spec, cs.coeffs)) + 1)
+    if kind == "pa-not-integral":
+        return cs._replace(coeffs=(cs.coeffs[0] + Fraction(1, 2), *cs.coeffs[1:]))
+    while True:
+        cls = tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+        if (arithmetic_genus(spec, cls) >= cs.genus
+                and any(dense_product(cls, c, spec.gram) < 0 for c in untouched)):
+            return cs._replace(coeffs=cls)
+
+
+def catalog_fault_docs(seed: int):
+    """Lattice documents from random_lattice_tower draws with three base
+    curves or more that make_base accepts.  The first half get one fault
+    each, two of every kind; the second half faults of two kinds on two
+    curves.  Faults are made in catalog order, so that a duplicate id
+    copies the previous curve's id as it ends up."""
+    rng = random.Random(seed)
+    plans = [(kind,) for kind in FAULTS for _ in range(2)]
+    plans += rng.sample(list(itertools.combinations(FAULTS, 2)), len(plans))
+    for kinds in plans:
+        model = None
+        while (model is None or len(model.base.curves) < 3
+               or first_bad_genus(model.base) or first_negative_pair(model.base)):
+            model = random_lattice_tower(rng)
+        spec = model.base
+        # a duplicate id needs a curve before it
+        first = 1 if "duplicate-id" in kinds else 0
+        faults = sorted(zip(rng.sample(range(first, len(spec.curves)), len(kinds)),
+                            kinds))
+        spots = {i for i, _ in faults}
+        untouched = [c.coeffs for j, c in enumerate(spec.curves) if j not in spots]
+        for i, kind in faults:
+            spec = spec._replace(curves=(
+                *spec.curves[:i], with_fault(spec, i, kind, rng, untouched),
+                *spec.curves[i + 1:]))
+        doc = lattice_doc(model, rng, None)
+        doc["base"]["curves"] = [
+            {"id": c.id, "class": [str(x) for x in c.coeffs], "genus": c.genus}
+            for c in spec.curves]
+        yield doc
+
+
 def families() -> dict:
     """Family name -> its documents, as JSON texts."""
     wl = bench_workloads()
@@ -89,6 +156,7 @@ def families() -> dict:
         # integral_class has a Fraction left to clear
         "rational_lattice_delta": list(
             lattice_docs(random_rational_lattice_tower, 23, "D")),
+        "catalog_faults": list(catalog_fault_docs(24)),
     }
     return {name: [(ROOT / d).read_text(encoding="utf-8") if isinstance(d, str)
                     else json.dumps(d) for d in family]
