@@ -25,7 +25,6 @@ from .surface import (
     integral_class,
     make_base,
     pull_back,
-    push_forward,
     total_transform,
     validate,
 )

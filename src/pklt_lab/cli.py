@@ -198,15 +198,7 @@ def _render_text(doc, out, indent=0) -> None:
 
 
 def _scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    return str(value)
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _emit(payload: dict, fmt: str) -> None:

@@ -28,7 +28,6 @@ from .surface import (
     Record,
     SurfaceModel,
     integral_class,
-    push_forward,
     total_transform,
     validate,
 )
@@ -122,7 +121,7 @@ def make_pair(model: SurfaceModel, level: int, delta: RDivisor | None = None) ->
 
 
 def _check_on_level(model: SurfaceModel, level: int, d: RDivisor, kind: str) -> None:
-    """Δ's rule, and a witness's: at the pair level, on its curves, effective."""
+    """For Δ, a witness or an extra: at the pair level, on its curves, effective."""
     lvl = model.level(level)
     if d.level != level:
         raise PairError(f"{kind} divisor must live at the pair level")
@@ -419,7 +418,7 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
     """X is of Fano type iff -K is big and X is potentially klt.
 
     Read off the classification of the pair (X, 0): N on X is the
-    pushforward of the top-level N, since Zariski decomposition commutes
+    top-level N cut to the curves of X, as Zariski decomposition commutes
     with pullback, and a(X, N) = pa(X, 0) on every top-level curve.  The
     classical criterion, (X, N) klt, is that arithmetic alone and must
     agree with the pair's potentially-klt flag.
@@ -428,7 +427,8 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
     if not pair.delta.is_zero():
         raise PairError("the Fano-type test of a pair needs Δ = 0")
     model, level, big = pair.model, pair.level, pair.decomposition.big
-    n = push_forward(model, model.top, level, pair.decomposition.N)
+    n = RDivisor(level, tuple((cid, c) for cid, c in pair.decomposition.N.terms
+                              if model.curves[cid].born <= level))
     den = pair.den  # N's denominators, as Δ = 0
     xn_klt = all(a > -den for a in _a_values(model, level, n, den).values())
     _require(xn_klt == report.potentially_klt, "dim-2-klt-equivalence",
@@ -454,6 +454,7 @@ def check_monotonicity(
     The two pairs' ``den``s may differ, so it reads their rational views."""
     if not extra.is_effective():
         raise PairError("extra boundary must be effective")
+    _check_on_level(pair.model, pair.level, extra, "extra")
     bigger = potential_ledger(make_pair(pair.model, pair.level, pair.delta + extra))
     return [(cid, e.pa, bigger[cid].pa)
             for cid, e in potential_ledger(pair).items() if e.pa < bigger[cid].pa]

@@ -80,9 +80,6 @@ class ProjectivePlane(Record):
 
     __slots__ = ()
 
-    def lattice_tag(self) -> str:
-        return "P2"
-
 
 class Ruled(NamedTuple("Ruled", [("genus", int), ("e", int)])):
     """Ruled surface over a genus-g curve with normalized section C0² = -e.
@@ -100,9 +97,6 @@ class Ruled(NamedTuple("Ruled", [("genus", int), ("e", int)])):
             raise ModelError("ruled surface needs an int invariant e > 0")
         return super().__new__(cls, genus, e)
 
-    def lattice_tag(self) -> str:
-        return f"ruled(g={self.genus},e={self.e})"
-
 
 class CurveSpec(NamedTuple):
     id: str
@@ -117,10 +111,6 @@ class AbstractLattice(NamedTuple):
     gram: tuple[tuple[int | Fraction, ...], ...]
     canonical: tuple[int | Fraction, ...]
     curves: tuple[CurveSpec, ...]
-
-    def lattice_tag(self) -> str:
-        crc = zlib.crc32(repr((self.basis, self.gram, self.canonical)).encode())
-        return f"lattice({crc:08x})"
 
 
 BaseSpec = ProjectivePlane | Ruled | AbstractLattice
@@ -297,15 +287,17 @@ def integral_class(
     terms: Sequence[tuple[str, int | Fraction]] = (),
 ) -> tuple[DivisorClass, int]:
     """(d·(k·K + Σ c·C), d) at ``level``, with K = K₀ + E1 + ... + E_level
-    (Hartshorne V.3.3), for an int k and the (curve id, c)
-    ``terms``: a class with int coefficients and a positive int d.  d is
-    the lcm of the c's denominators, times that of the sum's where a
-    rational lattice leaves a Fraction, which one more pass clears.  One
-    pass over K's coefficients and the curves' classes, each cut to the
-    level's rank, with no Fraction arithmetic on an integral lattice."""
+    (Hartshorne V.3.3), for an exact rational k and the (curve id, c)
+    ``terms``, each number read by ``rat``: a class with int coefficients
+    and a positive int d.  d is the lcm of the c's denominators, times
+    that of the sum's where k or a rational lattice leaves a Fraction,
+    which one more pass clears.  One pass over K's coefficients and the
+    curves' classes, each cut to the level's rank, with no Fraction
+    arithmetic on an integral lattice."""
     lvl = model.level(level)
+    terms = [(cid, rat(c)) for cid, c in terms]
     d = lcm(*[c.denominator for _, c in terms])
-    kd, rank, out = k * d, lvl.rank, {}
+    kd, rank, out = rat(k) * d, lvl.rank, {}
     if kd:
         base = model.lattice.canonical
         out = {i: kd * v for i, v in enumerate(base) if v}
@@ -359,18 +351,21 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
     and the catalog classes with every integral entry as an int, so that
     intersection numbers are ints; the tower's one form has the spec's tag.
 
-    Each catalog curve needs a new id that does not end in '~', a class
-    of the lattice's rank, an int genus >= 0 and an integral arithmetic
-    genus at least that genus; a failure sets ``ModelError.curve``.
+    One pass checks each catalog curve in turn for a new id, a class of
+    the lattice's rank, an int genus >= 0, an id that does not end in '~'
+    and an integral arithmetic genus at least that genus; the first
+    failing curve in catalog order sets ``ModelError.curve``.
     Distinct catalog curves must meet non-negatively, as on any surface:
     a lattice catalog with Cᵢ·Cⱼ < 0 is rejected, naming the first such
     pair.  P² (L alone) and ruled bases (C0·f = 1) always pass, and the
     budget of ``blow_up`` keeps the condition at every later level."""
     if isinstance(spec, ProjectivePlane):
+        tag = "P2"
         lattice = AbstractLattice(("L",), ((1,),), (-3,),
                                   (CurveSpec("L", (1,), 0),))
     elif isinstance(spec, Ruled):
         g, e = spec.genus, spec.e
+        tag = f"ruled(g={g},e={e})"
         lattice = AbstractLattice(
             ("C0", "f"), ((-e, 1), (1, 0)), (-2, 2 * g - 2 - e),
             (CurveSpec("C0", (1, 0), g), CurveSpec("f", (0, 1), 0)))
@@ -391,19 +386,8 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
                 raise ModelError(f"duplicate basis label {label!r}")
         if len(spec.canonical) != rank:
             raise ModelError("canonical class length must equal rank")
-        seen: set[str] = set()
-        for i, cs in enumerate(spec.curves):
-            try:
-                if cs.id in seen:
-                    raise ModelError(f"duplicate curve id {cs.id!r}")
-                if len(cs.coeffs) != rank:
-                    raise ModelError(f"curve {cs.id!r} class length must equal rank")
-                if type(cs.genus) is not int or cs.genus < 0:
-                    raise ModelError(f"curve {cs.id!r} needs an int genus >= 0")
-            except ModelError as exc:
-                exc.curve = i
-                raise
-            seen.add(cs.id)
+        crc = zlib.crc32(repr((spec.basis, spec.gram, spec.canonical)).encode())
+        tag = f"lattice({crc:08x})"
         lattice = AbstractLattice(
             spec.basis, tuple(tuple(map(rat, row)) for row in spec.gram),
             tuple(map(rat, spec.canonical)),
@@ -411,20 +395,25 @@ def make_base(spec: BaseSpec) -> SurfaceModel:
                   for cs in spec.curves))
     else:
         raise ModelError(f"unknown base spec {spec!r}")
-    form = IntersectionForm(spec.lattice_tag(), lattice.gram)
-    lat_id = form.lattice_id
-    curves = {
-        cs.id: Curve(cs.id, DivisorClass.dense(cs.coeffs, lat_id), cs.genus, 0, 0)
-        for cs in lattice.curves
-    }
+    form = IntersectionForm(tag, lattice.gram)
+    rank, lat_id = len(lattice.gram), form.lattice_id
     canonical = DivisorClass.dense(lattice.canonical, lat_id)
-    for i, c in enumerate(curves.values()):
+    curves: dict[str, Curve] = {}
+    for i, cs in enumerate(lattice.curves):
         try:
-            _check_id(c.id, "curve id")
+            if cs.id in curves:
+                raise ModelError(f"duplicate curve id {cs.id!r}")
+            if len(cs.coeffs) != rank:
+                raise ModelError(f"curve {cs.id!r} class length must equal rank")
+            if type(cs.genus) is not int or cs.genus < 0:
+                raise ModelError(f"curve {cs.id!r} needs an int genus >= 0")
+            _check_id(cs.id, "curve id")
+            c = Curve(cs.id, DivisorClass.dense(cs.coeffs, lat_id), cs.genus, 0, 0)
             _check_genus(c, canonical, form)
         except ModelError as exc:
             exc.curve = i
             raise
+        curves[cs.id] = c
     for a, b in itertools.combinations(curves.values(), 2):
         num = intersect(a.cls, b.cls, form)
         if num < 0:
@@ -523,24 +512,6 @@ def pull_back(
     if not src.has_class(cls):
         raise ModelError("class does not live at the source level")
     return cls
-
-
-def push_forward(
-    model: SurfaceModel, from_level: int, to_level: int, d: RDivisor
-) -> RDivisor:
-    if d.level != from_level:
-        raise ModelError("divisor does not live at the source level")
-    src = model.level(from_level)
-    model.level(to_level)
-    if from_level < to_level:
-        raise ModelError("push_forward goes down the tower")
-    for cid, _ in d.terms:
-        if not src.has_curve(cid):
-            raise ModelError(f"unknown curve {cid!r}")
-    if from_level == to_level:
-        return d
-    return RDivisor.make(to_level, [
-        (cid, c) for cid, c in d.terms if model.curves[cid].born <= to_level])
 
 
 def total_transform(model: SurfaceModel, d: RDivisor) -> RDivisor:

@@ -270,6 +270,13 @@ CATALOG_CURVE_CHECKS = {
                            [("A", ["0", "1"], 0)]),
         "/base/curves/0: curve 'A' has arithmetic genus "
         "1 + (K.C + C.C)/2 = -3/4, not an integer"),
+    # one pass runs every check on a curve before the next: curve 0's '~'
+    # is named, not curve 1's class of the wrong length
+    "first-faulty-curve-in-catalog-order": (
+        lattice_curves_doc([["1"]], ["-3"], [("C~", ["1"], 0),
+                                               ("D", ["1", "0"], 0)]),
+        "/base/curves/0: curve id 'C~' ends in '~', which marks a strict "
+        "transform"),
 }
 
 # malformed model -> the JSON pointer its validation error names

@@ -18,9 +18,12 @@ from conftest import (
     chain_model,
     cubic12_model,
     cubic_model,
+    first_bad_genus,
+    first_negative_pair,
     p2,
     random_lattice_tower,
     random_pair,
+    random_rational_lattice_tower,
     random_tower,
     reference_fano_type_test,
     reference_point_descriptor,
@@ -285,6 +288,36 @@ def test_fano_type_test_equals_the_classical_recipe_fuzzed():
     assert len(cases) >= 3000 and rejected > 100
     assert set(outcomes) == FANO_OUTCOMES
     assert diverged == 0
+
+
+def test_negative_part_is_the_n_of_minus_k_at_the_level_fuzzed():
+    """fano_type_test's negative_part, the top-level N of (X, 0) cut to
+    the curves of X, is the N of −K decomposed at the level itself, terms
+    and level alike: Zariski decomposition commutes with pullback.  At
+    every level of 450 random P², ruled, lattice and rational-lattice
+    towers whose catalog make_base accepts, where −K is pseudoeffective
+    and the pair (X, 0) is accepted.  The cut drops exceptionals above the
+    level in many cases."""
+    rng = random.Random(30)
+    draws = (random_tower, random_lattice_tower, random_rational_lattice_tower)
+    compared = cut = 0
+    for t in range(450):
+        model = draws[t % 3](rng)
+        if model is None or (t % 3 == 2 and (first_bad_genus(model.base)
+                                             or first_negative_pair(model.base))):
+            continue  # a catalog make_base rejects
+        for level in range(model.top + 1):
+            try:
+                n = pl.zariski_decompose(
+                    model, level, *pl.integral_class(model, level, -1)).N
+                verdict = pl.fano_type_test(model, level)
+            except (pl.NotPseudoeffectiveError, pl.PairError,
+                    pl.InvariantViolation):
+                continue
+            assert verdict.negative_part == n, (model, level)
+            cut += pl.total_transform(model, n).support != n.support
+            compared += 1
+    assert compared > 400 and cut > 60
 
 
 @pytest.mark.parametrize("level, delta, analyses", [
@@ -617,9 +650,10 @@ def test_no_float_or_bool_among_the_numbers_fuzzed():
                 numbers += [v for v in (pr.frakA, pr.eps0,
                                         pl.eps_threshold(pair))
                             if v is not None and v is not pl.NEG_INFINITY]
-                for witness in (pl.RDivisor.make(level, {}),
-                                pl.push_forward(model, model.top, level,
-                                                zd.N)):
+                minus = [(cid, -c) for cid, c in delta.terms]
+                low = pl.zariski_decompose(
+                    model, level, *pl.integral_class(model, level, -1, minus))
+                for witness in (pl.RDivisor.make(level, {}), low.N):
                     eps = pl.check_witness(pair, witness)["eps"]
                     if eps is not None:
                         numbers.append(eps)

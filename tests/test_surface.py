@@ -152,15 +152,6 @@ def test_pull_back_identity_levels():
     assert pl.pull_back(m, 0, 0, k) == k
 
 
-def test_push_forward_divisor():
-    m = blown_ruled(2, 3)
-    d = pl.RDivisor.make(1, {"C0": Fraction(5, 3), "E1": Fraction(2, 3)})
-    down = pl.push_forward(m, 1, 0, d)
-    assert down.terms == (("C0", Fraction(5, 3)),)
-    only_e = pl.RDivisor.make(1, {"E1": 1})
-    assert pl.push_forward(m, 1, 0, only_e).is_zero()
-
-
 def test_total_transform_picks_up_center_multiplicity():
     m = blown_ruled(2, 3)
     d = pl.RDivisor.make(0, {"C0": Fraction(5, 3)})
@@ -584,11 +575,17 @@ def test_make_base_names_the_curve_each_catalog_check_rejects(curves, text):
     assert (str(info.value), info.value.curve) == (text, 1)
 
 
+def test_integral_class_of_a_fraction_k():
+    """An exact rational k: K/2 = −3L/2 on P² is (−3L, 2)."""
+    cls, d = pl.integral_class(p2(), 0, Fraction(1, 2))
+    assert (cls.terms, d) == ({0: -3}, 2)
+
+
 def typed_rejections():
     """Each check of the library that a caller, not the CLI, meets, as a
     call, the error it raises and the start of its text."""
     m = blown_ruled(2, 3)  # top 1
-    pair = pl.make_pair(m, 1)
+    pair, pair0 = pl.make_pair(m, 1), pl.make_pair(m, 0)
     d0, d1 = pl.RDivisor.make(0, {"C0": 1}), pl.RDivisor.make(1, {"C0": 1})
     negative = pl.RDivisor.make(1, {"C0": -1})
     loaded = parse_model({"version": "pklt-lab/1", "base": {"kind": "P2"}})
@@ -651,15 +648,6 @@ def typed_rejections():
         "pull-back-from-above": (
             lambda: pl.pull_back(m, 1, 0, canonical(m, 0)),
             pl.ModelError, "pull_back goes up the tower"),
-        "push-forward-to-above": (
-            lambda: pl.push_forward(m, 0, 1, d0),
-            pl.ModelError, "push_forward goes down the tower"),
-        "push-forward-from-another-level": (
-            lambda: pl.push_forward(m, 1, 0, d0),
-            pl.ModelError, "divisor does not live at the source level"),
-        "push-forward-of-an-unknown-curve": (
-            lambda: pl.push_forward(m, 1, 0, pl.RDivisor.make(1, {"Z": 1})),
-            pl.ModelError, "unknown curve 'Z'"),
         "total-transform-from-above-the-top": (
             lambda: pl.total_transform(m, pl.RDivisor.make(2, {})),
             pl.ModelError, "total_transform goes up the tower"),
@@ -676,6 +664,13 @@ def typed_rejections():
         "monotonicity-of-a-negative-extra": (
             lambda: pl.check_monotonicity(pair, negative),
             pl.PairError, "extra boundary must be effective"),
+        "monotonicity-of-an-extra-above-the-pair-level": (
+            lambda: pl.check_monotonicity(pair0, d1),
+            pl.PairError, "extra divisor must live at the pair level"),
+        "monotonicity-of-an-extra-on-an-unknown-curve": (
+            lambda: pl.check_monotonicity(
+                pair0, pl.RDivisor.make(0, {"nope": 1})),
+            pl.PairError, "extra curve 'nope' is not on level 0"),
         "witness-at-another-level": (
             lambda: pl.check_witness(pair, d0),
             pl.PairError, "witness divisor must live at the pair level"),
@@ -688,6 +683,15 @@ def typed_rejections():
         "integral-class-of-a-curve-above-the-level": (
             lambda: surface.integral_class(m, 0, 0, (("E1", 1),)),
             pl.ModelError, "unknown curve 'E1'"),
+        "integral-class-of-a-float-k": (
+            lambda: pl.integral_class(p2(), 0, 2.0),
+            TypeError, "not an exact rational: 2.0"),
+        "integral-class-of-a-bool-k": (
+            lambda: pl.integral_class(p2(), 0, True),
+            TypeError, "bool is not a rational coefficient"),
+        "integral-class-of-a-float-coefficient": (
+            lambda: pl.integral_class(p2(), 0, 0, (("L", 0.5),)),
+            TypeError, "not an exact rational: 0.5"),
         "decomposition-over-a-zero-scale": (
             lambda: pl.zariski_decompose(m, 0, canonical(m, 0), 0),
             ValueError, "the scale d of D/d must be an int >= 1, not 0"),
