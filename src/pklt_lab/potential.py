@@ -187,14 +187,9 @@ def potential_ledger(pair: PairSpec) -> dict[str, LedgerEntry]:
             for cid, e in pair.ledger.items()}
 
 
-def _least_pa(pair: PairSpec) -> int:
-    """min(0, per-curve pa), as a numerator over ``pair.den``."""
-    return min([0] + [e.pa for e in pair.ledger.values()])
-
-
 def total_potential_discrepancy(pair: PairSpec):
     """min(0, per-curve pa) when that is >= -1, else NEG_INFINITY."""
-    m = _least_pa(pair)
+    m = min([0] + [e.pa for e in pair.ledger.values()])
     return quotient(m, pair.den) if m >= -pair.den else NEG_INFINITY
 
 
@@ -257,15 +252,13 @@ def incidence_graph(pair: PairSpec, comps: Sequence[LocusComponent]) -> Incidenc
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             b = nodes[j]
-            if a.kind == "curve" and b.kind == "curve":
-                if intersect(classes[a.ref], classes[b.ref], lvl.form) > 0:
-                    edges.append((i, j))
-            elif a.kind == "curve" and b.kind == "point":
-                if a.ref in b.on_curves:
-                    edges.append((i, j))
-            elif a.kind == "point" and b.kind == "curve":
-                if b.ref in a.on_curves:
-                    edges.append((i, j))
+            if a.kind == b.kind == "curve":
+                meets = intersect(classes[a.ref], classes[b.ref], lvl.form) > 0
+            else:
+                meets = a.kind != b.kind and (a.ref in b.on_curves
+                                              or b.ref in a.on_curves)
+            if meets:
+                edges.append((i, j))
     return IncidenceGraph(nodes, tuple(edges))
 
 
@@ -341,22 +334,19 @@ class PotentialReport(NamedTuple):
 
 
 def classify_pair(pair: PairSpec) -> PotentialReport:
-    ledger, limit = pair.ledger.values(), -pair.den
+    """The loci and flags of (X, Δ): (potentially) klt is Nklt (pNklt)
+    empty, lc is a >= -1 on every curve, potentially lc a finite frakA."""
     frak = total_potential_discrepancy(pair)
     nklt = tuple(nklt_locus(pair))
     pnklt = tuple(pnklt_locus(pair))
-    klt = all(e.a > limit for e in ledger)
-    lc = all(e.a >= limit for e in ledger)
+    klt, p_klt = not nklt, not pnklt
+    lc = all(e.a >= -pair.den for e in pair.ledger.values())
     p_lc = frak is not NEG_INFINITY
-    p_klt = p_lc and _least_pa(pair) > limit
 
-    # structural guarantees of the theory, checked even under python -O
-    _require(not p_klt or klt, "potentially-klt-implies-klt",
-             "(X, Δ) is potentially klt but not klt")
+    # structural guarantees of the theory, checked even under python -O;
+    # Nklt ⊆ pNklt below also gives potentially klt ⇒ klt
     _require(not p_lc or lc, "potentially-lc-implies-lc",
              "(X, Δ) is potentially lc but not lc")
-    _require(p_klt == (not pnklt), "potentially-klt-iff-empty-pnklt",
-             f"potentially klt is {p_klt} with {len(pnklt)} pNklt components")
     nklt_keys = {c.key for c in nklt}
     pnklt_keys = {c.key for c in pnklt}
     nnef_keys = {
@@ -419,9 +409,9 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
 
     Read off the classification of the pair (X, 0): N on X is the
     top-level N cut to the curves of X, as Zariski decomposition commutes
-    with pullback, and a(X, N) = pa(X, 0) on every top-level curve.  The
-    classical criterion, (X, N) klt, is that arithmetic alone and must
-    agree with the pair's potentially-klt flag.
+    with pullback.  The classical criterion, (X, N) klt, is pNklt(X, 0)
+    empty: a(X, N) and pa(X, 0) both start at -mult_N C on the curves of X
+    and run one recursion, v(E) = 1 + Σ m·v(C), up the centers.
     """
     pair = report.pair
     if not pair.delta.is_zero():
@@ -429,11 +419,7 @@ def fano_verdict(report: PotentialReport) -> FanoVerdict:
     model, level, big = pair.model, pair.level, pair.decomposition.big
     n = RDivisor(level, tuple((cid, c) for cid, c in pair.decomposition.N.terms
                               if model.curves[cid].born <= level))
-    den = pair.den  # N's denominators, as Δ = 0
-    xn_klt = all(a > -den for a in _a_values(model, level, n, den).values())
-    _require(xn_klt == report.potentially_klt, "dim-2-klt-equivalence",
-             f"(X, N) has klt {xn_klt} but X has potentially klt "
-             f"{report.potentially_klt}")
+    xn_klt = report.potentially_klt
     if not big:
         reason = "-K is not big against the catalog"
     elif not xn_klt:

@@ -39,6 +39,16 @@ def chain_model(n):
     ])
 
 
+def genus2_chain(n):
+    """Ruled (2, 3) blown up at C0 ∩ f, then n - 1 times at the point where
+    C0 meets the last exceptional: a curvilinear chain whose catalog holds
+    the fiber through its base-level center, so P is nef on the surface
+    (P² = 1/3 and |Supp N| = n + 1 at the top)."""
+    return pl.blow_up(ruled(2, 3), [pl.BlowUpCenter((("C0", 1), ("f", 1)))] + [
+        pl.BlowUpCenter((("C0", 1), (f"E{k - 1}", 1))) for k in range(2, n + 1)
+    ])
+
+
 def cubic_model(n):
     """P² with a genus-1 cubic in the catalog, blown up at n of its points."""
     base = pl.AbstractLattice(
@@ -586,6 +596,17 @@ def top_level_decomposition(model, level, delta=None):
     )
 
 
+def crepant_transfer(pair, j):
+    """Δ_j = Σ −a(C)·C over the curves of level j, with a taken over the
+    pair, so that K_j + Δ_j = f*(K + Δ); None when Δ_j is not effective."""
+    model, den = pair.model, pair.den
+    terms = {cid: Fraction(-e.a, den) for cid, e in pair.ledger.items()
+             if model.curves[cid].born <= j}
+    if any(c < 0 for c in terms.values()):
+        return None
+    return pl.RDivisor.make(j, terms)
+
+
 
 # ---------------------------------------------------------------------------
 # point of X under an exceptional
@@ -650,6 +671,7 @@ __all__ = [
     "ruled",
     "blown_ruled",
     "chain_model",
+    "genus2_chain",
     "cubic_model",
     "cubic12_model",
     "random_tower",
@@ -674,6 +696,7 @@ __all__ = [
     "catalog_model",
     "zariski_scale",
     "top_level_decomposition",
+    "crepant_transfer",
     "reference_rcc_json",
     "anti_log_canonical",
 ]

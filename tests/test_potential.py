@@ -12,14 +12,17 @@ import pytest
 import pklt_lab as pl
 from conftest import (
     COEFF_POOL,
+    KLT_COEFF_POOL,
     LATTICE_GRAM,
     LATTICE_K,
     blown_ruled,
     chain_model,
+    crepant_transfer,
     cubic12_model,
     cubic_model,
     first_bad_genus,
     first_negative_pair,
+    genus2_chain,
     p2,
     random_lattice_tower,
     random_pair,
@@ -212,6 +215,63 @@ def test_classify_pair_flags(ruled_blowup_pair):
     assert cubic.frakA == -1
 
 
+# coefficient 1 makes Nklt and pNklt non-empty often; 3/2 makes (X, Δ) not lc
+RICH_IN_ONE_POOL = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1),
+                    Fraction(1), Fraction(3, 2)]
+
+
+def _flags(report):
+    return (report.klt, report.lc, report.potentially_klt,
+            report.potentially_lc)
+
+
+def test_flags_follow_the_ledger_at_every_level_fuzzed():
+    """classify_pair reads (potentially) klt off the emptiness of Nklt
+    (pNklt); on 4500 random pairs each flag equals its threshold on the
+    rational ledger, and potentially klt (lc) implies klt (lc).  Where
+    the crepant transfer Δ_j to a random level j above the pair's is
+    effective, (X_j, Δ_j) has the same ledger, frakA, flags and bigness:
+    they are properties of the valuations, not of the level.  A draw whose
+    classification raises (pnklt-connected, on a catalog missing a curve)
+    is skipped."""
+    flags = collections.Counter()
+    transferred = raised = 0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for pool in (COEFF_POOL, KLT_COEFF_POOL, RICH_IN_ONE_POOL):
+            for _ in range(500):
+                pair = random_pair(rng, pool=pool)
+                try:
+                    report = pl.classify_pair(pair)
+                except pl.InvariantViolation:
+                    raised += 1
+                    continue
+                ledger = pl.potential_ledger(pair)
+                a = [e.a for e in ledger.values()]
+                pa = [e.pa for e in ledger.values()]
+                klt, lc, p_klt, p_lc = _flags(report)
+                assert klt == all(v > -1 for v in a)
+                assert lc == all(v >= -1 for v in a)
+                assert p_klt == all(v > -1 for v in pa)
+                assert p_lc == (min([0, *pa]) >= -1)
+                assert (not p_klt or klt) and (not p_lc or lc)
+                flags[_flags(report)] += 1
+                if pair.level == pair.model.top:
+                    continue
+                j = rng.randrange(pair.level + 1, pair.model.top + 1)
+                delta_j = crepant_transfer(pair, j)
+                if delta_j is None:
+                    continue
+                other = pl.classify_pair(pl.make_pair(pair.model, j, delta_j))
+                assert pl.potential_ledger(other.pair) == ledger
+                assert other.frakA == report.frakA
+                assert _flags(other) == _flags(report)
+                assert other.pair.decomposition.big == pair.decomposition.big
+                transferred += 1
+    assert all(len({key[i] for key in flags}) == 2 for i in range(4)), flags
+    assert transferred > 400 and 0 < raised < 50
+
+
 def test_fano_type_examples():
     f3 = pl.fano_type_test(ruled(0, 3), 0)
     assert f3.fano_type and f3.big and f3.xn_klt
@@ -320,22 +380,25 @@ def test_negative_part_is_the_n_of_minus_k_at_the_level_fuzzed():
     assert compared > 400 and cut > 60
 
 
-@pytest.mark.parametrize("level, delta, analyses", [
-    (24, {}, 1),
-    (1, {}, 1),
-    (1, {"C0": Fraction(1, 2)}, 2),
-], ids=["delta-zero", "delta-zero-below-top", "delta-nonzero"])
+@pytest.mark.parametrize("build, level, delta, analyses", [
+    (chain_model, 24, {}, 1),
+    (chain_model, 1, {}, 1),
+    (chain_model, 1, {"C0": Fraction(1, 2)}, 2),
+    (genus2_chain, 24, {}, 1),
+], ids=["delta-zero", "delta-zero-below-top", "delta-nonzero",
+        "genus2-chain-delta-zero"])
 def test_report_decomposes_once_per_pair_at_the_pair_level(
-    monkeypatch, level, delta, analyses
+    monkeypatch, build, level, delta, analyses
 ):
-    """make_pair then full_report with ε set, on chain(24), never solves a
-    Gram system afresh.  A Δ = 0 pair is built, decomposed and classified
-    once: the Fano-type verdict is read off the pair's own classification.
-    A Δ ≠ 0 pair adds the Fano-type test's (X, 0), again with one
-    decomposition at the pair level, so two in all.  Each make_pair maps
-    the points over X once, however many loci read them, and pulls nothing
-    back: the pair-level P is its own pullback."""
-    model = chain_model(24)
+    """make_pair then full_report with ε set, on chain(24) and the genus-2
+    chain of length 24, never solves a Gram system afresh.  A Δ = 0 pair
+    is built, decomposed and classified once: the Fano-type verdict is
+    read off the pair's own classification.  A Δ ≠ 0 pair adds the
+    Fano-type test's (X, 0), again with one decomposition at the pair
+    level, so two in all.  Each make_pair maps the points over X once,
+    however many loci read them, and pulls nothing back: the pair-level P
+    is its own pullback."""
+    model = build(24)
     calls = collections.Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "pklt_lab" or name.startswith("pklt_lab.")]
@@ -500,7 +563,8 @@ def _ruled_blowup_den_six():
 @pytest.mark.parametrize("build, den", [
     (lambda: pl.make_pair(chain_model(24), 24), 73),
     (_ruled_blowup_den_six, 6),
-], ids=["chain24", "ruled_blowup_den6"])
+    (lambda: pl.make_pair(genus2_chain(24), 24), 3),
+], ids=["chain24", "ruled_blowup_den6", "genus2_chain24"])
 def test_classification_compares_and_subtracts_no_fraction(build, den, monkeypatch):
     """classify_pair and the ledger, loci and flags sections work on the
     ledger's int numerators over ``den``: with Fraction's ordering and

@@ -74,6 +74,16 @@ def test_incidence_graph_point_on_curve():
     assert flipped.nodes[0].kind == "point" and len(flipped.edges) == 6
 
 
+def test_incidence_graph_point_meets_no_point():
+    """Two points never meet, even when one point's label is the id of a
+    curve that the other point lies on."""
+    pair = pl.make_pair(p2(), 0)
+    comps = [pl.LocusComponent("point", "L", 0),
+             pl.LocusComponent("point", "q", 0, frozenset({"L"}))]
+    assert pl.incidence_graph(pair, comps).edges == ()
+    assert pl.incidence_graph(pair, comps[::-1]).edges == ()
+
+
 def test_is_rcc_locus_genus_obstruction(ruled_blowup_pair):
     graph = pl.incidence_graph(ruled_blowup_pair, pl.pnklt_locus(ruled_blowup_pair))
     assert not pl.is_rcc_locus(graph)  # C0~ has genus 2

@@ -374,7 +374,8 @@ def test_make_base_scale_clears_self_intersections():
 def test_big_is_p_squared_positive():
     """``big`` is read as D² − Σ xₖ·(D·Cₖ) in ints, without P²; it equals
     P² > 0 on random towers (signed rational classes, so rational Δ), on
-    random pairs' −(K+Δ) at the top, and on the rational lattices."""
+    random pairs' −(K+Δ) at the top, and on the rational lattices.  The
+    pair (P², 3L), whose −(K+Δ) is 0, is not big and has N = 0."""
     rng = random.Random(2009)
     cases = [*_tower_cases(rng, 600), *_rational_lattice_cases(rng, 600)]
     seen = collections.Counter()
@@ -383,15 +384,18 @@ def test_big_is_p_squared_positive():
             zd = pl.zariski_decompose(m, level, cls)
         except pl.NotPseudoeffectiveError:
             continue
-        p2 = pl.intersect(zd.P, zd.P, m.level(level).form)
-        assert zd.big == (p2 > 0)
+        p_squared = pl.intersect(zd.P, zd.P, m.level(level).form)
+        assert zd.big == (p_squared > 0)
         seen[zd.big, bool(zd.N.terms), zariski_scale(m) > 1] += 1
     for _ in range(200):
         pair = random_pair(rng)
         zd = pair.decomposition
-        p2 = pl.intersect(zd.P, zd.P, pair.model.level(zd.level).form)
-        assert zd.big == (p2 > 0)
+        p_squared = pl.intersect(zd.P, zd.P, pair.model.level(zd.level).form)
+        assert zd.big == (p_squared > 0)
         seen[zd.big, bool(zd.N.terms), "pair"] += 1
+    zd = pl.make_pair(p2(), 0, pl.RDivisor.make(0, {"L": 3})).decomposition
+    assert (zd.P.terms, zd.N.terms, zd.big) == ({}, (), False)  # −(K+3L) = 0
+    seen[zd.big, bool(zd.N.terms), "pair"] += 1
     kinds = (False, True, "pair")  # c = 1, c > 1, a pair's −(K+Δ)
     assert set(seen) == set(itertools.product((True, False), (True, False),
                                               kinds)), seen
