@@ -1,89 +1,32 @@
 """Embedded golden corpus: the surface examples the engine must reproduce.
 
-Each entry is a model document plus a stored expected report; the
-``examples`` subcommand recomputes every report and diffs field by field.
+Each entry is a model file and its stored expected report in ``corpus/``;
+the ``examples`` subcommand loads each model as the CLI loads a user's
+file, recomputes its report and diffs the two field by field.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-from .modelio import parse_model
+from .modelio import load_model, read_json
 from .potential import make_pair
 from .report import full_report
 
-
-def _ruled_blowup(genus: int, e: int) -> dict:
-    return {
-        "version": "pklt-lab/1",
-        "base": {"kind": "ruled", "genus": genus, "e": e},
-        "blowups": [{"id": "E1", "on": [{"curve": "C0"}], "point": "p1"}],
-        "pair": {"level": 1},
-    }
+# the entries, in the order examples prints them
+NAMES = ("ruled_blowup_g2e3", "ruled_blowup_g2e4", "ruled_blowup_g3e5",
+         "hirzebruch_e1", "hirzebruch_e2", "hirzebruch_e3", "hirzebruch_e5",
+         "cubic12", "weak_del_pezzo_f3")
 
 
-def _hirzebruch(e: int) -> dict:
-    return {
-        "version": "pklt-lab/1",
-        "base": {"kind": "ruled", "genus": 0, "e": e},
-        "pair": {"level": 0},
-    }
-
-
-def _cubic12() -> dict:
-    return {
-        "version": "pklt-lab/1",
-        "base": {
-            "kind": "lattice",
-            "basis": ["L"],
-            "gram": [["1"]],
-            "K": ["-3"],
-            "curves": [
-                {"id": "L", "class": ["1"], "genus": 0},
-                {"id": "C", "class": ["3"], "genus": 1},
-            ],
-        },
-        "blowups": [
-            {"id": f"E{i}", "on": [{"curve": "C"}], "point": f"p{i}"}
-            for i in range(1, 13)
-        ],
-        "pair": {"level": 12},
-    }
-
-
-def _weak_del_pezzo_f3() -> dict:
-    return {
-        "version": "pklt-lab/1",
-        "base": {"kind": "ruled", "genus": 0, "e": 3},
-        "divisors": {"N": [{"curve": "C0", "coeff": "1/3"}]},
-        "pair": {"level": 0, "delta": "N"},
-    }
-
-
-ENTRIES: dict[str, dict] = {
-    "ruled_blowup_g2e3": _ruled_blowup(2, 3),
-    "ruled_blowup_g2e4": _ruled_blowup(2, 4),
-    "ruled_blowup_g3e5": _ruled_blowup(3, 5),
-    "hirzebruch_e1": _hirzebruch(1),
-    "hirzebruch_e2": _hirzebruch(2),
-    "hirzebruch_e3": _hirzebruch(3),
-    "hirzebruch_e5": _hirzebruch(5),
-    "cubic12": _cubic12(),
-    "weak_del_pezzo_f3": _weak_del_pezzo_f3(),
-}
-
-
-def compute_report(name: str) -> dict:
-    loaded = parse_model(ENTRIES[name])
-    return full_report(make_pair(loaded.model, loaded.pair_level, loaded.delta()))
+def entry_file(name: str, kind: str) -> str:
+    """The path of an entry's ``model`` or ``expected`` file."""
+    return os.path.join(os.path.dirname(__file__), "corpus",
+                        f"{name}.{kind}.json")
 
 
 def expected_report(name: str) -> dict:
-    path = os.path.join(os.path.dirname(__file__), "corpus",
-                        f"{name}.expected.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(entry_file(name, "expected"))
 
 
 def diff_json(expected, actual, path="") -> list[str]:
@@ -113,8 +56,10 @@ def diff_json(expected, actual, path="") -> list[str]:
 def run_examples() -> list[dict]:
     """Recompute every corpus entry and diff against the stored report."""
     results = []
-    for name in ENTRIES:
-        diffs = diff_json(expected_report(name), compute_report(name))
+    for name in NAMES:
+        loaded = load_model(entry_file(name, "model"))
+        pair = make_pair(loaded.model, loaded.pair_level, loaded.delta())
+        diffs = diff_json(expected_report(name), full_report(pair))
         results.append({"name": name, "ok": not diffs, "diffs": diffs})
     return results
 

@@ -251,15 +251,19 @@ def _read_object(pairs: list) -> _Object:
     return doc
 
 
-def load_model(source: str) -> LoadedModel:
-    """Parse a model from a path, or raw JSON text that names no file."""
+def read_json(source: str):
+    """The JSON document in a file, or raw JSON text that names no file."""
     text = source
     try:
         if os.path.isfile(source) or not source.lstrip().startswith("{"):
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        doc = json.loads(text, object_pairs_hook=_read_object)
+        return json.loads(text, object_pairs_hook=_read_object)
     except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, too deep
         raise SchemaError("", f"invalid JSON: {exc}")
-    return parse_model(doc)
+
+
+def load_model(source: str) -> LoadedModel:
+    """Parse a model from a path, or raw JSON text that names no file."""
+    return parse_model(read_json(source))
 

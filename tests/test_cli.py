@@ -850,11 +850,12 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
 
 
-def run_plain_and_optimized(args, stdout=subprocess.PIPE, closing=""):
-    """The CLI as a fresh process, with and without python -O; a
-    ``closing`` redirection such as ``>&-`` is applied to it by sh."""
-    src = str(Path(pl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+def run_plain_and_optimized(args, stdout=subprocess.PIPE, closing="",
+                            src=Path(pl.__file__).resolve().parents[1]):
+    """The CLI as a fresh process, with and without python -O, importing
+    the package from ``src``; a ``closing`` redirection such as ``>&-``
+    is applied to it by sh."""
+    env = dict(os.environ, PYTHONPATH=str(src))
     shell = ["sh", "-c", f'"$@" {closing}', "sh"] if closing else []
     return [
         subprocess.run(
@@ -1221,6 +1222,46 @@ def test_examples_mismatch_exit_4_names_every_altered_path(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("name, text, error", [
+    ("cubic12.expected.json", '{"schema": ', "schema"),
+    ("cubic12.model.json", '{"version": ', "schema"),
+    ("cubic12.model.json", None, "io"),
+], ids=["broken-report", "broken-model", "missing-model"])
+def test_examples_on_a_bad_corpus_file_exits_2_plain_and_optimized(
+    tmp_path, name, text, error
+):
+    """A copy of the package whose corpus holds a stored report or a model
+    file that is not JSON, or lacks a model file: examples exits 2 with
+    one JSON error object and no traceback, with or without python -O."""
+    shutil.copytree(Path(pl.__file__).parent, tmp_path / "pklt_lab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bad = tmp_path / "pklt_lab" / "corpus" / name
+    if text is None:
+        bad.unlink()
+    else:
+        bad.write_text(text, encoding="utf-8")
+    for proc in run_plain_and_optimized(["examples"], src=tmp_path):
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == error
+        assert (name in payload["detail"] if text is None
+                else payload["detail"].startswith(": invalid JSON: "))
+
+
+def test_corpus_holds_one_model_and_one_report_per_name():
+    """The corpus directory holds each entry's model file and stored report
+    and nothing else, and the sample model of the README is the
+    ruled_blowup_g2e3 entry."""
+    assert len(set(corpus.NAMES)) == len(corpus.NAMES) == 9
+    files = [corpus.entry_file(name, kind) for name in corpus.NAMES
+             for kind in ("model", "expected")]
+    directory = Path(pl.__file__).parent / "corpus"
+    assert sorted(files) == sorted(str(p) for p in directory.iterdir())
+    sample = Path("models/ruled_blowup.json").read_text(encoding="utf-8")
+    entry = Path(corpus.entry_file("ruled_blowup_g2e3", "model"))
+    assert json.loads(sample) == json.loads(entry.read_text(encoding="utf-8"))
+
+
 # the report sections each pair command prints, in order
 PRINTED_SECTIONS = {
     "potential": ("pair", "ledger", "zariski", "frakA", "loci", "flags"),
@@ -1253,8 +1294,8 @@ def test_pair_sections_are_the_full_report_sections_fuzzed():
     classification fails every command with the same invariant."""
     rng = random.Random(1919)
     pairs = [random_pair(rng) for _ in range(150)]
-    for doc in corpus.ENTRIES.values():
-        loaded = parse_model(doc)
+    for name in corpus.NAMES:
+        loaded = load_model(corpus.entry_file(name, "model"))
         pairs.append(
             pl.make_pair(loaded.model, loaded.pair_level, loaded.delta()))
     assert list(report.SECTIONS) == ["pair", "ledger", "zariski", "frakA",

@@ -144,7 +144,8 @@ def families() -> dict:
     wl = bench_workloads()
     labels = [f"p{i}" for i in range(1, max(SMALL_N) + 1)]
     docs = {
-        "corpus": [*corpus.ENTRIES.values(), "models/ruled_blowup.json"],
+        "corpus": [*(corpus.entry_file(name, "model") for name in corpus.NAMES),
+                   "models/ruled_blowup.json"],
         "fuzz": [d for d, _ in itertools.islice(wl.fuzz_stream(11), 100)],
         "fuzz_unrestricted": [d for d, _ in itertools.islice(
             wl.fuzz_stream(12, restrict=False), 50)],
