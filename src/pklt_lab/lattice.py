@@ -9,7 +9,8 @@ deliberately no floating-point anywhere in this package.  Since
 ``int / int`` is a float in Python, every division has a Fraction
 operand or is an exact ``//``: the LDLᵀ factor of the Zariski solve
 holds only ints, scaled by leading minors, and the solve reads N and P
-off it as one ``quotient`` of ints per printed coefficient.  A pair's
+off it as one ``quotient`` of ints per nonzero coefficient of N and per
+nonzero coordinate of P, printed or not.  A pair's
 discrepancies a, σ and pa are ints too: numerators over one positive
 int, ``PairSpec.den``, compared as ints and printed by ``numeral_over``;
 Fractions are made from them only for the total potential discrepancy

@@ -32,6 +32,14 @@ BUILTIN_DIVISORS = {"antiK": -1, "K": 1}
 # each base kind's fields besides "kind", all of them required
 BASE_FIELDS = {"P2": (), "ruled": ("genus", "e"),
                "lattice": ("basis", "gram", "K", "curves")}
+# the fields each kind of object may have
+MODEL_FIELDS = {"version", "base", "blowups", "divisors", "pair"}
+ANY_BASE_FIELDS = {"kind"}.union(*BASE_FIELDS.values())
+CURVE_FIELDS = {"id", "class", "genus"}
+CENTER_FIELDS = {"id", "on", "near", "point"}
+INCIDENCE_FIELDS = {"curve", "mult"}
+TERM_FIELDS = {"curve", "coeff"}
+PAIR_FIELDS = {"level", "delta"}
 
 
 class PointerError(ValueError):
@@ -48,116 +56,122 @@ class ValidationError(PointerError):
     """The document is pklt-lab/1 but describes no valid model (exit 3)."""
 
 
-def _require_object(doc, pointer, allowed, required=()):
+def _pointer(at: tuple) -> str:
+    """The JSON pointer to the spot ``at``: () is the document, and
+    (parent, key) is member or item ``key`` of the spot ``parent``.  The
+    parsers pass spots down and format a pointer only to raise."""
+    return f"{_pointer(at[0])}/{at[1]}" if at else ""
+
+
+def _require_object(doc, at, allowed, required=()):
     if not isinstance(doc, dict):
-        raise SchemaError(pointer, "expected an object")
+        raise SchemaError(_pointer(at), "expected an object")
     if getattr(doc, "repeated", None) is not None:
-        raise SchemaError(pointer, f"repeated key {doc.repeated!r}")
+        raise SchemaError(_pointer(at), f"repeated key {doc.repeated!r}")
     for key in doc:
         if key not in allowed:
-            raise SchemaError(f"{pointer}/{key}", "unknown field")
+            raise SchemaError(_pointer((at, key)), "unknown field")
     for key in required:
         if key not in doc:
-            raise SchemaError(pointer, f"missing required field {key!r}")
+            raise SchemaError(_pointer(at), f"missing required field {key!r}")
 
 
-def _parse_array(value, pointer, parse, what="an array") -> tuple:
-    """A JSON array as the tuple of its items, item i parsed at pointer/i."""
+def _parse_array(value, at, parse, what="an array") -> tuple:
+    """A JSON array as the tuple of its items, item i parsed at (at, i)."""
     if not isinstance(value, list):
-        raise SchemaError(pointer, f"expected {what}")
-    return tuple(parse(v, f"{pointer}/{i}") for i, v in enumerate(value))
+        raise SchemaError(_pointer(at), f"expected {what}")
+    return tuple(parse(v, (at, i)) for i, v in enumerate(value))
 
 
-def parse_rational(value, pointer) -> int | Fraction:
+def parse_rational(value, at) -> int | Fraction:
     """A JSON int or 'p/q' string as a canonical exact rational."""
     if isinstance(value, bool):
-        raise SchemaError(pointer, "expected a rational, got a boolean")
+        raise SchemaError(_pointer(at), "expected a rational, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, float):
-        raise SchemaError(pointer, "floats are forbidden; use a 'p/q' string")
+        raise SchemaError(_pointer(at), "floats are forbidden; use a 'p/q' string")
     if isinstance(value, str):
         try:
             return rat(value)
         except (ValueError, ZeroDivisionError):
-            raise SchemaError(pointer, f"not a rational: {value!r}")
-    raise SchemaError(pointer, f"not a rational: {value!r}")
+            raise SchemaError(_pointer(at), f"not a rational: {value!r}")
+    raise SchemaError(_pointer(at), f"not a rational: {value!r}")
 
 
-def _parse_int(value, pointer, minimum) -> int:
+def _parse_int(value, at, minimum) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(pointer, "expected an integer")
+        raise SchemaError(_pointer(at), "expected an integer")
     if value < minimum:
-        raise SchemaError(pointer, f"must be >= {minimum}")
+        raise SchemaError(_pointer(at), f"must be >= {minimum}")
     return value
 
 
-def _parse_str(value, pointer) -> str:
+def _parse_str(value, at) -> str:
     if not isinstance(value, str) or not value:
-        raise SchemaError(pointer, "expected a non-empty string")
+        raise SchemaError(_pointer(at), "expected a non-empty string")
     return value
 
 
-def _parse_vector(value, pointer) -> tuple[int | Fraction, ...]:
-    return _parse_array(value, pointer, parse_rational, "an array of rationals")
+def _parse_vector(value, at) -> tuple[int | Fraction, ...]:
+    return _parse_array(value, at, parse_rational, "an array of rationals")
 
 
-def _parse_curve(doc, pointer) -> CurveSpec:
-    _require_object(doc, pointer, {"id", "class", "genus"},
-                    required=("id", "class", "genus"))
+def _parse_curve(doc, at) -> CurveSpec:
+    _require_object(doc, at, CURVE_FIELDS, required=("id", "class", "genus"))
     return CurveSpec(
-        _parse_str(doc["id"], f"{pointer}/id"),
-        _parse_vector(doc["class"], f"{pointer}/class"),
-        _parse_int(doc["genus"], f"{pointer}/genus", 0),
+        _parse_str(doc["id"], (at, "id")),
+        _parse_vector(doc["class"], (at, "class")),
+        _parse_int(doc["genus"], (at, "genus"), 0),
     )
 
 
-def _parse_base(doc, pointer):
-    _require_object(doc, pointer, {"kind"}.union(*BASE_FIELDS.values()),
-                    required=("kind",))
-    kind = _parse_str(doc["kind"], f"{pointer}/kind")
+def _parse_base(doc, at):
+    _require_object(doc, at, ANY_BASE_FIELDS, required=("kind",))
+    kind = _parse_str(doc["kind"], (at, "kind"))
     if kind not in BASE_FIELDS:
-        raise SchemaError(f"{pointer}/kind", f"unknown base kind {kind!r}")
+        raise SchemaError(_pointer((at, "kind")), f"unknown base kind {kind!r}")
     fields = ("kind", *BASE_FIELDS[kind])
-    _require_object(doc, pointer, fields, required=fields)
+    _require_object(doc, at, fields, required=fields)
     if kind == "P2":
         return ProjectivePlane()
     if kind == "ruled":
         return Ruled(
-            _parse_int(doc["genus"], f"{pointer}/genus", 0),
-            _parse_int(doc["e"], f"{pointer}/e", 1),
+            _parse_int(doc["genus"], (at, "genus"), 0),
+            _parse_int(doc["e"], (at, "e"), 1),
         )
     # an empty basis, like any other false value, is not a non-empty array
-    basis = _parse_array(doc["basis"] or None, f"{pointer}/basis", _parse_str,
+    basis = _parse_array(doc["basis"] or None, (at, "basis"), _parse_str,
                          "a non-empty array")
-    gram = _parse_array(doc["gram"], f"{pointer}/gram", _parse_vector,
+    gram = _parse_array(doc["gram"], (at, "gram"), _parse_vector,
                         "an array of rows")
-    canonical = _parse_vector(doc["K"], f"{pointer}/K")
-    curves = _parse_array(doc["curves"], f"{pointer}/curves", _parse_curve)
+    canonical = _parse_vector(doc["K"], (at, "K"))
+    curves = _parse_array(doc["curves"], (at, "curves"), _parse_curve)
     return AbstractLattice(basis, gram, canonical, curves)
 
 
-def _parse_blowup(doc, pointer) -> BlowUpCenter:
-    _require_object(doc, pointer, {"id", "on", "near", "point"})
+def _parse_blowup(doc, at) -> BlowUpCenter:
+    _require_object(doc, at, CENTER_FIELDS)
     on = []
     if "on" in doc:
+        on_at = (at, "on")
         if not isinstance(doc["on"], list):
-            raise SchemaError(f"{pointer}/on", "expected an array")
+            raise SchemaError(_pointer(on_at), "expected an array")
         for i, entry in enumerate(doc["on"]):
-            eptr = f"{pointer}/on/{i}"
-            _require_object(entry, eptr, {"curve", "mult"}, required=("curve",))
-            mult = _parse_int(entry.get("mult", 1), f"{eptr}/mult", 1)
-            on.append((_parse_str(entry["curve"], f"{eptr}/curve"), mult))
-    near = _parse_str(doc["near"], f"{pointer}/near") if "near" in doc else None
-    label = _parse_str(doc["point"], f"{pointer}/point") if "point" in doc else ""
-    exc_id = _parse_str(doc["id"], f"{pointer}/id") if "id" in doc else None
+            entry_at = (on_at, i)
+            _require_object(entry, entry_at, INCIDENCE_FIELDS, required=("curve",))
+            mult = _parse_int(entry.get("mult", 1), (entry_at, "mult"), 1)
+            on.append((_parse_str(entry["curve"], (entry_at, "curve")), mult))
+    near = _parse_str(doc["near"], (at, "near")) if "near" in doc else None
+    label = _parse_str(doc["point"], (at, "point")) if "point" in doc else ""
+    exc_id = _parse_str(doc["id"], (at, "id")) if "id" in doc else None
     return BlowUpCenter(tuple(on), near, label, exc_id)
 
 
-def _parse_term(doc, pointer) -> tuple[str, int | Fraction]:
-    _require_object(doc, pointer, {"curve", "coeff"}, required=("curve", "coeff"))
-    return (_parse_str(doc["curve"], f"{pointer}/curve"),
-            parse_rational(doc["coeff"], f"{pointer}/coeff"))
+def _parse_term(doc, at) -> tuple[str, int | Fraction]:
+    _require_object(doc, at, TERM_FIELDS, required=("curve", "coeff"))
+    return (_parse_str(doc["curve"], (at, "curve")),
+            parse_rational(doc["coeff"], (at, "coeff")))
 
 
 class LoadedModel(NamedTuple):
@@ -191,36 +205,36 @@ class LoadedModel(NamedTuple):
 
 
 def parse_model(doc) -> LoadedModel:
-    _require_object(doc, "", {"version", "base", "blowups", "divisors", "pair"},
-                    required=("version", "base"))
+    _require_object(doc, (), MODEL_FIELDS, required=("version", "base"))
     if doc["version"] != SCHEMA_VERSION:
         raise SchemaError("/version", f"expected {SCHEMA_VERSION!r}")
-    base = _parse_base(doc["base"], "/base")
-    centers = (_parse_array(doc["blowups"], "/blowups", _parse_blowup)
+    base = _parse_base(doc["base"], ((), "base"))
+    centers = (_parse_array(doc["blowups"], ((), "blowups"), _parse_blowup)
                if "blowups" in doc else ())
     divisors: dict[str, tuple[tuple[str, int | Fraction], ...]] = {}
     if "divisors" in doc:
         # any name but a built-in one is allowed
-        _require_object(doc["divisors"], "/divisors", doc["divisors"])
+        at = ((), "divisors")
+        _require_object(doc["divisors"], at, doc["divisors"])
         for name, terms in doc["divisors"].items():
             if name in BUILTIN_DIVISORS:
                 raise SchemaError(f"/divisors/{name}",
                                   f"{name!r} is a built-in divisor name")
-            divisors[name] = _parse_array(terms, f"/divisors/{name}",
-                                          _parse_term, "an array of terms")
+            divisors[name] = _parse_array(terms, (at, name), _parse_term,
+                                          "an array of terms")
     pair = None
     if "pair" in doc:
-        _require_object(doc["pair"], "/pair", {"level", "delta"},
-                        required=("level",))
-        pair = (_parse_int(doc["pair"]["level"], "/pair/level", 0),
-                _parse_str(doc["pair"]["delta"], "/pair/delta")
+        at = ((), "pair")
+        _require_object(doc["pair"], at, PAIR_FIELDS, required=("level",))
+        pair = (_parse_int(doc["pair"]["level"], (at, "level"), 0),
+                _parse_str(doc["pair"]["delta"], (at, "delta"))
                 if "delta" in doc["pair"] else None)
     # every schema error is raised above, before any validation error
     try:
         model = make_base(base)
     except ModelError as exc:
-        at = "" if exc.curve is None else f"/curves/{exc.curve}"
-        raise ValidationError(f"/base{at}", str(exc))
+        curve = "" if exc.curve is None else f"/curves/{exc.curve}"
+        raise ValidationError(f"/base{curve}", str(exc))
     try:
         model = blow_up(model, centers)
     except ModelError as exc:
@@ -252,15 +266,17 @@ def _read_object(pairs: list) -> _Object:
 
 
 def read_json(source: str):
-    """The JSON document in a file, or raw JSON text that names no file."""
-    text = source
+    """The JSON document in a file, or raw JSON text that names no file.
+    The detail of invalid JSON read from a file names the file."""
+    text, where = source, ""
     try:
         if os.path.isfile(source) or not source.lstrip().startswith("{"):
+            where = f" in {source!r}"
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         return json.loads(text, object_pairs_hook=_read_object)
     except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, too deep
-        raise SchemaError("", f"invalid JSON: {exc}")
+        raise SchemaError("", f"invalid JSON{where}: {exc}")
 
 
 def load_model(source: str) -> LoadedModel:

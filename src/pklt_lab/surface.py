@@ -167,6 +167,25 @@ class BlowUpCenter(NamedTuple):
         return tuple(sorted(pairs.items()))
 
 
+def _as_built(center: BlowUpCenter) -> bool:
+    """Whether ``center`` is what ``blow_up`` stores for it: its incidences
+    a tuple of (id, int m >= 1) tuples in strictly increasing id order,
+    ``near`` absent or among them, its point label and exceptional id
+    given.  Then ``effective_incidences`` would return ``on_curves``."""
+    if (type(center) is not BlowUpCenter or type(center.on_curves) is not tuple
+            or not center.point_label or not center.exceptional_id):
+        return False
+    listed, last = center.near is None, ""
+    for entry in center.on_curves:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        cid, m = entry
+        if type(cid) is not str or cid <= last or type(m) is not int or m < 1:
+            return False
+        listed, last = listed or cid == center.near, cid
+    return listed
+
+
 class SurfaceModel(Record):
     """A base (as a lattice), its form, the centers over it, one curve table.
 
@@ -432,9 +451,12 @@ def blow_up(
     multiplicity m; every other entry is kept, the same object.
 
     One pass: each curve a center touches grows one class of its own, and
-    is rebuilt once, at the level of its last center.  The input model is
-    not changed.  A center that fails a check raises ModelError with
-    ``center`` set to its index in ``centers``."""
+    is rebuilt once, at the level of its last center.  A center that is
+    already as stored (``_as_built``) is stored as given, the same object;
+    any other is rebuilt with its incidences sorted, ``near`` among them,
+    and its default label and id.  The input model is not changed.  A
+    center that fails a check raises ModelError with ``center`` set to its
+    index in ``centers``."""
     curves = dict(model.curves)
     placed = list(model.centers)
     labels = {c.point_label for c in placed}
@@ -445,8 +467,10 @@ def blow_up(
     for j, center in enumerate(centers):
         k = len(placed) + 1
         e = base_rank + k - 1  # index of E_k
+        built = _as_built(center)
         try:
-            incidences = center.effective_incidences()
+            incidences = (center.on_curves if built
+                          else center.effective_incidences())
             for cid, _ in incidences:
                 if cid not in curves:
                     raise ModelError(
@@ -484,7 +508,8 @@ def blow_up(
             exc.center = j
             raise
         labels.add(label)
-        placed.append(BlowUpCenter(incidences, center.near, label, exc_id))
+        placed.append(center if built
+                      else BlowUpCenter(incidences, center.near, label, exc_id))
         for cid, m in incidences:
             if cid not in grown:  # a class of its own, grown in place
                 grown[cid] = DivisorClass(dict(curves[cid].cls.terms), form.lattice_id)

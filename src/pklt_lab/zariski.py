@@ -144,10 +144,11 @@ def zariski_decompose(
     ``InvariantViolation`` naming the curves if the factor ever disagrees
     with x.  x and P are read off the numerators X and q = |Δₙ| in ints:
     xₖ = Xₖ/(d·e·q) and P = (q·Dn − Σ Xₖ·Cₖ)/(d·e·q), one int pass for
-    P's numerators and one ``quotient`` per coefficient of N and per
-    nonzero coordinate of P, so a Fraction is built only for a
-    coefficient that is printed.  P² is D·P = D² − Σ xₖ·(D·Cₖ), as
-    P·Cₖ = 0 on S, so P² > 0 is read as c·q·Dn² > Σ Xₖ·bₖ.
+    P's numerators and one ``quotient`` per nonzero coefficient of N and
+    per nonzero coordinate of P, so a Fraction is built only for a
+    non-integral one, whether or not a caller prints it.  P² is
+    D·P = D² − Σ xₖ·(D·Cₖ), as P·Cₖ = 0 on S, so P² > 0 is read as
+    c·q·Dn² > Σ Xₖ·bₖ.
     """
     lvl = model.level(level)
     if not lvl.has_class(D):  # a class of a lower level is its own pullback

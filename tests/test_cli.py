@@ -996,7 +996,7 @@ def test_huge_json_integer_is_a_schema_error_plain_and_optimized(tmp_path):
         assert (proc.returncode, proc.stderr) == (2, b"")
         payload = json.loads(proc.stdout)
         assert payload["error"] == "schema"
-        assert payload["detail"].startswith(": invalid JSON: ")
+        assert payload["detail"].startswith(f": invalid JSON in {str(path)!r}: ")
 
 
 @pytest.mark.parametrize("content", [
@@ -1015,7 +1015,7 @@ def test_unreadable_json_is_a_schema_error_plain_and_optimized(
         assert (proc.returncode, proc.stderr) == (2, b"")
         payload = json.loads(proc.stdout)
         assert payload["error"] == "schema"
-        assert payload["detail"].startswith(": invalid JSON: ")
+        assert payload["detail"].startswith(f": invalid JSON in {str(path)!r}: ")
 
 
 @pytest.mark.parametrize(
@@ -1128,9 +1128,16 @@ def test_load_model_accepts_raw_json():
     assert loaded.model.top == 1
 
 
-def test_load_model_invalid_json_is_schema_error():
-    with pytest.raises(SchemaError):
+def test_load_model_invalid_json_is_schema_error(tmp_path):
+    """The detail of invalid JSON text names no file; that of the same
+    text read from a file names the file."""
+    with pytest.raises(SchemaError, match="^: invalid JSON: Expecting"):
         load_model("{not json")
+    path = tmp_path / "model.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_model(str(path))
+    assert str(exc.value).startswith(f": invalid JSON in {str(path)!r}: Expecting")
 
 
 def test_a_path_that_begins_with_a_brace_is_read_as_a_file(
@@ -1244,8 +1251,8 @@ def test_examples_on_a_bad_corpus_file_exits_2_plain_and_optimized(
         assert (proc.returncode, proc.stderr) == (2, b"")
         payload = json.loads(proc.stdout)
         assert payload["error"] == error
-        assert (name in payload["detail"] if text is None
-                else payload["detail"].startswith(": invalid JSON: "))
+        assert name in payload["detail"]
+        assert text is None or payload["detail"].startswith(": invalid JSON in ")
 
 
 def test_corpus_holds_one_model_and_one_report_per_name():

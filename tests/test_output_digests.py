@@ -11,16 +11,15 @@ no file.  Argument errors are left out: argparse's usage text differs
 between Python versions.
 """
 
-import contextlib
 import hashlib
 import importlib.util
-import io
 import itertools
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import diff_outputs
 from conftest import (
     COEFF_POOL,
     arithmetic_genus,
@@ -31,7 +30,7 @@ from conftest import (
     random_rational_lattice_tower,
     serialize_model,
 )
-from pklt_lab import cli, corpus
+from pklt_lab import corpus
 from pklt_lab.modelio import LoadedModel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,29 +138,33 @@ def catalog_fault_docs(seed: int):
         yield doc
 
 
-def families() -> dict:
-    """Family name -> its documents, as JSON texts."""
+def families(names=None) -> dict:
+    """Family name -> its documents, as JSON texts: every family, or the
+    ones in ``names``."""
     wl = bench_workloads()
     labels = [f"p{i}" for i in range(1, max(SMALL_N) + 1)]
-    docs = {
-        "corpus": [*(corpus.entry_file(name, "model") for name in corpus.NAMES),
-                   "models/ruled_blowup.json"],
-        "fuzz": [d for d, _ in itertools.islice(wl.fuzz_stream(11), 100)],
-        "fuzz_unrestricted": [d for d, _ in itertools.islice(
+    builders = {
+        "corpus": lambda: [
+            *(corpus.entry_file(name, "model") for name in corpus.NAMES),
+            "models/ruled_blowup.json"],
+        "fuzz": lambda: [d for d, _ in itertools.islice(wl.fuzz_stream(11), 100)],
+        "fuzz_unrestricted": lambda: [d for d, _ in itertools.islice(
             wl.fuzz_stream(12, restrict=False), 50)],
-        "cubic_chain": [build(labels[:n]) for build in (wl.cubic_doc, wl.chain_doc)
-                        for n in SMALL_N],
-        "lattice": list(lattice_docs(random_lattice_tower, 21)),
-        "rational_lattice": list(lattice_docs(random_rational_lattice_tower, 22)),
+        "cubic_chain": lambda: [build(labels[:n])
+                                for build in (wl.cubic_doc, wl.chain_doc)
+                                for n in SMALL_N],
+        "lattice": lambda: list(lattice_docs(random_lattice_tower, 21)),
+        "rational_lattice": lambda: list(
+            lattice_docs(random_rational_lattice_tower, 22)),
         # the one family with a rational form and a pair with Δ = D, where
         # integral_class has a Fraction left to clear
-        "rational_lattice_delta": list(
+        "rational_lattice_delta": lambda: list(
             lattice_docs(random_rational_lattice_tower, 23, "D")),
-        "catalog_faults": list(catalog_fault_docs(24)),
+        "catalog_faults": lambda: list(catalog_fault_docs(24)),
     }
     return {name: [(ROOT / d).read_text(encoding="utf-8") if isinstance(d, str)
-                    else json.dumps(d) for d in family]
-            for name, family in docs.items()}
+                   else json.dumps(d) for d in build()]
+            for name, build in builders.items() if names is None or name in names}
 
 
 def commands(text: str):
@@ -185,19 +188,12 @@ def commands(text: str):
             yield [*args, "--format", "text"]
 
 
-def run(argv) -> bytes:
-    """The exit code and stdout of ``cli.main(argv)``, as bytes."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
-
-
 def outputs(texts):
     """(label, output) for each command on each document."""
     for i, text in enumerate(texts):
         for args in commands(text):
-            yield f"[{i}] {' '.join(args)}", run([args[0], text, *args[1:]])
+            yield (f"[{i}] {' '.join(args)}",
+                   diff_outputs.run([args[0], text, *args[1:]]))
 
 
 def digest(labelled) -> dict:
@@ -227,3 +223,21 @@ def test_outputs_match_the_recorded_digests():
                   in zip(labelled, got["commands"], want["commands"]) if g != w]
         assert differ == [], differ[:5]
         assert got == want, name
+
+
+def test_the_differential_finds_no_change_against_this_tree(capsys):
+    """diff_outputs run on the corpus family, with this tree's own src/
+    in its child process, lists no command."""
+    src = str(ROOT / "src")
+    assert diff_outputs.main([src, "corpus"]) == 0
+    count = json.loads(DIGESTS.read_text(encoding="utf-8"))["corpus"]["count"]
+    assert capsys.readouterr().out == f"0 of {count} commands differ from {src}\n"
+
+
+def test_the_differential_groups_changes_by_exit_codes():
+    """A command is listed under (exit code there, exit code here) when
+    its exit code or its stdout differs."""
+    here = [b"0\nx", b"3\ny", b"0\nz", b"3\nw"]
+    there = [b"0\nx", b"0\ny", b"0\nZ", b"0\nw"]
+    assert diff_outputs.transitions("abcd", here, there) == {
+        ("0", "3"): ["b", "d"], ("0", "0"): ["c"]}

@@ -792,3 +792,25 @@ def test_reading_big_intersects_nothing(monkeypatch):
     calls.clear()
     assert [pair.decomposition.big for _ in range(4)] == [True] * 4
     assert calls == []
+
+
+def test_fano_type_is_never_regained_up_a_tower_fuzzed():
+    """Fano type descends along a birational contraction (Prokhorov and
+    Shokurov 2009), so along a tower fano_type_test is true up to some
+    level and false above it.  At every level of 400 random towers with
+    up to 12 blow-ups, enough for some to lose Fano type on the way up;
+    a level whose pNklt(X, 0) is disconnected gives no verdict."""
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for _ in range(400):
+        m = random_tower(rng, 12)
+        verdicts = []
+        for level in range(m.top + 1):
+            try:
+                verdicts.append(pl.fano_type_test(m, level).fano_type)
+            except pl.InvariantViolation as exc:
+                assert exc.invariant == "pnklt-connected"
+        assert verdicts == sorted(verdicts, reverse=True), m
+        seen[True in verdicts, False in verdicts] += 1
+    assert seen[True, True] > 10 and seen[True, False] > 100, seen
+    assert seen[False, True] > 50, seen

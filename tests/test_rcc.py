@@ -204,3 +204,31 @@ def test_rcc_of_the_classification_matches_the_bare_pair_fuzzed():
             seen[expected.get("value", "inapplicable")] += 1
     assert seen["unclassified"] >= 1
     assert all(seen[k] for k in (True, False, "inapplicable", "rejected"))
+
+
+def test_rcc_gives_one_verdict_at_every_level_it_applies_fuzzed():
+    """Rational connectedness is a birational invariant, and every level
+    of a tower is a model of one surface: wherever rcc applies along a
+    tower, it gives the same verdict.  At every level of 400 random
+    towers with up to 7 blow-ups; a level whose pair (X, 0) is rejected,
+    or whose pNklt is disconnected, gives no verdict."""
+    rng = random.Random(19)
+    seen = collections.Counter()
+    for _ in range(400):
+        m = random_tower(rng, 7)
+        values = set()
+        for level in range(m.top + 1):
+            try:
+                report = pl.classify_pair(pl.make_pair(m, level))
+            except (pl.NotPseudoeffectiveError, pl.PairError):
+                continue
+            except pl.InvariantViolation as exc:
+                assert exc.invariant == "pnklt-connected"
+                continue
+            verdict = rcc_json(report)
+            if verdict["applicable"]:
+                values.add(verdict["value"])
+                seen["levels"] += 1
+        assert len(values) <= 1, m
+        seen[tuple(values)] += 1
+    assert seen["levels"] > 1000 and seen[True,] > 100 and seen[False,] > 20, seen

@@ -479,6 +479,83 @@ def test_each_center_check_names_the_failing_center():
     assert str(exc.value) == "multiplicity must be an int >= 1 on 'L'"
 
 
+def respellings(center, k):
+    """Spellings of the k-th center of a tower, as stored, that blow_up
+    stores as it at level k: incidences reversed, as a list, ``near`` left
+    out of them, the default label and id left out."""
+    on = center.on_curves
+    near_out = tuple(i for i in on if i[0] != center.near)
+    yield center._replace(on_curves=on[::-1])
+    yield center._replace(on_curves=list(on))
+    yield center._replace(on_curves=near_out)
+    if (center.point_label, center.exceptional_id) == (f"p{k}", f"E{k}"):
+        yield pl.BlowUpCenter(near_out, center.near)
+
+
+def test_a_center_as_stored_is_kept_and_respellings_build_the_same_tower():
+    """blow_up stores a center that is already as stored as the same
+    object; every respelling of it builds the same tower.  Half the
+    random_tower centers on an exceptional with multiplicity 1 also name
+    it as ``near``, and a chain adds centers given by ``near`` alone."""
+    rng = random.Random(41)
+    towers = [random_tower(rng, 6) for _ in range(150)] + [chain_model(5)]
+    seen = collections.Counter()
+    for m in towers:
+        centers = []
+        for c in m.centers:
+            near = [cid for cid, mult in c.on_curves
+                    if mult == 1 and m.curves[cid].born > 0]
+            centers.append(c._replace(near=near[0]) if near and rng.random() < 0.5
+                           else c)
+        base = pl.make_base(m.base)
+        kept = pl.blow_up(base, centers)
+        assert all(a is b for a, b in zip(kept.centers, centers, strict=True))
+        expected = tower_table(kept)
+        assert tower_table(pl.blow_up(base, m.centers)) == tower_table(m)
+        for i in range(len(centers)):
+            for respelled in respellings(centers[i], i + 1):
+                again = [*centers[:i], respelled, *centers[i + 1:]]
+                assert tower_table(pl.blow_up(base, again)) == expected
+        seen["near"] += sum(c.near is not None for c in centers)
+        seen["two incidences"] += sum(len(c.on_curves) == 2 for c in centers)
+    assert seen["near"] > 50 and seen["two incidences"] > 50, seen
+
+
+def test_each_center_check_raises_the_same_error_for_every_spelling():
+    """Over P² blown up at a point of L, each faulty second center raises
+    the same ModelError text, with ``center`` 1, whether it is spelled as
+    blow_up stores a center or not."""
+    first = pl.BlowUpCenter((("L", 1),), None, "p1", "E1")
+    faults = {
+        (("E1", 1), ("E1", 1)): "center lists curve 'E1' more than once",
+        (("L", 0),): "multiplicity must be an int >= 1 on 'L'",
+        (("L", True),): "multiplicity must be an int >= 1 on 'L'",
+        (("Z", 1),): "blow-up center references unknown curve 'Z'",
+        (("E1", 1), ("L", 2)): "intersection budget exceeded for pair "
+                               "('E1', 'L'): center consumes 2, intersection "
+                               "number is 1",
+    }
+    spellings = []
+    for on, text in faults.items():
+        spellings += [(pl.BlowUpCenter(on, None, "p2", "E2"), text),
+                      (pl.BlowUpCenter(list(on), None, "p2", "E2"), text),
+                      (pl.BlowUpCenter(on), text)]
+    near_l = "infinitely-near center must sit on an exceptional, not 'L'"
+    spellings += [(pl.BlowUpCenter((("L", 1),), "L", "p2", "E2"), near_l),
+                  (pl.BlowUpCenter((), "L", "p2", "E2"), near_l),
+                  (pl.BlowUpCenter((), "L"), near_l)]
+    for label, exc_id, text in (
+            ("p1", "E2", "point label 'p1' already names an earlier center"),
+            ("p2", "E1", "exceptional id 'E1' already in catalog"),
+            ("p2", "L", "exceptional id 'L' already in catalog")):
+        spellings += [(pl.BlowUpCenter((("E1", 1),), None, label, exc_id), text),
+                      (pl.BlowUpCenter([("E1", 1)], None, label, exc_id), text)]
+    for center, text in spellings:
+        with pytest.raises(pl.ModelError) as exc:
+            pl.blow_up(p2(), [first, center])
+        assert (exc.value.center, str(exc.value)) == (1, text), center
+
+
 def all_pairs_validate(model, supports=()):
     """validate as it was first written: every pair of support curves is
     intersected at the top level.  Returns the log-resolution-ready bool,
